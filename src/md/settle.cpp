@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/parallel.hpp"
+
 namespace tme {
 
 double ConstraintParams::d_hh() const {
@@ -39,8 +41,12 @@ WaterConstraints::WaterConstraints(const Topology& topology,
 void WaterConstraints::apply_positions(const Box& box, std::span<const Vec3> previous,
                                        std::vector<Vec3>& positions,
                                        std::vector<Vec3>* velocities, double dt,
-                                       ConstraintMethod method) const {
-  for (const Triplet& t : waters_) {
+                                       ConstraintMethod method, ThreadPool* pool) const {
+  // Each molecule reads and writes only its own three atoms, so the result
+  // does not depend on how the pool splits the range.
+  ThreadPool& p = pool != nullptr ? *pool : global_pool();
+  parallel_for(p, 0, waters_.size(), [&](std::size_t k) {
+    const Triplet& t = waters_[k];
     const Vec3 before_o = positions[t.o];
     const Vec3 before_h1 = positions[t.h1];
     const Vec3 before_h2 = positions[t.h2];
@@ -54,7 +60,7 @@ void WaterConstraints::apply_positions(const Box& box, std::span<const Vec3> pre
       (*velocities)[t.h1] += (positions[t.h1] - before_h1) / dt;
       (*velocities)[t.h2] += (positions[t.h2] - before_h2) / dt;
     }
-  }
+  });
 }
 
 namespace {
@@ -195,28 +201,54 @@ void WaterConstraints::shake_one(const Box& box, const Triplet& t,
 
 void WaterConstraints::project_velocities(const Box& box,
                                           std::span<const Vec3> positions,
-                                          std::vector<Vec3>& velocities) const {
-  for (const Triplet& t : waters_) {
+                                          std::vector<Vec3>& velocities,
+                                          ThreadPool* pool) const {
+  const double inv_m[3] = {1.0 / m_o_, 1.0 / m_h_, 1.0 / m_h_};
+  const std::size_t pairs[3][2] = {{0, 1}, {0, 2}, {1, 2}};
+  // sign[a][d]: +1 if atom a is the first atom of bond d, -1 if the second.
+  const double sign[3][3] = {{1.0, 1.0, 0.0}, {-1.0, 0.0, 1.0}, {0.0, -1.0, -1.0}};
+  ThreadPool& p = pool != nullptr ? *pool : global_pool();
+  parallel_for(p, 0, waters_.size(), [&](std::size_t k) {
+    const Triplet& t = waters_[k];
     const std::size_t idx[3] = {t.o, t.h1, t.h2};
-    const double inv_m[3] = {1.0 / m_o_, 1.0 / m_h_, 1.0 / m_h_};
-    const std::size_t pairs[3][2] = {{0, 1}, {0, 2}, {1, 2}};
-    // Iterative RATTLE projection; converges geometrically for a triangle.
-    for (int iter = 0; iter < params_.shake_max_iterations; ++iter) {
-      double worst = 0.0;
-      for (int c = 0; c < 3; ++c) {
-        const std::size_t i = idx[pairs[c][0]], j = idx[pairs[c][1]];
-        const Vec3 rij = box.min_image_disp(positions[i], positions[j]);
-        const Vec3 vij = velocities[i] - velocities[j];
-        const double r2 = norm2(rij);
-        const double k = dot(rij, vij) /
-                         (r2 * (inv_m[pairs[c][0]] + inv_m[pairs[c][1]]));
-        worst = std::max(worst, std::abs(dot(rij, vij)) / std::sqrt(r2));
-        velocities[i] -= (k * inv_m[pairs[c][0]]) * rij;
-        velocities[j] += (k * inv_m[pairs[c][1]]) * rij;
-      }
-      if (worst < params_.shake_tolerance) break;
+    // Closed-form SETTLE velocity step (Miyamoto & Kollman 1992): the bond
+    // impulses lambda_c along the unit bond vectors e_c solve A lambda = u,
+    // with u_c the relative velocity along bond c and
+    //   A_cd = (sign[i_c][d] / m_{i_c} - sign[j_c][d] / m_{j_c}) (e_c . e_d).
+    Vec3 e[3];
+    double u[3];
+    for (int c = 0; c < 3; ++c) {
+      const std::size_t i = idx[pairs[c][0]], j = idx[pairs[c][1]];
+      const Vec3 rij = box.min_image_disp(positions[i], positions[j]);
+      e[c] = rij / norm(rij);
+      u[c] = dot(e[c], velocities[i] - velocities[j]);
     }
-  }
+    double a[3][3];
+    for (int c = 0; c < 3; ++c) {
+      const std::size_t i = pairs[c][0], j = pairs[c][1];
+      for (int d = 0; d < 3; ++d) {
+        a[c][d] = (sign[i][d] * inv_m[i] - sign[j][d] * inv_m[j]) * dot(e[c], e[d]);
+      }
+    }
+    // Cramer's rule; A = J M^-1 J^T is positive definite for a non-collinear
+    // triangle, so the determinant is bounded away from zero.
+    const double m00 = a[1][1] * a[2][2] - a[1][2] * a[2][1];
+    const double m01 = a[1][0] * a[2][2] - a[1][2] * a[2][0];
+    const double m02 = a[1][0] * a[2][1] - a[1][1] * a[2][0];
+    const double inv_det = 1.0 / (a[0][0] * m00 - a[0][1] * m01 + a[0][2] * m02);
+    const double lambda[3] = {
+        inv_det * (u[0] * m00 - a[0][1] * (u[1] * a[2][2] - a[1][2] * u[2]) +
+                   a[0][2] * (u[1] * a[2][1] - a[1][1] * u[2])),
+        inv_det * (a[0][0] * (u[1] * a[2][2] - a[1][2] * u[2]) - u[0] * m01 +
+                   a[0][2] * (a[1][0] * u[2] - u[1] * a[2][0])),
+        inv_det * (a[0][0] * (a[1][1] * u[2] - u[1] * a[2][1]) -
+                   a[0][1] * (a[1][0] * u[2] - u[1] * a[2][0]) + u[0] * m02)};
+    for (int c = 0; c < 3; ++c) {
+      const std::size_t i = pairs[c][0], j = pairs[c][1];
+      velocities[idx[i]] -= (lambda[c] * inv_m[i]) * e[c];
+      velocities[idx[j]] += (lambda[c] * inv_m[j]) * e[c];
+    }
+  });
 }
 
 double WaterConstraints::max_violation(const Box& box,

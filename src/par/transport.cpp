@@ -26,7 +26,10 @@ std::vector<std::uint8_t> encode_frame(const Message& m, std::uint64_t seq) {
   std::memcpy(p + 6, &reserved, 2);
   std::memcpy(p + 8, &seq, 8);
   std::memcpy(p + 16, &len, 8);
-  std::memcpy(p + kFrameHeaderBytes, m.payload.data(), m.payload.size());
+  // An empty payload's data() may be null, which memcpy must not receive.
+  if (!m.payload.empty()) {
+    std::memcpy(p + kFrameHeaderBytes, m.payload.data(), m.payload.size());
+  }
   const std::uint32_t crc =
       crc32(out.data(), kFrameHeaderBytes + m.payload.size());
   std::memcpy(p + kFrameHeaderBytes + m.payload.size(), &crc, 4);

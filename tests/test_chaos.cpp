@@ -5,6 +5,7 @@
 // deterministically.
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -119,9 +120,34 @@ TEST(ChaosSpec, EnvOverridesApplyOnTopOfBase) {
 
 // --- the runner --------------------------------------------------------------
 
-RunnerOptions test_options() {
+// A private working directory per test, removed afterwards, so tests that
+// write the runner's fixed file names cannot collide under `ctest -j`.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string templ = ::testing::TempDir() + "tme_chaos_XXXXXX";
+    if (mkdtemp(templ.data()) == nullptr) {
+      ADD_FAILURE() << "mkdtemp failed for " << templ;
+    }
+    path_ = templ;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+  std::string file(const std::string& name) const { return path_ + "/" + name; }
+
+ private:
+  std::string path_;
+};
+
+RunnerOptions test_options(const ScratchDir& dir) {
   RunnerOptions opts;
-  opts.workdir = ::testing::TempDir();
+  opts.workdir = dir.path();
   opts.worker_bin = TME_WORKER_BIN;
   return opts;
 }
@@ -139,7 +165,8 @@ TEST(ChaosRunner, ComposedMultiSurfaceScheduleStaysGreen) {
   spec.events.push_back({2, Surface::kIo, 0, 0, -1, -1, 4, "fsync"});
   spec.events.push_back({4, Surface::kSdc, 1e-5, 0, -1, -1, 0, ""});
 
-  ChaosRunner runner(spec, test_options());
+  const ScratchDir dir;
+  ChaosRunner runner(spec, test_options(dir));
   const ChaosRunResult result = runner.run();
   EXPECT_TRUE(result.ok) << failure_signature(result) << ": "
                          << result.failure_detail;
@@ -159,7 +186,8 @@ TEST(ChaosRunner, SigtermDrainResumesBitwiseFromItsCheckpoint) {
   spec.steps = 5;
   spec.events.push_back({2, Surface::kSigterm, 0, 0, -1, -1, 0, ""});
 
-  ChaosRunner runner(spec, test_options());
+  const ScratchDir dir;
+  ChaosRunner runner(spec, test_options(dir));
   const ChaosRunResult result = runner.run();
   ASSERT_TRUE(result.ok) << failure_signature(result) << ": "
                          << result.failure_detail;
@@ -181,7 +209,8 @@ TEST(ChaosRunner, BitrotOnNewestGenerationFallsBackAndStaysGreen) {
   // at the end of steps 1 and 3), so the end-of-run restore must fall back.
   spec.events.push_back({4, Surface::kBitrot, 0, 0, 40, -1, 0, ""});
 
-  ChaosRunner runner(spec, test_options());
+  const ScratchDir dir;
+  ChaosRunner runner(spec, test_options(dir));
   const ChaosRunResult result = runner.run();
   ASSERT_TRUE(result.ok) << failure_signature(result) << ": "
                          << result.failure_detail;
@@ -195,11 +224,11 @@ TEST(ChaosRunner, ReplayFileRoundTripsTheSpec) {
   result.failed_oracle = "force-parity";
   result.failed_step = 3;
   result.log.push_back({1, "packet", "window open"});
-  const std::string path = ::testing::TempDir() + "chaos_replay.json";
+  const ScratchDir dir;
+  const std::string path = dir.file("chaos_replay.json");
   write_replay_file(path, spec, result);
   const ChaosSpec back = read_replay_spec(path);
   EXPECT_EQ(dump_spec(back), dump_spec(spec));
-  std::remove(path.c_str());
 }
 
 // --- the shrinker ------------------------------------------------------------
@@ -209,7 +238,8 @@ TEST(ChaosShrink, SurvivableScheduleHasNothingToShrink) {
   spec.seed = 3;
   spec.steps = 4;
   spec.events.push_back({1, Surface::kWorker, 0, 0, 0, -1, 0, "kill"});
-  const ShrinkResult shrunk = shrink_schedule(spec, test_options());
+  const ScratchDir dir;
+  const ShrinkResult shrunk = shrink_schedule(spec, test_options(dir));
   EXPECT_TRUE(shrunk.signature.empty());
   EXPECT_TRUE(shrunk.last_run.ok);
   EXPECT_EQ(shrunk.runs, 1);
@@ -232,7 +262,8 @@ TEST(ChaosShrink, LethalScheduleShrinksToDeterministicMinimalReproducer) {
   // ...hiding the one lethal event.
   spec.events.push_back({3, Surface::kSabotage, 0, 0, 9, -1, 0, ""});
 
-  const RunnerOptions opts = test_options();
+  const ScratchDir dir;
+  const RunnerOptions opts = test_options(dir);
   const ShrinkResult shrunk = shrink_schedule(spec, opts);
   EXPECT_EQ(shrunk.signature, "force-parity@3");
   EXPECT_EQ(shrunk.events_before, 5u);
@@ -242,7 +273,7 @@ TEST(ChaosShrink, LethalScheduleShrinksToDeterministicMinimalReproducer) {
 
   // Replay file round-trip, then two independent replays: the minimal
   // reproducer must fail identically every time.
-  const std::string path = ::testing::TempDir() + "chaos_repro.json";
+  const std::string path = dir.file("chaos_repro.json");
   write_replay_file(path, shrunk.spec, shrunk.last_run);
   const ChaosSpec replay = read_replay_spec(path);
   for (int i = 0; i < 2; ++i) {
@@ -251,7 +282,6 @@ TEST(ChaosShrink, LethalScheduleShrinksToDeterministicMinimalReproducer) {
     EXPECT_FALSE(rerun.ok);
     EXPECT_EQ(failure_signature(rerun), shrunk.signature);
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

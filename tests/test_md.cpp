@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "md/topology.hpp"
 #include "md/water_box.hpp"
 #include "util/constants.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace tme {
@@ -365,6 +367,11 @@ TEST(Bonded, AngleForcesSumToZero) {
 
 // --- constraints -------------------------------------------------------------
 
+bool bitwise_equal(const std::vector<Vec3>& a, const std::vector<Vec3>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Vec3)) == 0;
+}
+
 class ConstraintTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -382,6 +389,27 @@ class ConstraintTest : public ::testing::Test {
       p += Vec3{scale * rng.normal(), scale * rng.normal(), scale * rng.normal()};
     }
     return out;
+  }
+
+  std::vector<Vec3> random_velocities(std::uint64_t seed) const {
+    Rng rng(seed);
+    std::vector<Vec3> vel(wb_.system.size());
+    for (auto& v : vel) v = {rng.normal(), rng.normal(), rng.normal()};
+    return vel;
+  }
+
+  std::vector<Vec3> projected_random_velocities(const WaterConstraints& constraints,
+                                                std::uint64_t seed) const {
+    std::vector<Vec3> vel = random_velocities(seed);
+    constraints.project_velocities(wb_.system.box, wb_.system.positions, vel);
+    return vel;
+  }
+
+  // |d r_ij / dt| along the bond, nm/ps.
+  double bond_rate(const std::vector<Vec3>& vel, std::size_t i, std::size_t j) const {
+    const Vec3 rij =
+        wb_.system.box.min_image_disp(wb_.system.positions[i], wb_.system.positions[j]);
+    return std::abs(dot(rij, vel[i] - vel[j])) / norm(rij);
   }
 
   WaterBox wb_;
@@ -438,19 +466,98 @@ TEST_F(ConstraintTest, SettlePreservesMomentum) {
 
 TEST_F(ConstraintTest, VelocityProjectionRemovesBondRates) {
   const WaterConstraints constraints(wb_.topology, wb_.system.masses, ConstraintParams{});
-  Rng rng(33);
-  std::vector<Vec3> vel(wb_.system.size());
-  for (auto& v : vel) v = {rng.normal(), rng.normal(), rng.normal()};
-  constraints.project_velocities(wb_.system.box, wb_.system.positions, vel);
+  const std::vector<Vec3> vel = projected_random_velocities(constraints, 33);
   for (const RigidWater& w : wb_.topology.rigid_waters()) {
-    const auto rate = [&](std::size_t i, std::size_t j) {
-      const Vec3 rij = wb_.system.box.min_image_disp(wb_.system.positions[i],
-                                                     wb_.system.positions[j]);
-      return std::abs(dot(rij, vel[i] - vel[j])) / norm(rij);
-    };
-    EXPECT_LT(rate(w.o, w.h1), 1e-8);
-    EXPECT_LT(rate(w.o, w.h2), 1e-8);
-    EXPECT_LT(rate(w.h1, w.h2), 1e-8);
+    EXPECT_LT(bond_rate(vel, w.o, w.h1), 1e-12);
+    EXPECT_LT(bond_rate(vel, w.o, w.h2), 1e-12);
+    EXPECT_LT(bond_rate(vel, w.h1, w.h2), 1e-12);
+  }
+}
+
+TEST_F(ConstraintTest, VelocityProjectionKeepsMolecularMomentaAndNeverHeats) {
+  // The bond impulses are internal and central: each molecule keeps its
+  // linear momentum and its angular momentum about its COM, and the
+  // projection can only remove kinetic energy.
+  const WaterConstraints constraints(wb_.topology, wb_.system.masses, ConstraintParams{});
+  const std::vector<Vec3> before = random_velocities(34);
+  const std::vector<Vec3> after = projected_random_velocities(constraints, 34);
+  const Box& box = wb_.system.box;
+  for (const RigidWater& w : wb_.topology.rigid_waters()) {
+    const std::size_t idx[3] = {w.o, w.h1, w.h2};
+    const double mass[3] = {kMassO, kMassH, kMassH};
+    Vec3 r[3];  // unwrapped about the oxygen
+    for (int a = 0; a < 3; ++a) {
+      r[a] = box.min_image_disp(wb_.system.positions[idx[a]], wb_.system.positions[w.o]);
+    }
+    const Vec3 com = (kMassO * r[0] + kMassH * r[1] + kMassH * r[2]) /
+                     (kMassO + 2.0 * kMassH);
+    Vec3 dp{}, dl{};
+    double ke_before = 0.0, ke_after = 0.0;
+    for (int a = 0; a < 3; ++a) {
+      const Vec3 dv = after[idx[a]] - before[idx[a]];
+      dp += mass[a] * dv;
+      dl += cross(r[a] - com, mass[a] * dv);
+      ke_before += 0.5 * mass[a] * norm2(before[idx[a]]);
+      ke_after += 0.5 * mass[a] * norm2(after[idx[a]]);
+    }
+    EXPECT_LT(norm(dp), 1e-12);
+    EXPECT_LT(norm(dl), 1e-12);
+    EXPECT_LE(ke_after, ke_before);
+  }
+}
+
+TEST_F(ConstraintTest, VelocityProjectionMatchesIterativeRattle) {
+  const WaterConstraints constraints(wb_.topology, wb_.system.masses, ConstraintParams{});
+  const std::vector<Vec3> closed_form = projected_random_velocities(constraints, 35);
+  std::vector<Vec3> iterative = random_velocities(35);
+  // Gauss-Seidel RATTLE sweep over the three bonds, run to round-off.
+  const Box& box = wb_.system.box;
+  for (const RigidWater& w : wb_.topology.rigid_waters()) {
+    const std::size_t idx[3] = {w.o, w.h1, w.h2};
+    const double inv_m[3] = {1.0 / kMassO, 1.0 / kMassH, 1.0 / kMassH};
+    const int pairs[3][2] = {{0, 1}, {0, 2}, {1, 2}};
+    for (int iter = 0; iter < 1000; ++iter) {
+      double worst = 0.0;
+      for (const auto& [a, b] : pairs) {
+        const std::size_t i = idx[a], j = idx[b];
+        const Vec3 rij = box.min_image_disp(wb_.system.positions[i],
+                                            wb_.system.positions[j]);
+        const Vec3 vij = iterative[i] - iterative[j];
+        const double k = dot(rij, vij) / (norm2(rij) * (inv_m[a] + inv_m[b]));
+        worst = std::max(worst, std::abs(dot(rij, vij)) / norm(rij));
+        iterative[i] -= (k * inv_m[a]) * rij;
+        iterative[j] += (k * inv_m[b]) * rij;
+      }
+      if (worst < 1e-15) break;
+    }
+  }
+  double worst = 0.0;
+  for (std::size_t i = 0; i < closed_form.size(); ++i) {
+    worst = std::max(worst, norm(closed_form[i] - iterative[i]));
+  }
+  EXPECT_LT(worst, 1e-9);
+}
+
+TEST_F(ConstraintTest, ConstraintCallsAreBitwiseInvariantUnderPoolSize) {
+  const WaterConstraints constraints(wb_.topology, wb_.system.masses, ConstraintParams{});
+  const Box& box = wb_.system.box;
+  for (const ConstraintMethod method : {ConstraintMethod::kSettle, ConstraintMethod::kShake}) {
+    std::vector<Vec3> ref_pos, ref_vel;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      ThreadPool pool(threads - 1);
+      std::vector<Vec3> pos = displaced(0.004, 36);
+      std::vector<Vec3> vel = random_velocities(37);
+      constraints.apply_positions(box, wb_.system.positions, pos, &vel, 0.001, method,
+                                  &pool);
+      constraints.project_velocities(box, pos, vel, &pool);
+      if (threads == 1) {
+        ref_pos = pos;
+        ref_vel = vel;
+        continue;
+      }
+      EXPECT_TRUE(bitwise_equal(pos, ref_pos)) << threads << " threads";
+      EXPECT_TRUE(bitwise_equal(vel, ref_vel)) << threads << " threads";
+    }
   }
 }
 
@@ -531,6 +638,58 @@ TEST(Integrator, SettleAndShakeGiveSameTrajectory) {
     worst = std::max(worst, norm(wb1.system.positions[i] - wb2.system.positions[i]));
   }
   EXPECT_LT(worst, 1e-5);
+}
+
+TEST(Integrator, TrajectoryIsBitwiseInvariantUnderConstraintPoolSize) {
+  // VelocityVerlet::step with its constraint calls on an explicit pool: the
+  // same three phases as the integrator, so pool size 1, 2 and 4 must all
+  // reproduce the integrator's own trajectory bit for bit.
+  WaterBoxSpec spec;
+  spec.molecules = 125;
+  const double alpha = alpha_from_tolerance(0.7, 1e-4);
+  ShortRangeParams sr;
+  sr.cutoff = 0.7;
+  sr.alpha = alpha;
+  const auto make_ff = [&](const Box& box) {
+    SpmeParams sp;
+    sp.alpha = alpha;
+    sp.grid = {16, 16, 16};
+    return ForceField(sr, make_spme_solver(box, sp));
+  };
+  constexpr int kSteps = 50;
+
+  WaterBox ref = build_water_box(spec);
+  const ForceField ref_ff = make_ff(ref.system.box);
+  const VelocityVerlet integrator(ref.topology, ref.system, IntegratorParams{});
+  integrator.prime(ref.system, ref.topology, ref_ff);
+  for (int s = 0; s < kSteps; ++s) integrator.step(ref.system, ref.topology, ref_ff);
+
+  const WaterConstraints& constraints = integrator.constraints();
+  const double dt = integrator.params().dt;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads - 1);
+    WaterBox wb = build_water_box(spec);
+    ParticleSystem& sys = wb.system;
+    const ForceField ff = make_ff(sys.box);
+    constraints.project_velocities(sys.box, sys.positions, sys.velocities, &pool);
+    ff.evaluate(sys, wb.topology);
+    for (int s = 0; s < kSteps; ++s) {
+      const std::vector<Vec3> previous = sys.positions;
+      for (std::size_t i = 0; i < sys.size(); ++i) {
+        sys.velocities[i] += (0.5 * dt / sys.masses[i]) * sys.forces[i];
+        sys.positions[i] += dt * sys.velocities[i];
+      }
+      constraints.apply_positions(sys.box, previous, sys.positions, &sys.velocities, dt,
+                                  ConstraintMethod::kSettle, &pool);
+      ff.evaluate(sys, wb.topology);
+      for (std::size_t i = 0; i < sys.size(); ++i) {
+        sys.velocities[i] += (0.5 * dt / sys.masses[i]) * sys.forces[i];
+      }
+      constraints.project_velocities(sys.box, sys.positions, sys.velocities, &pool);
+    }
+    EXPECT_TRUE(bitwise_equal(sys.positions, ref.system.positions)) << threads;
+    EXPECT_TRUE(bitwise_equal(sys.velocities, ref.system.velocities)) << threads;
+  }
 }
 
 TEST(Integrator, MomentumIsConservedApproximately) {

@@ -130,6 +130,22 @@ TEST(FrameCodec, RoundTripPreservesTypeSeqAndPayload) {
   EXPECT_EQ(out.payload, m.payload);
 }
 
+TEST(FrameCodec, PayloadlessFrameRoundTrips) {
+  Message m;
+  m.type = MsgType::kPing;
+  const std::vector<std::uint8_t> frame = encode_frame(m, 7);
+  EXPECT_EQ(frame.size(), kFrameHeaderBytes + kFrameTrailerBytes);
+  Message out;
+  out.payload = {9, 9};
+  std::size_t consumed = 0;
+  EXPECT_EQ(decode_frame(frame.data(), frame.size(), out, consumed),
+            DecodeStatus::kOk);
+  EXPECT_EQ(consumed, frame.size());
+  EXPECT_EQ(out.type, MsgType::kPing);
+  EXPECT_EQ(out.seq, 7u);
+  EXPECT_TRUE(out.payload.empty());
+}
+
 TEST(FrameCodec, PartialFrameAsksForMoreBytes) {
   Message m;
   m.type = MsgType::kPing;
