@@ -10,20 +10,8 @@
 #include "grid/transfer.hpp"
 #include "obs/metrics.hpp"
 #include "util/parallel.hpp"
-#include "util/constants.hpp"
 
 namespace tme {
-
-namespace {
-
-GridDims dims_at_level(GridDims finest, int level) {
-  // level = 1 is the finest; each level halves the extents.
-  GridDims d = finest;
-  for (int l = 1; l < level; ++l) d = d.halved();
-  return d;
-}
-
-}  // namespace
 
 Tme::Tme(const Box& box, const TmeParams& params)
     : box_(box),
@@ -38,7 +26,7 @@ Tme::Tme(const Box& box, const TmeParams& params)
   }
   // Validate the hierarchy (throws if any level has odd extents) and make
   // sure the top grid still supports the spline order.
-  const GridDims top = dims_at_level(params.grid, params.levels + 1);
+  const GridDims top = multilevel_dims(params.grid, params.levels + 1);
   if (top.nx < static_cast<std::size_t>(params.order) ||
       top.ny < static_cast<std::size_t>(params.order) ||
       top.nz < static_cast<std::size_t>(params.order)) {
@@ -50,7 +38,7 @@ Tme::Tme(const Box& box, const TmeParams& params)
   kernels_.reserve(static_cast<std::size_t>(params.levels));
   for (int l = 1; l <= params.levels; ++l) {
     kernels_.push_back(build_level_kernels(gaussians_, params.order,
-                                           dims_at_level(params.grid, l), h,
+                                           multilevel_dims(params.grid, l), h,
                                            params.grid_cutoff));
   }
 
@@ -58,7 +46,7 @@ Tme::Tme(const Box& box, const TmeParams& params)
   top_params.order = params.order;
   top_params.grid = top;
   top_params.alpha = params.alpha / std::ldexp(1.0, params.levels);
-  top_params.subtract_self = false;  // handled once, below
+  top_params.subtract_self = false;  // handled once, in compute_with
   top_ = std::make_unique<Spme>(box, top_params);
 
   if (params.top_level_mode == TopLevelMode::kDense) {
@@ -73,7 +61,10 @@ Tme::Tme(const Box& box, const TmeParams& params)
   }
 }
 
-Grid3d Tme::dense_top_solve(const Grid3d& charges) const {
+Grid3d Tme::solve_top(const Grid3d& charges) const {
+  if (params_.top_level_mode == TopLevelMode::kSpme) {
+    return top_->solve_potential(charges);
+  }
   const GridDims& d = top_dense_kernel_.dims();
   Grid3d phi(d);
   // Direct periodic convolution: Phi_n = sum_m K_{n-m} Q_m.
@@ -104,7 +95,7 @@ GridDims Tme::level_dims(int level) const {
   if (level < 1 || level > params_.levels + 1) {
     throw std::invalid_argument("Tme::level_dims: level out of range");
   }
-  return dims_at_level(params_.grid, level);
+  return multilevel_dims(params_.grid, level);
 }
 
 const std::vector<SeparableTerm>& Tme::level_kernels(int level) const {
@@ -118,54 +109,16 @@ Grid3d Tme::solve_potential(const Grid3d& finest_charges, TmeTrace* trace) const
   if (!(finest_charges.dims() == params_.grid)) {
     throw std::invalid_argument("Tme::solve_potential: grid mismatch");
   }
-  const int levels = params_.levels;
-
-  // Downward pass: restrictions produce Q^1 .. Q^{L+1}.
-  std::vector<Grid3d> q(static_cast<std::size_t>(levels) + 1);
-  q[0] = finest_charges;
-  for (int l = 1; l <= levels; ++l) {
-    TME_PHASE("restriction");
-    q[static_cast<std::size_t>(l)] =
-        restrict_grid(q[static_cast<std::size_t>(l - 1)], params_.order);
-  }
-
-  // Top level: SPME convolution on the coarsest grid (the FPGA 3D FFT), or
-  // the FFT-free dense periodic convolution.
-  Grid3d phi;
-  {
-    TME_PHASE("top_fft");
-    phi = params_.top_level_mode == TopLevelMode::kSpme
-              ? top_->solve_potential(q[static_cast<std::size_t>(levels)])
-              : dense_top_solve(q[static_cast<std::size_t>(levels)]);
-  }
-
-  std::vector<Grid3d> phi_trace;
-  if (trace != nullptr) phi_trace.resize(static_cast<std::size_t>(levels) + 1);
-  if (trace != nullptr) phi_trace[static_cast<std::size_t>(levels)] = phi;
-
-  // Upward pass: prolong and add each level's separable convolution.
-  for (int l = levels; l >= 1; --l) {
-    Grid3d level_phi;
-    {
-      TME_PHASE("prolongation");
-      level_phi = prolong_grid(phi, params_.order);
-    }
-    const double scale = constants::kCoulomb / std::ldexp(1.0, l - 1);
-    {
-      TME_PHASE("convolution");
-      convolve_tensor(q[static_cast<std::size_t>(l - 1)],
-                      kernels_[static_cast<std::size_t>(l - 1)], scale,
-                      level_phi);
-    }
-    phi = std::move(level_phi);
-    if (trace != nullptr) phi_trace[static_cast<std::size_t>(l - 1)] = phi;
-  }
-
-  if (trace != nullptr) {
-    trace->level_charges = std::move(q);
-    trace->level_potentials = std::move(phi_trace);
-  }
-  return phi;
+  const int p = params_.order;
+  return solve_multilevel(
+      finest_charges, params_.levels,
+      [&](const Grid3d& fine, int) { return restrict_grid(fine, p); },
+      [&](const Grid3d& top) { return solve_top(top); },
+      [&](const Grid3d& coarse, int) { return prolong_grid(coarse, p); },
+      [&](const Grid3d& q, int l, Grid3d& phi) {
+        convolve_tensor(q, level_kernels(l), tme_level_scale(l), phi);
+      },
+      trace);
 }
 
 CoulombResult Tme::compute(std::span<const Vec3> positions,
@@ -176,15 +129,22 @@ CoulombResult Tme::compute(std::span<const Vec3> positions,
   TME_GAUGE_SET("tme/atoms", positions.size());
   TME_GAUGE_SET("tme/grid_points", params_.grid.total());
   TME_GAUGE_SET("tme/levels", params_.levels);
+  return compute_with(positions, charges, [&](const Grid3d& q_grid) {
+    return solve_potential(q_grid, trace);
+  });
+}
+
+CoulombResult Tme::compute_with(
+    std::span<const Vec3> positions, std::span<const double> charges,
+    const std::function<Grid3d(const Grid3d&)>& solve) const {
   CoulombResult out;
   out.forces.assign(positions.size(), Vec3{});
-
   Grid3d q_grid;
   {
     TME_PHASE("charge_assignment");
     q_grid = assigner_.assign(positions, charges);
   }
-  const Grid3d potential = solve_potential(q_grid, trace);
+  const Grid3d potential = solve(q_grid);
   double q_phi = 0.0;
   {
     TME_PHASE("back_interpolation");
@@ -192,21 +152,8 @@ CoulombResult Tme::compute(std::span<const Vec3> positions,
         assigner_.back_interpolate(potential, positions, charges, &out.forces);
   }
   out.energy_reciprocal = 0.5 * q_phi;
-
-  if (params_.subtract_self) {
-    double q2 = 0.0;
-    for (const double q : charges) q2 += q * q;
-    out.energy_self = -constants::kCoulomb * params_.alpha / std::sqrt(M_PI) * q2;
-  }
-  // Net-charge background: only the top level drops its k = 0 mode (the
-  // middle-level separable stencils carry their shell kernels' finite DC),
-  // so the correction uses the top-level splitting alpha / 2^L.  The shell
-  // DC terms telescope with it to the full -pi/alpha^2 correction.
-  double q_total = 0.0;
-  for (const double q : charges) q_total += q;
-  out.energy_background = net_charge_background_energy(
-      q_total, top_->params().alpha, box_.volume());
-  out.energy = out.energy_reciprocal + out.energy_self + out.energy_background;
+  finish_long_range_energy(out, charges, params_.alpha, top_->params().alpha,
+                           box_.volume(), params_.subtract_self);
   return out;
 }
 

@@ -13,6 +13,8 @@
 // grid cutoff g_c and Gaussian count M grow (paper Table 1).
 #pragma once
 
+#include <cmath>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -21,7 +23,9 @@
 #include "ewald/charge_assignment.hpp"
 #include "ewald/reference_ewald.hpp"
 #include "ewald/spme.hpp"
+#include "grid/multilevel.hpp"
 #include "grid/separable_conv.hpp"
+#include "util/constants.hpp"
 #include "util/vec3.hpp"
 
 namespace tme {
@@ -45,12 +49,12 @@ struct TmeParams {
   bool subtract_self = true;
 };
 
-// Intermediate grids of one evaluation, exposed so tests and the hardware
-// model can inspect each pipeline stage.
-struct TmeTrace {
-  std::vector<Grid3d> level_charges;     // Q^1 .. Q^{L+1}
-  std::vector<Grid3d> level_potentials;  // accumulated Phi^1 .. Phi^{L+1}
-};
+using TmeTrace = MultilevelTrace<Grid3d>;
+
+// Prefactor of level l's separable convolution (paper Eq. 9): kC / 2^{l-1}.
+inline double tme_level_scale(int level) {
+  return constants::kCoulomb / std::ldexp(1.0, level - 1);
+}
 
 class Tme {
  public:
@@ -67,10 +71,23 @@ class Tme {
                         std::span<const double> charges,
                         TmeTrace* trace = nullptr) const;
 
+  // The one evaluation path of every serial TME variant: charge assignment,
+  // `solve` (finest grid charges -> finest grid potentials), back
+  // interpolation, then the self and net-charge terms.  compute() passes
+  // solve_potential; core/tme_fixed passes its fixed-point and
+  // single-precision grid solves.
+  CoulombResult compute_with(
+      std::span<const Vec3> positions, std::span<const double> charges,
+      const std::function<Grid3d(const Grid3d&)>& solve) const;
+
   // The grid-to-grid middle of the pipeline (steps 2–5): finest grid charges
-  // in, finest grid potentials out.  Exposed for stage-level testing and for
-  // the fixed-point hardware-faithful variant.
+  // in, finest grid potentials out, through solve_multilevel
+  // (grid/multilevel.hpp).  Exposed for stage-level testing.
   Grid3d solve_potential(const Grid3d& finest_charges, TmeTrace* trace = nullptr) const;
+
+  // The top-level stage every variant shares (step 4): coarsest grid
+  // charges to potentials, by FFT or dense convolution per top_level_mode.
+  Grid3d solve_top(const Grid3d& top_charges) const;
 
   GridDims level_dims(int level) const;  // level = 1 .. L+1
 
@@ -78,8 +95,6 @@ class Tme {
   const Grid3d& top_dense_kernel() const { return top_dense_kernel_; }
 
  private:
-  Grid3d dense_top_solve(const Grid3d& charges) const;
-
   Box box_;
   TmeParams params_;
   ChargeAssigner assigner_;

@@ -1,57 +1,37 @@
 #include "core/tme_fixed.hpp"
 
-#include <cmath>
+#include <stdexcept>
 
-#include "ewald/splitting.hpp"
-#include "grid/separable_conv.hpp"
+#include "grid/multilevel.hpp"
 #include "grid/transfer.hpp"
 #include "obs/metrics.hpp"
-#include "util/constants.hpp"
 
 namespace tme {
 
 Grid3d tme_solve_potential_fixed(const Tme& tme, const Grid3d& finest_charges,
                                  const TmeFixedConfig& config) {
-  const TmeParams& params = tme.params();
-  if (!(finest_charges.dims() == params.grid)) {
+  if (!(finest_charges.dims() == tme.params().grid)) {
     throw std::invalid_argument("tme_solve_potential_fixed: grid mismatch");
   }
-  const int levels = params.levels;
-
-  // Downward pass with quantised level charges (the grid memory words).
-  std::vector<Grid3d> q(static_cast<std::size_t>(levels) + 1);
-  q[0] = finest_charges;
-  quantize_grid(q[0], config.grid_format);
-  for (int l = 1; l <= levels; ++l) {
-    TME_PHASE("restriction");
-    q[static_cast<std::size_t>(l)] =
-        restrict_grid(q[static_cast<std::size_t>(l - 1)], params.order);
-    quantize_grid(q[static_cast<std::size_t>(l)], config.grid_format);
-  }
-
-  // Top level in floating point (FPGA), quantised on the way back down.
-  Grid3d phi;
-  {
-    TME_PHASE("top_fft");
-    phi = tme.top_level().solve_potential(q[static_cast<std::size_t>(levels)]);
-  }
-
-  for (int l = levels; l >= 1; --l) {
-    Grid3d level_phi;
-    {
-      TME_PHASE("prolongation");
-      level_phi = prolong_grid(phi, params.order);
-    }
-    const double scale = constants::kCoulomb / std::ldexp(1.0, l - 1);
-    {
-      TME_PHASE("convolution");
-      convolve_tensor_fixed(q[static_cast<std::size_t>(l - 1)],
-                            tme.level_kernels(l), scale, config.grid_format,
-                            config.coeff_format, level_phi);
-    }
-    phi = std::move(level_phi);
-  }
-  return phi;
+  const int p = tme.params().order;
+  const FixedFormat& grid_fmt = config.grid_format;
+  // Level charges are quantised to grid memory words; the top level runs in
+  // floating point (FPGA).
+  Grid3d q0 = finest_charges;
+  quantize_grid(q0, grid_fmt);
+  return solve_multilevel(
+      std::move(q0), tme.params().levels,
+      [&](const Grid3d& fine, int) {
+        Grid3d coarse = restrict_grid(fine, p);
+        quantize_grid(coarse, grid_fmt);
+        return coarse;
+      },
+      [&](const Grid3d& top) { return tme.solve_top(top); },
+      [&](const Grid3d& coarse, int) { return prolong_grid(coarse, p); },
+      [&](const Grid3d& q, int l, Grid3d& phi) {
+        convolve_tensor_fixed(q, tme.level_kernels(l), tme_level_scale(l),
+                              grid_fmt, config.coeff_format, phi);
+      });
 }
 
 void round_grid_to_float(Grid3d& grid) {
@@ -63,54 +43,36 @@ void round_grid_to_float(Grid3d& grid) {
 namespace {
 
 Grid3d solve_potential_single(const Tme& tme, const Grid3d& finest_charges) {
-  const TmeParams& params = tme.params();
-  const int levels = params.levels;
-  std::vector<Grid3d> q(static_cast<std::size_t>(levels) + 1);
-  q[0] = finest_charges;
-  round_grid_to_float(q[0]);
-  for (int l = 1; l <= levels; ++l) {
-    q[static_cast<std::size_t>(l)] =
-        restrict_grid(q[static_cast<std::size_t>(l - 1)], params.order);
-    round_grid_to_float(q[static_cast<std::size_t>(l)]);
-  }
-  Grid3d phi = tme.top_level().solve_potential(q[static_cast<std::size_t>(levels)]);
-  round_grid_to_float(phi);
-  for (int l = levels; l >= 1; --l) {
-    Grid3d level_phi = prolong_grid(phi, params.order);
-    const double scale = constants::kCoulomb / std::ldexp(1.0, l - 1);
-    convolve_tensor(q[static_cast<std::size_t>(l - 1)], tme.level_kernels(l),
-                    scale, level_phi);
-    round_grid_to_float(level_phi);
-    phi = std::move(level_phi);
-  }
-  return phi;
+  const int p = tme.params().order;
+  Grid3d q0 = finest_charges;
+  round_grid_to_float(q0);
+  return solve_multilevel(
+      std::move(q0), tme.params().levels,
+      [&](const Grid3d& fine, int) {
+        Grid3d coarse = restrict_grid(fine, p);
+        round_grid_to_float(coarse);
+        return coarse;
+      },
+      [&](const Grid3d& top) {
+        Grid3d phi = tme.solve_top(top);
+        round_grid_to_float(phi);
+        return phi;
+      },
+      [&](const Grid3d& coarse, int) { return prolong_grid(coarse, p); },
+      [&](const Grid3d& q, int l, Grid3d& phi) {
+        convolve_tensor(q, tme.level_kernels(l), tme_level_scale(l), phi);
+        round_grid_to_float(phi);
+      });
 }
 
 }  // namespace
 
 CoulombResult tme_compute_single(const Tme& tme, std::span<const Vec3> positions,
                                  std::span<const double> charges) {
-  CoulombResult out;
-  out.forces.assign(positions.size(), Vec3{});
-  const ChargeAssigner assigner(tme.box(), tme.params().grid, tme.params().order);
-  const Grid3d q_grid = assigner.assign(positions, charges);
-  const Grid3d potential = solve_potential_single(tme, q_grid);
-  const double q_phi =
-      assigner.back_interpolate(potential, positions, charges, &out.forces);
-  out.energy_reciprocal = 0.5 * q_phi;
-  if (tme.params().subtract_self) {
-    double q2 = 0.0;
-    for (const double q : charges) q2 += q * q;
-    out.energy_self =
-        -constants::kCoulomb * tme.params().alpha / std::sqrt(M_PI) * q2;
-  }
-  double q_total = 0.0;
-  for (const double q : charges) q_total += q;
-  // Same top-level-only k = 0 drop as Tme::compute (see the note there).
-  out.energy_background = net_charge_background_energy(
-      q_total, tme.top_level().params().alpha, tme.box().volume());
-  out.energy = out.energy_reciprocal + out.energy_self + out.energy_background;
-  return out;
+  TME_PHASE("tme_single");
+  return tme.compute_with(positions, charges, [&](const Grid3d& q_grid) {
+    return solve_potential_single(tme, q_grid);
+  });
 }
 
 CoulombResult tme_compute_fixed(const Tme& tme, std::span<const Vec3> positions,
@@ -118,35 +80,9 @@ CoulombResult tme_compute_fixed(const Tme& tme, std::span<const Vec3> positions,
                                 const TmeFixedConfig& config) {
   TME_PHASE("tme_fixed");
   TME_COUNTER_ADD("tme_fixed/compute_calls", 1);
-  CoulombResult out;
-  out.forces.assign(positions.size(), Vec3{});
-  const ChargeAssigner assigner(tme.box(), tme.params().grid, tme.params().order);
-  Grid3d q_grid;
-  {
-    TME_PHASE("charge_assignment");
-    q_grid = assigner.assign(positions, charges);
-  }
-  const Grid3d potential = tme_solve_potential_fixed(tme, q_grid, config);
-  double q_phi = 0.0;
-  {
-    TME_PHASE("back_interpolation");
-    q_phi =
-        assigner.back_interpolate(potential, positions, charges, &out.forces);
-  }
-  out.energy_reciprocal = 0.5 * q_phi;
-  if (tme.params().subtract_self) {
-    double q2 = 0.0;
-    for (const double q : charges) q2 += q * q;
-    out.energy_self =
-        -constants::kCoulomb * tme.params().alpha / std::sqrt(M_PI) * q2;
-  }
-  double q_total = 0.0;
-  for (const double q : charges) q_total += q;
-  // Same top-level-only k = 0 drop as Tme::compute (see the note there).
-  out.energy_background = net_charge_background_energy(
-      q_total, tme.top_level().params().alpha, tme.box().volume());
-  out.energy = out.energy_reciprocal + out.energy_self + out.energy_background;
-  return out;
+  return tme.compute_with(positions, charges, [&](const Grid3d& q_grid) {
+    return tme_solve_potential_fixed(tme, q_grid, config);
+  });
 }
 
 }  // namespace tme

@@ -1,13 +1,14 @@
-// Hardware-faithful TME grid pipeline: the same multilevel solve as
-// Tme::solve_potential, but with the grid data quantised to the MDGRAPE-4A
-// fixed-point formats at every stage boundary and the separable
-// convolutions performed in integer arithmetic (32-bit grid words, 24-bit
-// coefficients, exact 64-bit accumulation — paper Sec. IV.B).
-//
-// The top-level FFT convolution runs in floating point, as it does on the
-// root FPGA ("in the calculation, we used the single-precision
-// floating-point format", Sec. IV.C), with fixed<->float conversion at the
-// TMENW boundary.
+// Hardware-faithful and single-precision TME variants.  Both run the one
+// multilevel driver (grid/multilevel.hpp) inside Tme::compute_with and
+// supply only its stage bodies:
+//   fixed   quantize_grid on the finest and every restricted grid, and
+//           convolve_tensor_fixed for the level convolutions (32-bit grid
+//           words, 24-bit coefficients, exact 64-bit accumulation — paper
+//           Sec. IV.B);
+//   single  round_grid_to_float after every stage.
+// The top level is Tme::solve_top in floating point, as on the root FPGA
+// ("in the calculation, we used the single-precision floating-point
+// format", Sec. IV.C).
 #pragma once
 
 #include "core/tme.hpp"

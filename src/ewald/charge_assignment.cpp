@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "spline/bspline.hpp"
@@ -182,8 +184,11 @@ double ChargeAssigner::back_interpolate(const Grid3d& potential,
   const int p = p_;
   const int width = simd::lanes(simd_mode_);
   const double* pdata = potential.data();
+  // Per-range partial sums, added in range order afterwards: the energy is
+  // then the same on every run at a given pool size, not dependent on which
+  // range finished first.
   std::mutex sum_mutex;
-  double total = 0.0;
+  std::vector<std::pair<std::size_t, double>> partials;  // (range begin, sum)
   parallel_for_ranges(0, positions.size(), [&](std::size_t begin, std::size_t end) {
     std::vector<double> wx(static_cast<std::size_t>(p)), wy(wx), wz(wx);
     std::vector<double> dx(wx), dy(wx), dz(wx);
@@ -230,8 +235,11 @@ double ChargeAssigner::back_interpolate(const Grid3d& potential,
       }
     }
     const std::lock_guard lock(sum_mutex);
-    total += local_sum;
+    partials.emplace_back(begin, local_sum);
   });
+  std::sort(partials.begin(), partials.end());
+  double total = 0.0;
+  for (const auto& [begin, sum] : partials) total += sum;
   return total;
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ewald/reference_ewald.hpp"
 #include "util/constants.hpp"
 
 namespace tme {
@@ -82,6 +83,21 @@ double net_charge_background_energy(double q_total, double alpha, double volume)
   }
   return -constants::kCoulomb * M_PI * q_total * q_total /
          (2.0 * alpha * alpha * volume);
+}
+
+void finish_long_range_energy(CoulombResult& out, std::span<const double> charges,
+                              double alpha, double background_alpha,
+                              double volume, bool subtract_self) {
+  if (subtract_self) {
+    double q2 = 0.0;
+    for (const double q : charges) q2 += q * q;
+    out.energy_self = -constants::kCoulomb * alpha / std::sqrt(M_PI) * q2;
+  }
+  double q_total = 0.0;
+  for (const double q : charges) q_total += q;
+  out.energy_background =
+      net_charge_background_energy(q_total, background_alpha, volume);
+  out.energy = out.energy_reciprocal + out.energy_self + out.energy_background;
 }
 
 }  // namespace tme

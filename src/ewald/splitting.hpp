@@ -9,7 +9,11 @@
 // plus the top-level part g_L(r; alpha/2^L).
 #pragma once
 
+#include <span>
+
 namespace tme {
+
+struct CoulombResult;
 
 // erfc(alpha r) / r.  Also well-defined in the r -> 0 limit? No: diverges;
 // callers guard r > 0.
@@ -48,5 +52,17 @@ int reciprocal_cutoff_from_tolerance(double alpha, double box_length, double rto
 // (point charges + uniform neutralising background) alpha-independent.
 // Exactly zero for neutral systems.
 double net_charge_background_energy(double q_total, double alpha, double volume);
+
+// The energy epilogue every mesh solver shares, once out.energy_reciprocal
+// is set: the self term -kC alpha / sqrt(pi) sum q^2 (when subtract_self),
+// the net-charge background above at `background_alpha`, and
+// out.energy = reciprocal + self + background.  `background_alpha` is the
+// splitting of the one grid that drops its k = 0 mode: alpha for SPME, the
+// top-level alpha / 2^L for TME and MSM, whose middle-level kernels keep
+// their shells' finite DC (those telescope with the top-level term to the
+// full -pi / alpha^2 correction).
+void finish_long_range_energy(CoulombResult& out, std::span<const double> charges,
+                              double alpha, double background_alpha,
+                              double volume, bool subtract_self);
 
 }  // namespace tme

@@ -1,12 +1,10 @@
 #include "ewald/spme.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "ewald/greens_function.hpp"
 #include "ewald/splitting.hpp"
 #include "obs/metrics.hpp"
-#include "util/constants.hpp"
 #include "util/parallel.hpp"
 
 namespace tme {
@@ -86,18 +84,9 @@ CoulombResult Spme::compute(std::span<const Vec3> positions,
     out.virial = 0.5 * w;
   }
 
-  if (params_.subtract_self) {
-    double q2 = 0.0;
-    for (const double q : charges) q2 += q * q;
-    out.energy_self =
-        -constants::kCoulomb * params_.alpha / std::sqrt(M_PI) * q2;
-  }
-  double q_total = 0.0;
-  for (const double q : charges) q_total += q;
-  out.energy_background =
-      net_charge_background_energy(q_total, params_.alpha, box_.volume());
+  finish_long_range_energy(out, charges, params_.alpha, params_.alpha,
+                           box_.volume(), params_.subtract_self);
   if (params_.compute_virial) out.virial += 3.0 * out.energy_background;
-  out.energy = out.energy_reciprocal + out.energy_self + out.energy_background;
   return out;
 }
 

@@ -5,12 +5,13 @@
 #include <string>
 
 #include "ewald/greens_function.hpp"
+#include "ewald/splitting.hpp"
+#include "grid/multilevel.hpp"
 #include "grid/transfer.hpp"
 #include "hw/fpga_fft.hpp"
 #include "hw/gcu_functional.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/constants.hpp"
 
 namespace tme::hw {
 
@@ -54,8 +55,8 @@ GuardedTmePipeline::GuardedTmePipeline(const Box& box, const TmeParams& params,
       top.ny == 16 && top.nz == 16) {
     // The FPGA engine handles exactly this geometry; other tops fall back to
     // the library SPME solve (zero-mean check only, no Parseval probe).
-    top_influence_ = spme_influence(
-        box, top, params.order, params.alpha / std::ldexp(1.0, params.levels));
+    top_influence_ = spme_influence(box, top, params.order,
+                                    tme_.top_level().params().alpha);
   }
 }
 
@@ -116,7 +117,6 @@ CoulombResult GuardedTmePipeline::compute(std::span<const Vec3> positions,
                                           GuardedTmeReport* report) const {
   TME_PHASE("guarded_tme");
   const TmeParams& params = tme_.params();
-  const int levels = params.levels;
   const int p = params.order;
 
   GuardedTmeReport scratch;
@@ -153,11 +153,8 @@ CoulombResult GuardedTmePipeline::compute(std::span<const Vec3> positions,
 
   // Downward pass: each restriction preserves the grid total exactly (the
   // even and odd halves of the two-scale coefficients both sum to 1).
-  std::vector<Grid3d> q(static_cast<std::size_t>(levels) + 1);
-  q[0] = std::move(q_grid);
-  for (int l = 1; l <= levels; ++l) {
-    const Grid3d& fine = q[static_cast<std::size_t>(l - 1)];
-    Grid3d& coarse = q[static_cast<std::size_t>(l)];
+  const auto restriction = [&](const Grid3d& fine, int l) {
+    Grid3d coarse;
     const double fine_total = abft::grid_total(fine);
     const double tol =
         abft::rounding_tolerance(fine.size(), sum_abs(fine), kEpsDouble);
@@ -169,59 +166,61 @@ CoulombResult GuardedTmePipeline::compute(std::span<const Vec3> positions,
                          tol, l + 1);
         },
         checks, rep);
-  }
+    return coarse;
+  };
 
   // Stage 2: top-level solve.  The k = 0 influence is zero (tinfoil), so the
   // output grid has zero mean; the FPGA path additionally checks Parseval on
   // both sides of the Green multiply.
-  Grid3d phi;
-  const Grid3d& q_top = q[static_cast<std::size_t>(levels)];
-  if (!top_influence_.empty()) {
-    FpgaAbftProbe probe;
-    guarded_stage(
-        GuardedStage::kTopSolve, -1,
-        [&] {
-          std::vector<float> cf(q_top.size());
-          for (std::size_t i = 0; i < cf.size(); ++i) {
-            cf[i] = static_cast<float>(q_top[i]);
-          }
-          const std::vector<float> pf =
-              fpga_top_level_convolve(cf, top_influence_, faults_, &probe);
-          phi = Grid3d(q_top.dims());
-          for (std::size_t i = 0; i < pf.size(); ++i) {
-            phi[i] = static_cast<double>(pf[i]);
-          }
-        },
-        [&](abft::CheckSet& c) {
-          const auto n = static_cast<std::size_t>(q_top.size());
-          bool ok = c.check(
-              "fpga_parseval_forward", probe.input_energy, probe.forward_energy,
-              abft::rounding_tolerance(n, probe.input_energy, kEpsFloat), 0);
-          ok &= c.check(
-              "fpga_parseval_inverse", probe.green_energy, probe.output_energy,
-              abft::rounding_tolerance(n, probe.green_energy, kEpsFloat), 1);
-          ok &= c.check("top_zero_mean", 0.0, abft::grid_total(phi),
-                        abft::rounding_tolerance(n, phi.max_abs(), kEpsFloat));
-          return ok;
-        },
-        checks, rep);
-  } else {
-    guarded_stage(
-        GuardedStage::kTopSolve, -1,
-        [&] { phi = tme_.top_level().solve_potential(q_top); },
-        [&](abft::CheckSet& c) {
-          return c.check("top_zero_mean", 0.0, abft::grid_total(phi),
-                         abft::rounding_tolerance(phi.size(), phi.max_abs(),
-                                                  kEpsDouble));
-        },
-        checks, rep);
-  }
+  const auto top = [&](const Grid3d& q_top) {
+    Grid3d phi;
+    if (!top_influence_.empty()) {
+      FpgaAbftProbe probe;
+      guarded_stage(
+          GuardedStage::kTopSolve, -1,
+          [&] {
+            std::vector<float> cf(q_top.size());
+            for (std::size_t i = 0; i < cf.size(); ++i) {
+              cf[i] = static_cast<float>(q_top[i]);
+            }
+            const std::vector<float> pf =
+                fpga_top_level_convolve(cf, top_influence_, faults_, &probe);
+            phi = Grid3d(q_top.dims());
+            for (std::size_t i = 0; i < pf.size(); ++i) {
+              phi[i] = static_cast<double>(pf[i]);
+            }
+          },
+          [&](abft::CheckSet& c) {
+            const auto n = static_cast<std::size_t>(q_top.size());
+            bool ok = c.check(
+                "fpga_parseval_forward", probe.input_energy, probe.forward_energy,
+                abft::rounding_tolerance(n, probe.input_energy, kEpsFloat), 0);
+            ok &= c.check(
+                "fpga_parseval_inverse", probe.green_energy, probe.output_energy,
+                abft::rounding_tolerance(n, probe.green_energy, kEpsFloat), 1);
+            ok &= c.check("top_zero_mean", 0.0, abft::grid_total(phi),
+                          abft::rounding_tolerance(n, phi.max_abs(), kEpsFloat));
+            return ok;
+          },
+          checks, rep);
+    } else {
+      guarded_stage(
+          GuardedStage::kTopSolve, -1, [&] { phi = tme_.solve_top(q_top); },
+          [&](abft::CheckSet& c) {
+            return c.check("top_zero_mean", 0.0, abft::grid_total(phi),
+                           abft::rounding_tolerance(phi.size(), phi.max_abs(),
+                                                    kEpsDouble));
+          },
+          checks, rep);
+    }
+    return phi;
+  };
 
   // Upward pass: prolongation scales the total by exactly 8 (two-scale
   // coefficients sum to 2 per axis); each GCU axis pass satisfies the
   // Huang–Abraham per-line checksum, which localises a flip to one line of
   // one axis of one term of one level — the unit the recompute re-runs.
-  for (int l = levels; l >= 1; --l) {
+  const auto prolongation = [&](const Grid3d& phi, int l) {
     Grid3d level_phi;
     const double phi_total = abft::grid_total(phi);
     const double prolong_tol =
@@ -234,10 +233,12 @@ CoulombResult GuardedTmePipeline::compute(std::span<const Vec3> positions,
                          abft::grid_total(level_phi), prolong_tol, l);
         },
         checks, rep);
+    return level_phi;
+  };
 
+  const auto convolution = [&](const Grid3d& src, int l, Grid3d& level_phi) {
     const std::vector<SeparableTerm>& terms = tme_.level_kernels(l);
-    const double scale = constants::kCoulomb / std::ldexp(1.0, l - 1);
-    const Grid3d& src = q[static_cast<std::size_t>(l - 1)];
+    const double scale = tme_level_scale(l);
     for (std::size_t t = 0; t < terms.size(); ++t) {
       Grid3d cur = src;
       for (int axis = 0; axis < 3; ++axis) {
@@ -265,8 +266,11 @@ CoulombResult GuardedTmePipeline::compute(std::span<const Vec3> positions,
         level_phi[i] += scale * cur[i];
       }
     }
-    phi = std::move(level_phi);
-  }
+  };
+
+  const Grid3d phi = solve_multilevel(std::move(q_grid), params.levels,
+                                      restriction, top, prolongation,
+                                      convolution);
 
   // Stage 5: back interpolation through the LRU.  No conservation law ties
   // the per-atom sums to a precomputed checksum, so the invariant here is a
@@ -292,13 +296,9 @@ CoulombResult GuardedTmePipeline::compute(std::span<const Vec3> positions,
       checks, rep);
 
   out.energy_reciprocal = 0.5 * q_phi;
-  if (params.subtract_self) {
-    double q2 = 0.0;
-    for (const double q_i : charges) q2 += q_i * q_i;
-    out.energy_self =
-        -constants::kCoulomb * params.alpha / std::sqrt(M_PI) * q2;
-  }
-  out.energy = out.energy_reciprocal + out.energy_self;
+  finish_long_range_energy(out, charges, params.alpha,
+                           tme_.top_level().params().alpha, box_.volume(),
+                           params.subtract_self);
 
   rep.checks_run = checks.checks_run();
   rep.violations = checks.violations().size();

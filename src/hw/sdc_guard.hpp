@@ -2,8 +2,10 @@
 //
 // This is the online SDC defense of the simulated machine: the full TME
 // evaluation routed through the hardware datapath models (LRU charge
-// assignment / back interpolation, GCU axis passes, FPGA top-level FFT),
-// with an ABFT invariant (core/abft) verified after every stage and a
+// assignment / back interpolation, GCU axis passes, FPGA top-level FFT).
+// The level loop is the one multilevel driver (grid/multilevel.hpp); this
+// file supplies its stage bodies, each wrapped in guarded_stage, with an
+// ABFT invariant (core/abft) verified after every stage and a
 // *localized* recompute on violation — only the stage (and for the GCU only
 // the axis pass) that failed its checksum is re-executed, with SDC
 // injection suspended for the retry (an upset is transient, so the re-run

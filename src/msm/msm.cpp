@@ -7,21 +7,13 @@
 #include "ewald/greens_function.hpp"
 #include "ewald/splitting.hpp"
 #include "fft/fft3d.hpp"
+#include "grid/multilevel.hpp"
 #include "grid/separable_conv.hpp"
 #include "grid/transfer.hpp"
+#include "obs/metrics.hpp"
 #include "util/constants.hpp"
 
 namespace tme {
-
-namespace {
-
-GridDims dims_at_level(GridDims finest, int level) {
-  GridDims d = finest;
-  for (int l = 1; l < level; ++l) d = d.halved();
-  return d;
-}
-
-}  // namespace
 
 std::vector<double> msm_level_kernel(const Box& box, GridDims level_dims,
                                      int order, double alpha, int level,
@@ -128,7 +120,7 @@ Msm::Msm(const Box& box, const MsmParams& params)
     throw std::invalid_argument("Msm: order must be even and >= 2");
   }
   if (params.levels < 1) throw std::invalid_argument("Msm: levels must be >= 1");
-  const GridDims top = dims_at_level(params.grid, params.levels + 1);
+  const GridDims top = multilevel_dims(params.grid, params.levels + 1);
   if (top.nx < static_cast<std::size_t>(params.order) ||
       top.ny < static_cast<std::size_t>(params.order) ||
       top.nz < static_cast<std::size_t>(params.order)) {
@@ -137,7 +129,7 @@ Msm::Msm(const Box& box, const MsmParams& params)
 
   kernels_.reserve(static_cast<std::size_t>(params.levels));
   for (int l = 1; l <= params.levels; ++l) {
-    kernels_.push_back(msm_level_kernel(box, dims_at_level(params.grid, l),
+    kernels_.push_back(msm_level_kernel(box, multilevel_dims(params.grid, l),
                                         params.order, params.alpha, l,
                                         params.grid_cutoff));
   }
@@ -161,30 +153,23 @@ Grid3d Msm::solve_potential(const Grid3d& finest_charges) const {
   if (!(finest_charges.dims() == params_.grid)) {
     throw std::invalid_argument("Msm::solve_potential: grid mismatch");
   }
-  const int levels = params_.levels;
-  std::vector<Grid3d> q(static_cast<std::size_t>(levels) + 1);
-  q[0] = finest_charges;
-  for (int l = 1; l <= levels; ++l) {
-    q[static_cast<std::size_t>(l)] =
-        restrict_grid(q[static_cast<std::size_t>(l - 1)], params_.order);
-  }
-
-  Grid3d phi = top_->solve_potential(q[static_cast<std::size_t>(levels)]);
-  for (int l = levels; l >= 1; --l) {
-    Grid3d level_phi = prolong_grid(phi, params_.order);
-    Grid3d conv(level_phi.dims());
-    convolve_dense3d(q[static_cast<std::size_t>(l - 1)],
-                     kernels_[static_cast<std::size_t>(l - 1)],
-                     params_.grid_cutoff, conv);
-    conv *= constants::kCoulomb;  // shell samples carry the 1/2^{l-1} already
-    level_phi += conv;
-    phi = std::move(level_phi);
-  }
-  return phi;
+  const int p = params_.order;
+  return solve_multilevel(
+      finest_charges, params_.levels,
+      [&](const Grid3d& fine, int) { return restrict_grid(fine, p); },
+      [&](const Grid3d& top) { return top_->solve_potential(top); },
+      [&](const Grid3d& coarse, int) { return prolong_grid(coarse, p); },
+      [&](const Grid3d& q, int l, Grid3d& phi) {
+        Grid3d conv(phi.dims());
+        convolve_dense3d(q, level_kernel(l), params_.grid_cutoff, conv);
+        conv *= constants::kCoulomb;  // shell samples carry the 1/2^{l-1} already
+        phi += conv;
+      });
 }
 
 CoulombResult Msm::compute(std::span<const Vec3> positions,
                            std::span<const double> charges) const {
+  TME_PHASE("msm");
   CoulombResult out;
   out.forces.assign(positions.size(), Vec3{});
   const Grid3d q_grid = assigner_.assign(positions, charges);
@@ -192,19 +177,8 @@ CoulombResult Msm::compute(std::span<const Vec3> positions,
   const double q_phi =
       assigner_.back_interpolate(potential, positions, charges, &out.forces);
   out.energy_reciprocal = 0.5 * q_phi;
-  if (params_.subtract_self) {
-    double q2 = 0.0;
-    for (const double q : charges) q2 += q * q;
-    out.energy_self = -constants::kCoulomb * params_.alpha / std::sqrt(M_PI) * q2;
-  }
-  // Net-charge background, top-level splitting only: the dense middle-level
-  // stencils carry their shell kernels' finite DC, and only the top SPME
-  // drops its k = 0 mode (same telescoping as Tme::compute).
-  double q_total = 0.0;
-  for (const double q : charges) q_total += q;
-  out.energy_background = net_charge_background_energy(
-      q_total, top_->params().alpha, box_.volume());
-  out.energy = out.energy_reciprocal + out.energy_self + out.energy_background;
+  finish_long_range_energy(out, charges, params_.alpha, top_->params().alpha,
+                           box_.volume(), params_.subtract_self);
   return out;
 }
 

@@ -1,11 +1,11 @@
 // B-spline multilevel summation method (MSM) — the baseline the paper's
 // Sec. III.C cost analysis compares the TME against (Hardy et al. 2016).
 //
-// Structure is identical to the TME (charge assignment, restriction down a
-// grid hierarchy, per-level grid-kernel convolution, prolongation, back
-// interpolation) except for the one difference that motivates the TME: the
+// Structure is identical to the TME: the grid solve is the same multilevel
+// driver (grid/multilevel.hpp), and this file supplies only its stage
+// bodies.  The one difference is the one that motivates the TME: the
 // level kernels are *exact* shell kernels, not sums of M separable
-// Gaussians, so the range-limited convolution is a dense 3D stencil of
+// Gaussians, so the level convolution stage is a dense 3D stencil of
 // (2 g_c + 1)^3 taps instead of 3 M passes of (2 g_c + 1) taps.
 //
 // Substitution note (DESIGN.md): classic MSM softens 1/r with polynomial

@@ -1,12 +1,14 @@
 #include "par/par_tme.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
+#include "ewald/splitting.hpp"
+#include "grid/multilevel.hpp"
 #include "obs/metrics.hpp"
 #include "spline/bspline.hpp"
 #include "spline/two_scale.hpp"
-#include "util/constants.hpp"
 
 namespace tme::par {
 
@@ -239,53 +241,55 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
     }
   }
   const TmeParams& params = tme_.params();
-  const int levels = params.levels;
   const int p = params.order;
+  const int half_p = p / 2;
   const int gc = params.grid_cutoff;
 
-  // -- Downward pass: restrictions -------------------------------------------
-  std::vector<DistributedGrid> q(static_cast<std::size_t>(levels) + 1);
-  q[0] = finest_charges;
-  for (int l = 1; l <= levels; ++l) {
-    TME_PHASE("restriction");
-    const GridDecomposition& fine_d = level_decomp_[static_cast<std::size_t>(l - 1)];
-    const GridDecomposition& coarse_d = level_decomp_[static_cast<std::size_t>(l)];
-    DistributedGrid coarse(coarse_d);
-    const int half_p = p / 2;
-    std::vector<GridBlockTask> tasks;
-    tasks.reserve(topo_.node_count());
+  // Two-scale transfer: one task per node computing its block of `dst_d`
+  // from the halo of `src` the stencil reads.  `reach(o, n)` is that halo's
+  // start and extent along one axis, for an output block at origin o with n
+  // cells.
+  const auto transfer = [&](GridBlockTask::Kind kind, const DistributedGrid& src,
+                            const GridDecomposition& src_d,
+                            const GridDecomposition& dst_d, const char* phase,
+                            const auto& reach) {
+    std::vector<GridBlockTask> tasks(topo_.node_count());
     for (std::size_t n = 0; n < topo_.node_count(); ++n) {
       const NodeCoord me = topo_.coord(n);
-      // Fine halo: output coarse cell m needs fine cells 2m +- p/2.
-      GridBlockTask t;
-      t.kind = GridBlockTask::Kind::kRestrict;
+      GridBlockTask& t = tasks[n];
+      t.kind = kind;
       t.node = n;
-      const long fx0 = 2 * static_cast<long>(coarse_d.origin_x(me)) - half_p;
-      const long fy0 = 2 * static_cast<long>(coarse_d.origin_y(me)) - half_p;
-      const long fz0 = 2 * static_cast<long>(coarse_d.origin_z(me)) - half_p;
-      t.halo.reset(fx0, fy0, fz0, 2 * coarse_d.local().nx + p,
-                   2 * coarse_d.local().ny + p, 2 * coarse_d.local().nz + p);
-      import_halo(q[static_cast<std::size_t>(l - 1)], fine_d, me, t.halo,
-                  "restriction halo", log, ctx);
-      t.ox = static_cast<long>(coarse_d.origin_x(me));
-      t.oy = static_cast<long>(coarse_d.origin_y(me));
-      t.oz = static_cast<long>(coarse_d.origin_z(me));
-      t.out_dims = coarse_d.local();
-      tasks.push_back(std::move(t));
+      t.ox = static_cast<long>(dst_d.origin_x(me));
+      t.oy = static_cast<long>(dst_d.origin_y(me));
+      t.oz = static_cast<long>(dst_d.origin_z(me));
+      t.out_dims = dst_d.local();
+      const auto [x0, ex] = reach(t.ox, t.out_dims.nx);
+      const auto [y0, ey] = reach(t.oy, t.out_dims.ny);
+      const auto [z0, ez] = reach(t.oz, t.out_dims.nz);
+      t.halo.reset(x0, y0, z0, ex, ey, ez);
+      import_halo(src, src_d, me, t.halo, phase, log, ctx);
     }
     std::vector<Grid3d> blocks = exec.run_grid(std::move(tasks));
+    DistributedGrid out(dst_d);
     for (std::size_t n = 0; n < topo_.node_count(); ++n) {
-      coarse.block(n) = std::move(blocks[n]);
+      out.block(n) = std::move(blocks[n]);
     }
-    q[static_cast<std::size_t>(l)] = std::move(coarse);
-  }
+    return out;
+  };
 
-  // -- Top level: gather to the root, FFT convolution, broadcast back --------
-  const GridDecomposition& top_d = level_decomp_[static_cast<std::size_t>(levels)];
-  DistributedGrid phi;
-  {
-    TME_PHASE("top_fft");
-    Grid3d top_global = q[static_cast<std::size_t>(levels)].assemble();
+  // Restriction: output coarse cell m needs fine cells 2m +- p/2.
+  const auto restriction = [&](const DistributedGrid& fine, int l) {
+    const auto level = static_cast<std::size_t>(l);
+    return transfer(GridBlockTask::Kind::kRestrict, fine, level_decomp_[level - 1],
+                    level_decomp_[level], "restriction halo",
+                    [&](long o, std::size_t n) {
+                      return std::pair{2 * o - half_p, 2 * n + p};
+                    });
+  };
+
+  // Top level: gather to the root, solve, broadcast back.
+  const auto top = [&](const DistributedGrid& q_top) {
+    const GridDecomposition& top_d = level_decomp_.back();
     if (log != nullptr) {
       // Every non-root node ships its block up the tree and receives the
       // potentials back (paper Sec. IV.C octree; hop count = torus distance to
@@ -296,53 +300,25 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
         log_transfer(log, "TMENW scatter", words, 0, n, topo_, ctx);
       }
     }
-    Grid3d top_phi_global = tme_.top_level().solve_potential(top_global);
-    phi = DistributedGrid::distribute(top_phi_global, top_d);
-  }
+    return DistributedGrid::distribute(tme_.solve_top(q_top.assemble()), top_d);
+  };
 
-  // -- Upward pass: prolongation + per-level separable convolution ----------
-  for (int l = levels; l >= 1; --l) {
+  // Prolongation: fine cell n needs coarse cells m with |n - 2m| <= p/2.
+  const auto prolongation = [&](const DistributedGrid& phi, int l) {
+    const auto level = static_cast<std::size_t>(l);
+    return transfer(GridBlockTask::Kind::kProlong, phi, level_decomp_[level],
+                    level_decomp_[level - 1], "prolongation halo",
+                    [&](long o, std::size_t n) {
+                      return std::pair{(o - half_p - 1) / 2,
+                                       (n + static_cast<std::size_t>(p)) / 2 + 2};
+                    });
+  };
+
+  // Separable level convolution: x, then y, then z axis passes; the
+  // intermediate state is one grid per Gaussian term.
+  const auto convolution = [&](const DistributedGrid& q, int l,
+                               DistributedGrid& fine_phi) {
     const GridDecomposition& fine_d = level_decomp_[static_cast<std::size_t>(l - 1)];
-    const GridDecomposition& coarse_d = level_decomp_[static_cast<std::size_t>(l)];
-    const int half_p = p / 2;
-
-    // Prolongation: fine cell n needs coarse cells m with |n - 2m| <= p/2.
-    DistributedGrid fine_phi(fine_d);
-    {
-    TME_PHASE("prolongation");
-    std::vector<GridBlockTask> tasks;
-    tasks.reserve(topo_.node_count());
-    for (std::size_t n = 0; n < topo_.node_count(); ++n) {
-      const NodeCoord me = topo_.coord(n);
-      GridBlockTask t;
-      t.kind = GridBlockTask::Kind::kProlong;
-      t.node = n;
-      const long cx0 = (static_cast<long>(fine_d.origin_x(me)) - half_p - 1) / 2;
-      const long cy0 = (static_cast<long>(fine_d.origin_y(me)) - half_p - 1) / 2;
-      const long cz0 = (static_cast<long>(fine_d.origin_z(me)) - half_p - 1) / 2;
-      const std::size_t ext_x =
-          (fine_d.local().nx + static_cast<std::size_t>(p)) / 2 + 2;
-      const std::size_t ext_y =
-          (fine_d.local().ny + static_cast<std::size_t>(p)) / 2 + 2;
-      const std::size_t ext_z =
-          (fine_d.local().nz + static_cast<std::size_t>(p)) / 2 + 2;
-      t.halo.reset(cx0, cy0, cz0, ext_x, ext_y, ext_z);
-      import_halo(phi, coarse_d, me, t.halo, "prolongation halo", log, ctx);
-      t.ox = static_cast<long>(fine_d.origin_x(me));
-      t.oy = static_cast<long>(fine_d.origin_y(me));
-      t.oz = static_cast<long>(fine_d.origin_z(me));
-      t.out_dims = fine_d.local();
-      tasks.push_back(std::move(t));
-    }
-    std::vector<Grid3d> blocks = exec.run_grid(std::move(tasks));
-    for (std::size_t n = 0; n < topo_.node_count(); ++n) {
-      fine_phi.block(n) = std::move(blocks[n]);
-    }
-    }  // prolongation phase
-
-    // Separable level convolution: x, then y, then z axis passes; the
-    // intermediate state is one grid per Gaussian term.
-    TME_PHASE("convolution");
     const std::vector<SeparableTerm>& kernels = tme_.level_kernels(l);
     const std::size_t m_terms = kernels.size();
     const GridDims& local = fine_d.local();
@@ -367,8 +343,7 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
         const long oy = static_cast<long>(fine_d.origin_y(me));
         const long oz = static_cast<long>(fine_d.origin_z(me));
         for (std::size_t term = 0; term < inputs; ++term) {
-          const DistributedGrid& src =
-              axis == 0 ? q[static_cast<std::size_t>(l - 1)] : work[term];
+          const DistributedGrid& src = axis == 0 ? q : work[term];
 
           ExtendedBlock halo;
           switch (axis) {
@@ -420,7 +395,7 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
 
     // Accumulate the M terms into the prolonged potential with the level
     // prefactor (Eq. 9).
-    const double scale = constants::kCoulomb / std::ldexp(1.0, l - 1);
+    const double scale = tme_level_scale(l);
     for (std::size_t n = 0; n < topo_.node_count(); ++n) {
       Grid3d& out = fine_phi.block(n);
       for (std::size_t term = 0; term < m_terms; ++term) {
@@ -428,9 +403,10 @@ DistributedGrid ParallelTme::solve_potential(const DistributedGrid& finest_charg
         for (std::size_t i = 0; i < out.size(); ++i) out[i] += scale * w[i];
       }
     }
-    phi = std::move(fine_phi);
-  }
-  return phi;
+  };
+
+  return solve_multilevel(finest_charges, params.levels, restriction, top,
+                          prolongation, convolution);
 }
 
 CoulombResult ParallelTme::compute(std::span<const Vec3> positions,
@@ -523,12 +499,9 @@ CoulombResult ParallelTme::compute(std::span<const Vec3> positions,
   }
   }  // back_interpolation phase
   out.energy_reciprocal = 0.5 * q_phi;
-  if (params.subtract_self) {
-    double q2 = 0.0;
-    for (const double qi : charges) q2 += qi * qi;
-    out.energy_self = -constants::kCoulomb * params.alpha / std::sqrt(M_PI) * q2;
-  }
-  out.energy = out.energy_reciprocal + out.energy_self;
+  finish_long_range_energy(out, charges, params.alpha,
+                           tme_.top_level().params().alpha, box_.volume(),
+                           params.subtract_self);
   return out;
 }
 

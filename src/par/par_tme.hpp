@@ -13,10 +13,13 @@
 //   prolongation  coarse-grid halo exchange, two-scale stencil
 //   BI            potential halo import, per-node interpolation
 //
-// The coordinator owns every distributed grid and the traffic log; the
-// per-node compute is batched through a NodeExecutor (par/executor.hpp), so
-// the same pipeline runs inline (SerialExecutor, the default) or across real
-// worker processes (par/fleet.hpp) with bitwise identical results.
+// The level loop is the one multilevel driver (grid/multilevel.hpp) over
+// DistributedGrid; this file supplies its stage bodies, which build the
+// per-node tasks above.  The coordinator owns every distributed grid and the
+// traffic log; the per-node compute is batched through a NodeExecutor
+// (par/executor.hpp), so the same pipeline runs inline (SerialExecutor, the
+// default) or across real worker processes (par/fleet.hpp) with bitwise
+// identical results.
 //
 // The result is bitwise-independent of the decomposition up to floating
 // summation order (tests assert agreement with the serial Tme to 1e-10),

@@ -280,6 +280,23 @@ TEST(GuardedTme, ChecksAreBitwiseNeutralAtRateZero) {
   EXPECT_TRUE(bitwise_equal(a, b));
 }
 
+TEST(GuardedTme, NetChargeBackgroundMatchesTme) {
+  // A +1 e cell: the guarded pipeline owes the same background as Tme.
+  TestSystem sys = make_system(400, 24);
+  sys.charges[0] += 1.0;
+  TmeParams tp = small_params();
+  tp.alpha = 2.5;
+  GuardedTmePipeline guarded(sys.box, tp, GuardedTmeConfig{});
+  GuardedTmeReport rep;
+  const CoulombResult g = guarded.compute(sys.positions, sys.charges, &rep);
+  const CoulombResult ref = guarded.tme().compute(sys.positions, sys.charges);
+
+  EXPECT_EQ(rep.violations, 0u);
+  ASSERT_LT(ref.energy_background, 0.0);
+  EXPECT_EQ(g.energy_background, ref.energy_background);
+  EXPECT_EQ(g.energy, g.energy_reciprocal + g.energy_self + g.energy_background);
+}
+
 TEST(GuardedTme, DetectsInjectedCorruptionAndRecomputesLocally) {
   const TestSystem sys = make_system(100, 23);
 

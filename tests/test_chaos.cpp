@@ -5,7 +5,6 @@
 // deterministically.
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -14,6 +13,7 @@
 #include "chaos/runner.hpp"
 #include "chaos/schedule.hpp"
 #include "chaos/shrink.hpp"
+#include "scratch_dir.hpp"
 #include "util/io_shim.hpp"
 
 #ifndef TME_WORKER_BIN
@@ -119,31 +119,6 @@ TEST(ChaosSpec, EnvOverridesApplyOnTopOfBase) {
 }
 
 // --- the runner --------------------------------------------------------------
-
-// A private working directory per test, removed afterwards, so tests that
-// write the runner's fixed file names cannot collide under `ctest -j`.
-class ScratchDir {
- public:
-  ScratchDir() {
-    std::string templ = ::testing::TempDir() + "tme_chaos_XXXXXX";
-    if (mkdtemp(templ.data()) == nullptr) {
-      ADD_FAILURE() << "mkdtemp failed for " << templ;
-    }
-    path_ = templ;
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  ScratchDir(const ScratchDir&) = delete;
-  ScratchDir& operator=(const ScratchDir&) = delete;
-
-  const std::string& path() const { return path_; }
-  std::string file(const std::string& name) const { return path_ + "/" + name; }
-
- private:
-  std::string path_;
-};
 
 RunnerOptions test_options(const ScratchDir& dir) {
   RunnerOptions opts;

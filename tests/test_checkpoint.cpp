@@ -18,6 +18,7 @@
 #include "md/guardrail.hpp"
 #include "md/integrator.hpp"
 #include "md/water_box.hpp"
+#include "scratch_dir.hpp"
 #include "util/crc32.hpp"
 #include "util/io_shim.hpp"
 #include "util/rng.hpp"
@@ -76,9 +77,10 @@ void expect_bitwise_equal(const ParticleSystem& a, const ParticleSystem& b) {
 
 class CheckpointTest : public ::testing::Test {
  protected:
-  std::string path(const char* name) const {
-    return ::testing::TempDir() + name;
-  }
+  std::string path(const char* name) const { return dir_.file(name); }
+
+ private:
+  ScratchDir dir_;
 };
 
 TEST_F(CheckpointTest, RoundTripIsBitwiseExact) {
@@ -576,7 +578,8 @@ TEST(Guardrail, FlagsEnergyDrift) {
 TEST(GuardedRun, HealthyRunCompletesAndCheckpoints) {
   MdSetup md = make_md();
   GuardedRunParams params;
-  params.checkpoint_path = ::testing::TempDir() + "guarded-healthy.ckpt";
+  const ScratchDir dir;
+  params.checkpoint_path = dir.file("guarded-healthy.ckpt");
   params.checkpoint_interval = 2;
   const GuardedRunResult result =
       run_guarded(md.wb.system, md.wb.topology, md.ff, md.integrator, 6, params);
@@ -609,7 +612,8 @@ TEST(GuardedRun, RecoverPolicyRollsBackToCheckpointAndFinishes) {
   MdSetup md = make_md();
   GuardedRunParams params;
   params.guardrail.policy = GuardrailPolicy::kRecover;
-  params.checkpoint_path = ::testing::TempDir() + "guarded-recover.ckpt";
+  const ScratchDir dir;
+  params.checkpoint_path = dir.file("guarded-recover.ckpt");
   params.checkpoint_interval = 2;
   bool injected = false;
   params.fault_hook = [&injected](std::uint64_t step, ParticleSystem& sys) {
@@ -684,7 +688,8 @@ TEST(GuardedRun, RecomputeBudgetExhaustionEscalatesToRollback) {
   GuardedRunParams params;
   params.guardrail.policy = GuardrailPolicy::kRecompute;
   params.max_step_recomputes = 0;  // force the escalation path
-  params.checkpoint_path = ::testing::TempDir() + "guarded-escalate.ckpt";
+  const ScratchDir dir;
+  params.checkpoint_path = dir.file("guarded-escalate.ckpt");
   params.checkpoint_interval = 2;
   bool injected = false;
   params.fault_hook = [&injected](std::uint64_t step, ParticleSystem& sys) {
@@ -718,7 +723,8 @@ TEST(GuardedRun, PersistentFaultExhaustsRecoveryBudget) {
   MdSetup md = make_md();
   GuardedRunParams params;
   params.guardrail.policy = GuardrailPolicy::kRecover;
-  params.checkpoint_path = ::testing::TempDir() + "guarded-persistent.ckpt";
+  const ScratchDir dir;
+  params.checkpoint_path = dir.file("guarded-persistent.ckpt");
   params.checkpoint_interval = 2;
   params.max_recoveries = 2;
   params.fault_hook = [](std::uint64_t step, ParticleSystem& sys) {

@@ -166,6 +166,20 @@ TEST_F(ParallelTmeTest, ForcesAndEnergyMatchSerial) {
   EXPECT_LT(worst, 1e-10 * scale);
 }
 
+TEST_F(ParallelTmeTest, NetChargedEnergyMatchesSerial) {
+  // A +1 e cell: the neutralising background is part of the contract too.
+  TestSystem sys = random_system(400, 3.2, 11);
+  sys.charges[0] += 1.0;
+  const ParallelTme par(sys.box, default_params(2.5), TorusTopology(2, 2, 2));
+
+  const CoulombResult serial = par.serial().compute(sys.positions, sys.charges);
+  const CoulombResult parallel = par.compute(sys.positions, sys.charges, nullptr);
+
+  ASSERT_LT(serial.energy_background, 0.0);
+  EXPECT_EQ(parallel.energy_background, serial.energy_background);
+  EXPECT_NEAR(parallel.energy, serial.energy, 1e-9 * std::abs(serial.energy));
+}
+
 TEST_F(ParallelTmeTest, ResultIndependentOfDecomposition) {
   const TmeParams tp = default_params(alpha_);
   const ParallelTme p2(sys_.box, tp, TorusTopology(2, 2, 2));

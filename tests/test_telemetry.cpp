@@ -33,6 +33,7 @@
 #include "par/telemetry.hpp"
 #include "par/traffic.hpp"
 #include "par/worker.hpp"
+#include "scratch_dir.hpp"
 #include "util/rng.hpp"
 
 namespace tme::par {
@@ -72,10 +73,6 @@ TmeParams small_params() {
   tp.grid_cutoff = 4;
   tp.num_gaussians = 3;
   return tp;
-}
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
 }
 
 std::string read_file(const std::string& path) {
@@ -464,6 +461,10 @@ class StatusReporterTest : public ::testing::Test {
   void TearDown() override {
     obs::StatusReporter::global().reset_for_testing();
   }
+  std::string temp_path(const std::string& name) const { return dir_.file(name); }
+
+ private:
+  ScratchDir dir_;
 };
 
 TEST_F(StatusReporterTest, WriteNowIsAtomicAndSchemaShaped) {
@@ -562,6 +563,7 @@ TEST_F(StatusReporterTest, EnvConfigurationWiresPathAndPeriod) {
 // (including the respawn), and dispatch -> task flow arrows; forces stay
 // bitwise identical to the serial reference; conservation holds.
 TEST(FleetTelemetryE2E, KillDrillProducesMergedTimelineWithRespawnTrack) {
+  const ScratchDir dir;
   if (!obs::kTraceEnabled) GTEST_SKIP() << "tracing compiled out";
   obs::Tracer& tracer = obs::Tracer::global();
   tracer.reset_for_testing();
@@ -578,7 +580,7 @@ TEST(FleetTelemetryE2E, KillDrillProducesMergedTimelineWithRespawnTrack) {
   cfg.backend = FleetConfig::Backend::kProc;
   cfg.workers = 2;
   cfg.respawn = true;
-  cfg.context_path = temp_path("telemetry_e2e.ctx");
+  cfg.context_path = dir.file("telemetry_e2e.ctx");
   cfg.worker_faults.resize(2);
   cfg.worker_faults[1].crash_after_tasks = 2;  // SIGKILL mid-run
 
@@ -660,7 +662,7 @@ TEST(FleetTelemetryE2E, KillDrillProducesMergedTimelineWithRespawnTrack) {
   EXPECT_TRUE(respawn_instant);
 
   // write_fleet_trace lands the same JSON on disk.
-  const std::string trace_path = temp_path("telemetry_e2e_trace.json");
+  const std::string trace_path = dir.file("telemetry_e2e_trace.json");
   ASSERT_TRUE(fleet.write_fleet_trace(trace_path));
   EXPECT_EQ(read_file(trace_path), json);
 

@@ -23,6 +23,7 @@
 #include "obs/trace.hpp"
 #include "par/par_tme.hpp"
 #include "par/traffic.hpp"
+#include "scratch_dir.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -165,8 +166,9 @@ TEST_F(TraceTest, FullRingCountsDropsInsteadOfGrowing) {
 }
 
 TEST_F(TraceTest, WriteProducesParseableFile) {
+  const ScratchDir dir;
   TME_TRACE_INSTANT("file marker");
-  const std::string path = ::testing::TempDir() + "trace_test_out.json";
+  const std::string path = dir.file("trace_test_out.json");
   ASSERT_TRUE(Tracer::global().write(path));
   std::ifstream in(path);
   std::stringstream buf;
@@ -396,7 +398,8 @@ TEST(Manifest, CarriesBuildFactsAndRuntimeEntries) {
 }
 
 TEST(StructuredLog, JsonlSinkWritesOneObjectPerLine) {
-  const std::string path = ::testing::TempDir() + "trace_test_log.jsonl";
+  const ScratchDir dir;
+  const std::string path = dir.file("trace_test_log.jsonl");
   std::remove(path.c_str());
   tme::set_log_json_path(path);
   tme::log_structured(tme::LogLevel::kWarn, "test_event",

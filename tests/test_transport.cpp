@@ -22,6 +22,7 @@
 #include "par/transport.hpp"
 #include "par/wire.hpp"
 #include "par/worker.hpp"
+#include "scratch_dir.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 
@@ -94,10 +95,6 @@ CoulombResult fleet_run(const TestSystem& sys, const hw::TorusTopology& topo,
   if (stats_out != nullptr) *stats_out = fleet.stats();
   if (tstats_out != nullptr) *tstats_out = fleet.transport_stats();
   return res;
-}
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
 }
 
 class EnvGuard {
@@ -254,7 +251,8 @@ TEST(WorkerProtocol, TruncatedContextIsRejected) {
 }
 
 TEST(WorkerProtocol, ContextFileSealCatchesTornWrites) {
-  const std::string path = temp_path("ctx.seal");
+  const ScratchDir dir;
+  const std::string path = dir.file("ctx.seal");
   const std::vector<std::uint8_t> payload = encode_context(sample_context());
   write_context_file(path, payload);
   EXPECT_EQ(read_context_file(path), payload);
@@ -431,12 +429,13 @@ TEST(FleetFaults, CorruptedFramesAreCrcRejectedAndRecovered) {
 // --- process fault drills ----------------------------------------------------
 
 TEST(FleetFaults, CrashedWorkerRespawnsFromSealedContextBitwise) {
+  const ScratchDir dir;
   const hw::TorusTopology topo(2, 2, 1);
   const TestSystem sys = random_system(120, 3.2, 29);
   const CoulombResult want = serial_reference(sys, topo);
   FleetConfig cfg;
   cfg.workers = 2;
-  cfg.context_path = temp_path("crash_drill.ctx");
+  cfg.context_path = dir.file("crash_drill.ctx");
   cfg.worker_faults.resize(2);
   cfg.worker_faults[1].crash_after_tasks = 3;
   FleetStats stats;
@@ -488,13 +487,14 @@ TEST(FleetFaults, SlowWorkerOnlyStretchesWallClock) {
 // context checkpoint, re-homes/retransmits the lost tasks, and the final
 // forces are bitwise identical to the fault-free in-process run.
 TEST(FleetFaults, ProcWorkerSigkillMidRunRecoversBitwise) {
+  const ScratchDir dir;
   const hw::TorusTopology topo(2, 2, 1);
   const TestSystem sys = random_system(120, 3.2, 41);
   const CoulombResult want = serial_reference(sys, topo);
   FleetConfig cfg;
   cfg.backend = FleetConfig::Backend::kProc;
   cfg.workers = 2;
-  cfg.context_path = temp_path("sigkill_drill.ctx");
+  cfg.context_path = dir.file("sigkill_drill.ctx");
   cfg.worker_faults.resize(2);
   cfg.worker_faults[1].crash_after_tasks = 2;  // raise(SIGKILL) in the child
 
@@ -578,6 +578,7 @@ TEST(FleetTelemetry, LinkTelemetrySeesRealSocketTraffic) {
 // --- graceful shutdown -------------------------------------------------------
 
 TEST(FleetShutdown, SigtermDrainsExecWorkerWhichExitsCleanly) {
+  const ScratchDir dir;
   const hw::TorusTopology topo(2, 2, 1);
   const TestSystem sys = random_system(100, 3.2, 59);
   const CoulombResult want = serial_reference(sys, topo);
@@ -586,7 +587,7 @@ TEST(FleetShutdown, SigtermDrainsExecWorkerWhichExitsCleanly) {
   cfg.workers = 2;
   cfg.worker_bin = TME_WORKER_BIN;  // exec mode: the SIGTERM handler is live
   cfg.term_grace_ms = 3000;
-  cfg.context_path = temp_path("term_drill.ctx");
+  cfg.context_path = dir.file("term_drill.ctx");
 
   ParallelTme par(sys.box, small_params(), topo);
   WorkerFleet fleet(par.context(), par.topology(), cfg);
@@ -607,6 +608,7 @@ TEST(FleetShutdown, SigtermDrainsExecWorkerWhichExitsCleanly) {
 }
 
 TEST(FleetShutdown, QuiesceHandshakesEveryWorkerAndIsIdempotent) {
+  const ScratchDir dir;
   const hw::TorusTopology topo(2, 2, 1);
   const TestSystem sys = random_system(100, 3.2, 61);
   const CoulombResult want = serial_reference(sys, topo);
@@ -615,7 +617,7 @@ TEST(FleetShutdown, QuiesceHandshakesEveryWorkerAndIsIdempotent) {
   cfg.workers = 2;
   cfg.worker_bin = TME_WORKER_BIN;
   cfg.term_grace_ms = 3000;
-  cfg.context_path = temp_path("quiesce_drill.ctx");
+  cfg.context_path = dir.file("quiesce_drill.ctx");
 
   ParallelTme par(sys.box, small_params(), topo);
   {
