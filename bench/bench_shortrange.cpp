@@ -4,13 +4,19 @@
 //
 // Sweeps kernel (analytic erfc vs the segmented-polynomial r² table) ×
 // SIMD mode (scalar twin vs native-width vec kernel) × pool sizes 1, 2, 4,
-// ... up to --threads, and reports per-eval time, pair throughput, speedup
-// over 1 thread, speedup over the scalar twin, and the force deviation from
-// the serial reference loop.  The run *fails* (non-zero exit) when
+// ... up to --threads, and reports the steady-state time per eval (the pair
+// list reused), the first-call time of a fresh engine (list build + eval),
+// pair throughput, speedup over 1 thread, speedup over the scalar twin, and
+// the force deviation from the serial reference loop.  The run *fails*
+// (non-zero exit) when
 //  - the analytic forces drift from the serial ones beyond 1e-10 relative,
-//  - the tabulated forces drift from analytic beyond 1e-6 relative, or
+//  - the tabulated forces drift from analytic beyond 1e-6 relative,
 //  - the native-mode forces are not BITWISE identical to the scalar-mode
-//    forces at the same pool size (the SIMD parity contract, util/simd.hpp).
+//    forces at the same pool size (the SIMD parity contract, util/simd.hpp),
+//    or
+//  - an engine evaluating a displaced frame from its aged pair list is not
+//    BITWISE identical to a fresh engine on that frame (the list-age
+//    contract, md/short_range_engine.hpp).
 // CI runs this as a correctness smoke, never asserting on raw timing.
 //
 // A final "isolated kernel micro" block times the batched pair kernel and
@@ -109,9 +115,27 @@ int main(int argc, char** argv) {
       {"tabulated", CoulombKernel::kTabulated, 1e-6},
   };
 
+  // The list-age check: an engine builds its list on `aging`, then
+  // evaluates `displaced` (every atom moved by under half the buffer) from
+  // that aged list.  `aging` is the box jittered off the builder's lattice,
+  // so the moves carry atoms across the list's cells and a fresh list
+  // orders its candidates differently.
+  ParticleSystem aging = wb.system;
+  Rng jitter(5);
+  for (Vec3& r : aging.positions) {
+    r += Vec3{0.15 + 0.02 * jitter.normal(), 0.15 + 0.02 * jitter.normal(),
+              0.15 + 0.02 * jitter.normal()};
+  }
+  ParticleSystem displaced = aging;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double s = 0.45 * ShortRangeEngine::kListBuffer / std::sqrt(3.0);
+    const double a = static_cast<double>(i);
+    displaced.positions[i] += Vec3{s * std::sin(a), s * std::cos(2.0 * a), s * std::sin(3.0 * a)};
+  }
+
   bench::print_header("kernel x simd-mode x thread sweep");
-  std::printf("%-10s %-7s %8s %12s %14s %9s %10s %12s\n", "kernel", "mode",
-              "threads", "ms/eval", "pairs/s", "speedup", "vs_scalar",
+  std::printf("%-10s %-7s %8s %-7s %12s %14s %9s %10s %12s\n", "kernel", "mode",
+              "threads", "call", "ms/eval", "pairs/s", "speedup", "vs_scalar",
               "max rel dF");
 
   bool mismatch = false;
@@ -145,6 +169,29 @@ int main(int argc, char** argv) {
           wb.system.forces.assign(n, Vec3{});
           r = engine.compute(wb.system, wb.topology, &pool);
         });
+        const std::vector<Vec3> forces = wb.system.forces;
+        // First call of a fresh engine: the list build plus one eval.
+        const double first = bench::time_best(reps, [&] {
+          const ShortRangeEngine fresh(engine.params());
+          wb.system.forces.assign(n, Vec3{});
+          fresh.compute(wb.system, wb.topology, &pool);
+        });
+        // The aged list against a fresh one.
+        aging.forces.assign(n, Vec3{});
+        engine.compute(aging, wb.topology, &pool);
+        const std::size_t builds = engine.list_builds();
+        displaced.forces.assign(n, Vec3{});
+        const ShortRangeResult aged = engine.compute(displaced, wb.topology, &pool);
+        const std::vector<Vec3> f_aged = displaced.forces;
+        displaced.forces.assign(n, Vec3{});
+        const ShortRangeResult fresh =
+            ShortRangeEngine(engine.params()).compute(displaced, wb.topology, &pool);
+        const bool age_ok = engine.list_builds() == builds &&
+                            aged.pair_count == fresh.pair_count &&
+                            aged.energy_coulomb == fresh.energy_coulomb &&
+                            aged.energy_lj == fresh.energy_lj &&
+                            bitwise_equal(f_aged, displaced.forces);
+        wb.system.forces = forces;
         if (threads == 1) t1[m] = best;
         if (m == 0) {
           scalar_best = best;
@@ -155,21 +202,28 @@ int main(int argc, char** argv) {
         const double vs_scalar = scalar_best / best;
         const char* mode_name = simd::mode_name(engine.simd_mode());
         const bool parity_ok = m == 0 || bitwise_equal(wb.system.forces, f_scalar);
-        std::printf("%-10s %-7s %8u %12.2f %14.3e %9.2f %10.2f %12.2e%s%s\n",
-                    kernel.name, mode_name, threads, best * 1e3, pairs_per_s,
-                    t1[m] / best, vs_scalar, deviation,
+        // Two rows: steady state (the list reused) and a fresh engine's
+        // first call (list build + eval).
+        std::printf("%-10s %-7s %8u %-7s %12.2f %14.3e %9.2f %10.2f %12.2e%s%s%s\n",
+                    kernel.name, mode_name, threads, "steady", best * 1e3,
+                    pairs_per_s, t1[m] / best, vs_scalar, deviation,
                     deviation > kernel.tolerance ? "  ** MISMATCH **" : "",
-                    parity_ok ? "" : "  ** SIMD PARITY BROKEN **");
+                    parity_ok ? "" : "  ** SIMD PARITY BROKEN **",
+                    age_ok ? "" : "  ** AGED LIST DIFFERS **");
+        std::printf("%-10s %-7s %8u %-7s %12.2f\n", kernel.name, mode_name, threads,
+                    "first", first * 1e3);
         const std::string prefix = std::string("shortrange/") + kernel.name +
                                    "/" + mode_name + "/t" +
                                    std::to_string(threads);
         obs::Registry::global().gauge_set(prefix + "/seconds_per_eval", best);
+        obs::Registry::global().gauge_set(prefix + "/first_call_seconds_per_eval", first);
         obs::Registry::global().gauge_set(prefix + "/pairs_per_s", pairs_per_s);
         obs::Registry::global().gauge_set(prefix + "/speedup", t1[m] / best);
         obs::Registry::global().gauge_set(prefix + "/speedup_vs_scalar",
                                           vs_scalar);
         if (deviation > kernel.tolerance) mismatch = true;
         if (!parity_ok) mismatch = true;
+        if (!age_ok) mismatch = true;
         if (r.pair_count != ref.pair_count) {
           std::printf("  ** pair count mismatch: %zu vs serial %zu **\n",
                       r.pair_count, ref.pair_count);
@@ -296,7 +350,8 @@ int main(int argc, char** argv) {
   bench::finish_trace(trace_path);
   if (mismatch) {
     std::printf(
-        "FAILED: forces deviate beyond tolerance or SIMD parity broke\n");
+        "FAILED: forces deviate beyond tolerance, SIMD parity broke, or an aged "
+        "pair list changed the bits\n");
     return 1;
   }
   return 0;

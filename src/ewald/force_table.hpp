@@ -36,10 +36,10 @@ class ForceTable {
   ForceTable(double alpha, double r_min, double r_max,
              std::size_t segments = 4096);
 
-  // Table lookup with analytic fallback outside [r_min², r_max²).
-  // Requires r2 > 0.
+  // Table lookup with analytic fallback outside [r_min², r_max²) (and for a
+  // NaN r2, which never reaches the index cast).  Requires r2 > 0.
   Sample lookup(double r2) const {
-    if (r2 < s_min_ || r2 >= s_max_) return analytic(r2);
+    if (!(r2 >= s_min_ && r2 < s_max_)) return analytic(r2);
     const double u = (r2 - s_min_) * inv_ds_;
     std::size_t k = static_cast<std::size_t>(u);
     if (k >= segments_) k = segments_ - 1;  // round-off guard at s_max

@@ -16,14 +16,20 @@ CellList::CellList(const Box& box, std::span<const Vec3> positions, double cutof
   cells_z_ = cells_along(box.lengths.z);
 
   const std::size_t n = positions.size();
+  wrapped_.resize(n);
   std::vector<std::size_t> cell_of(n);
   cell_start_.assign(cell_count() + 1, 0);
+  // A non-finite coordinate wraps to NaN; it lands in cell 0 of its axis
+  // instead of reaching the float-to-integer cast, whose result would be
+  // undefined.
+  auto bin = [](double x, double box_len, std::size_t cells) -> std::size_t {
+    const double s = x / box_len * static_cast<double>(cells);
+    if (!(s >= 0.0)) return 0;
+    return std::min(static_cast<std::size_t>(s), cells - 1);  // x == box_len round-off
+  };
   for (std::size_t i = 0; i < n; ++i) {
     const Vec3 w = box.wrap(positions[i]);
-    auto bin = [](double x, double box_len, std::size_t cells) {
-      auto b = static_cast<std::size_t>(x / box_len * static_cast<double>(cells));
-      return std::min(b, cells - 1);  // guard x == box_len round-off
-    };
+    wrapped_[i] = w;
     const std::size_t c = cell_index(bin(w.x, box.lengths.x, cells_x_),
                                      bin(w.y, box.lengths.y, cells_y_),
                                      bin(w.z, box.lengths.z, cells_z_));

@@ -18,7 +18,8 @@ class CellList {
  public:
   // Builds the cell decomposition for the given positions.  `cutoff` sets
   // the minimum cell edge; each box axis gets floor(L / cutoff) cells
-  // (minimum 1).
+  // (minimum 1).  A non-finite coordinate bins to the first cell of its
+  // axis.
   CellList(const Box& box, std::span<const Vec3> positions, double cutoff);
 
   std::size_t cell_count() const { return cells_x_ * cells_y_ * cells_z_; }
@@ -62,6 +63,15 @@ class CellList {
     return {order_.data() + cell_start_[c], cell_start_[c + 1] - cell_start_[c]};
   }
 
+  // Atoms grouped by cell in cell-index order (x fastest), so the atoms of
+  // the consecutive cells [c_first, c_last) are the contiguous slice
+  // order()[cell_begin(c_first), cell_begin(c_last)).
+  std::span<const std::size_t> order() const { return order_; }
+  std::size_t cell_begin(std::size_t c) const { return cell_start_[c]; }
+
+  // Atom i's position wrapped into the box, as binned.
+  const Vec3& wrapped(std::size_t i) const { return wrapped_[i]; }
+
   // The 13 forward neighbours of cell c (periodic).  When the grid is
   // smaller than 3 cells along an axis, duplicate neighbours are removed so
   // pairs are still visited exactly once.
@@ -75,6 +85,7 @@ class CellList {
   std::size_t cells_x_ = 1, cells_y_ = 1, cells_z_ = 1;
   std::vector<std::size_t> cell_start_;  // CSR offsets, size cell_count()+1
   std::vector<std::size_t> order_;       // atom indices grouped by cell
+  std::vector<Vec3> wrapped_;            // positions wrapped into the box
 };
 
 }  // namespace tme

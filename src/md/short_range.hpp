@@ -4,11 +4,12 @@
 // cell list under the minimum-image convention, skipping excluded pairs.
 //
 // Two evaluators share these parameter/result types:
-//  - compute_short_range (below): the serial reference loop, kept as the
-//    equivalence baseline for tests;
+//  - compute_short_range (below): the serial reference loop over a fresh
+//    cell list, kept as the equivalence baseline for tests;
 //  - ShortRangeEngine (md/short_range_engine.hpp): the production path —
-//    parallel cell traversal, precombined LJ table, optional tabulated
-//    Coulomb kernel mirroring the hardware's table-lookup evaluators.
+//    a buffered Verlet pair list kept across calls, parallel row ranges,
+//    precombined LJ table, optional tabulated Coulomb kernel mirroring the
+//    hardware's table-lookup evaluators.
 #pragma once
 
 #include <cstddef>

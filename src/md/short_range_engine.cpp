@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "core/abft.hpp"
@@ -29,23 +32,417 @@ struct MixedLj {
 
 // Per-batch private accumulators, merged in batch order after the sweep.
 struct Partial {
-  std::vector<Vec3> forces;  // indexed by sorted (cell-order) particle index
+  std::vector<Vec3> forces;  // indexed by atom
   double energy_coulomb = 0.0;
   double energy_lj = 0.0;
   std::size_t pairs = 0;
 };
 
+// One build block: the rows of the pairs its home cells' atoms contribute
+// as columns, then (for the scatter) per-row counts over an atom range.
+struct BuildBlock {
+  std::vector<std::uint32_t> rows;
+  std::vector<std::size_t> count;  // per row; becomes the scatter cursor
+};
+
 // Pairs buffered between kernel evaluations.  The flush boundary is bitwise
 // transparent: every pair's outputs depend only on its own lanes, and the
 // scalar accumulation that follows runs in enumeration order regardless of
-// where the batch was cut.  4096 pairs keeps the SoA working set (~14
-// doubles/pair) inside L2.
-constexpr std::size_t kFlushPairs = 4096;
+// where the batch was cut.  512 pairs keep the SoA working set (~14
+// doubles/pair) inside L1/L2 and the per-thread batch small.
+constexpr std::size_t kFlushPairs = 512;
+
+// The build measures distances between wrapped coordinates, the evaluation
+// between minimum images of the raw ones, and the two can differ in the last
+// bits.  Taking this much off the displacement budget keeps every pair that
+// the evaluation could place inside the cutoff on the list.
+constexpr double kRoundingSlack = 1e-9;  // nm
+
+// One box axis of the build grid.  Cells are at least r_l / 2 wide, so an
+// atom's partners lie within two cells on either side; an axis with fewer
+// than five cells is scanned whole, each cell once.
+struct Axis {
+  long cells = 1;
+  double length = 0.0;
+  double edge = 0.0;
+
+  Axis(std::size_t n, double len)
+      : cells(static_cast<long>(n)), length(len), edge(len / static_cast<double>(n)) {}
+
+  bool whole() const { return cells < 5; }
+  // Unwrapped cell range [first, last] to scan around cell c.
+  long first(long c) const { return whole() ? 0 : c - 2; }
+  long last(long c) const { return whole() ? cells - 1 : c + 2; }
+  long wrap(long u) const { return (u + cells) % cells; }
+  // Smallest distance between a point of cell c and one of unwrapped cell u.
+  double gap(long c, long u) const {
+    if (whole()) return 0.0;
+    return static_cast<double>(std::max(0L, std::abs(u - c) - 1)) * edge;
+  }
+};
+
+// The build's candidates in cell order, where the atoms of x-consecutive
+// cells sit contiguously.  The arrays carry kScanWidth padding entries so a
+// vector load may run past the last candidate.
+constexpr int kScanWidth = simd::kNativeWidth;
+using ScanVec = simd::vec<double, kScanWidth>;
+
+struct ScanGrid {
+  std::size_t cells_x = 1, cells_y = 1, cells_z = 1;
+  std::vector<std::size_t> start;   // first candidate of each cell, plus the end
+  std::vector<double> x, y, z;      // wrapped coordinates
+  std::vector<double> id;           // atom index as a double (exact below 2^53)
+  std::vector<std::uint32_t> atom;  // atom index
+
+  explicit ScanGrid(const CellList& cells)
+      : cells_x(cells.cells_x()), cells_y(cells.cells_y()), cells_z(cells.cells_z()) {
+    start.resize(cells.cell_count() + 1);
+    for (std::size_t c = 0; c < start.size(); ++c) start[c] = cells.cell_begin(c);
+    const std::span<const std::size_t> order = cells.order();
+    const std::size_t padded = order.size() + kScanWidth;
+    for (auto* v : {&x, &y, &z, &id}) v->assign(padded, 0.0);
+    atom.assign(padded, 0);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const Vec3& w = cells.wrapped(order[k]);
+      x[k] = w.x;
+      y[k] = w.y;
+      z[k] = w.z;
+      id[k] = static_cast<double>(order[k]);
+      atom[k] = static_cast<std::uint32_t>(order[k]);
+    }
+  }
+};
+
+// Per-block scratch of the cell scan.
+struct ScanScratch {
+  struct Home {
+    ScanVec x, y, z, id;
+    unsigned odd = 0;  // all ones for an odd atom index
+  };
+  std::vector<std::pair<std::size_t, std::size_t>> runs;  // slices of the cell order
+  std::vector<Home> home;
+  std::vector<std::uint32_t> kept;  // per home atom, `cap` slots
+  std::vector<std::size_t> nkept;
+};
 
 }  // namespace
 
+struct ShortRangeEngine::PairListCache {
+  std::mutex mutex;
+  std::size_t builds = 0;
+
+  // What the list was built for: the positions (for the displacement rule),
+  // the box and the topology terms it depends on.
+  std::vector<Vec3> reference;
+  Vec3 box{};
+  std::vector<std::pair<std::size_t, std::size_t>> exclusions;
+
+  // The topology's LJ parameters as per-atom types, and the flat mixing
+  // table of the types.
+  std::vector<LjParams> types;
+  std::vector<std::uint32_t> type_of;
+  std::vector<MixedLj> mix;
+  std::size_t ntypes = 0;
+
+  // The half list: row i holds columns row_start[i] .. row_start[i + 1] of
+  // `cols`, ascending.  `cols` carries kScanWidth zero entries past the end
+  // so a row's last vector of columns may overhang it.
+  std::vector<std::size_t> row_start;
+  std::vector<std::uint32_t> cols;
+  std::size_t entries() const { return row_start.empty() ? 0 : row_start.back(); }
+
+  // Scratch kept across calls.
+  std::vector<double> px, py, pz;  // positions by coordinate, for gathers
+  std::vector<Partial> partials;
+
+  bool same_topology(const Topology& topology) const {
+    const std::vector<LjParams>& lj = topology.lj();
+    if (lj.size() != type_of.size() || topology.exclusions() != exclusions) {
+      return false;
+    }
+    for (std::size_t i = 0; i < lj.size(); ++i) {
+      const LjParams& t = types[type_of[i]];
+      if (lj[i].sigma != t.sigma || lj[i].epsilon != t.epsilon) return false;
+    }
+    return true;
+  }
+
+  // Takes the topology's exclusions and LJ types; the list must be rebuilt.
+  void set_topology(const Topology& topology, const ShortRangeParams& params);
+
+  // Whether the list still covers every pair inside the cutoff: same atom
+  // count and box, and the two largest displacements since the build sum to
+  // at most the buffer.  Written so that a NaN displacement reads as stale.
+  bool current(const Box& b, std::span<const Vec3> positions) const {
+    if (reference.size() != positions.size() || b.lengths.x != box.x ||
+        b.lengths.y != box.y || b.lengths.z != box.z) {
+      return false;
+    }
+    const double budget = kListBuffer - kRoundingSlack;
+    const double budget2 = budget * budget;
+    double top1 = 0.0, top2 = 0.0;  // two largest squared displacements
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      const double d2 = norm2(b.min_image_disp(positions[i], reference[i]));
+      if (!(d2 <= budget2)) return false;
+      if (d2 > top2) {
+        top2 = std::min(d2, top1);
+        top1 = std::max(d2, top1);
+      }
+    }
+    return std::sqrt(top1) + std::sqrt(top2) <= budget;
+  }
+
+  void build(const Box& b, std::span<const Vec3> positions, const Topology& topology,
+             double list_cutoff, ThreadPool& pool, std::size_t nblocks);
+};
+
+void ShortRangeEngine::PairListCache::set_topology(const Topology& topology,
+                                                   const ShortRangeParams& params) {
+  exclusions = topology.exclusions();
+  reference.clear();
+
+  const std::vector<LjParams>& lj = topology.lj();
+  const std::size_t n = lj.size();
+  type_of.resize(n);
+  types.clear();
+  std::map<std::pair<double, double>, std::uint32_t> ids;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [it, inserted] = ids.try_emplace(
+        {lj[i].sigma, lj[i].epsilon}, static_cast<std::uint32_t>(types.size()));
+    if (inserted) types.push_back(lj[i]);
+    type_of[i] = it->second;
+  }
+  ntypes = types.size();
+  const double cutoff2 = params.cutoff * params.cutoff;
+  double inv_rc6 = 0.0;
+  if (params.shift_lj) inv_rc6 = 1.0 / (cutoff2 * cutoff2 * cutoff2);
+  mix.assign(ntypes * ntypes, MixedLj{});
+  for (std::size_t a = 0; a < ntypes; ++a) {
+    for (std::size_t c = 0; c < ntypes; ++c) {
+      const double eps = std::sqrt(types[a].epsilon * types[c].epsilon);
+      if (eps <= 0.0) continue;
+      const double sigma = 0.5 * (types[a].sigma + types[c].sigma);
+      const double sig2 = sigma * sigma;
+      const double sig6 = sig2 * sig2 * sig2;
+      MixedLj& m = mix[a * ntypes + c];
+      m.c6 = 4.0 * eps * sig6;
+      m.c12 = m.c6 * sig6;
+      m.e_shift = (m.c12 * inv_rc6 - m.c6) * inv_rc6;
+    }
+  }
+}
+
+// Every atom a, as a column, emits each listed pair {a, b} whose row is b.
+// Blocks of home cells scan their neighbourhoods W candidates at a time for
+// all of the cell's atoms at once; a stable counting scatter, in ascending
+// column order, then fills every row with ascending columns.  No sort, and a
+// list that depends on the positions and topology only, not on the block
+// count.
+void ShortRangeEngine::PairListCache::build(const Box& b, std::span<const Vec3> positions,
+                                            const Topology& topology, double list_cutoff,
+                                            ThreadPool& pool, std::size_t nblocks) {
+  TME_PHASE("list_build");
+  using V = ScanVec;
+  const std::size_t n = positions.size();
+  // The build's scratch is local, so its memory is free again between
+  // builds; the cell list itself goes before the scan.
+  const ScanGrid grid(CellList(b, positions, 0.5 * list_cutoff));
+  const Axis ax(grid.cells_x, b.lengths.x);
+  const Axis ay(grid.cells_y, b.lengths.y);
+  const Axis az(grid.cells_z, b.lengths.z);
+  const std::size_t ncells = grid.start.size() - 1;
+
+  const double rl2 = list_cutoff * list_cutoff;
+  const V len[3] = {V::broadcast(b.lengths.x), V::broadcast(b.lengths.y),
+                    V::broadcast(b.lengths.z)};
+  const V half[3] = {V::broadcast(0.5 * b.lengths.x), V::broadcast(0.5 * b.lengths.y),
+                     V::broadcast(0.5 * b.lengths.z)};
+  const V neg_half[3] = {V::broadcast(-0.5 * b.lengths.x),
+                         V::broadcast(-0.5 * b.lengths.y),
+                         V::broadcast(-0.5 * b.lengths.z)};
+  // Minimum image of a difference of two wrapped coordinates.
+  auto image = [&](V d, int axis) {
+    d = V::blend(V::cmp_lt(half[axis], d), d - len[axis], d);
+    return V::blend(V::cmp_lt(d, neg_half[axis]), d + len[axis], d);
+  };
+  const V rl2v = V::broadcast(rl2);
+  const V half_one = V::broadcast(0.5);
+  const V two = V::broadcast(2.0);
+
+  const std::size_t cell_chunk = (ncells + nblocks - 1) / nblocks;
+  std::vector<BuildBlock> blocks(nblocks);
+  std::vector<ScanScratch> scratch(nblocks);
+  // Each atom's pairs: its block, and [begin, end) of that block's rows.
+  std::vector<std::uint32_t> slice_block(n);
+  std::vector<std::size_t> slice_begin(n), slice_end(n);
+  parallel_for(pool, 0, nblocks, [&](std::size_t t) {
+    BuildBlock& block = blocks[t];
+    ScanScratch& s = scratch[t];
+    // About as many pairs as last time (a dense-liquid guess at first), so
+    // the stream is not regrown and copied on every build.
+    const std::size_t last = entries();
+    block.rows.reserve(last != 0 ? last / nblocks + last / 16 : 64 * (n / nblocks + 1));
+    const std::size_t c_end = std::min(ncells, (t + 1) * cell_chunk);
+    for (std::size_t c = t * cell_chunk; c < c_end; ++c) {
+      const std::size_t h0 = grid.start[c];
+      const std::size_t nh = grid.start[c + 1] - h0;
+      if (nh == 0) continue;
+      const auto ci = static_cast<long>(c);
+      const long cx = ci % ax.cells;
+      const long cy = (ci / ax.cells) % ay.cells;
+      const long cz = ci / (ax.cells * ay.cells);
+
+      // The x-runs of neighbour cells within r_l of this cell.
+      s.runs.clear();
+      std::size_t total = 0;
+      auto run = [&](std::size_t base, long c0, long c1) {
+        const std::size_t k0 = grid.start[base + static_cast<std::size_t>(c0)];
+        const std::size_t k1 = grid.start[base + static_cast<std::size_t>(c1) + 1];
+        if (k0 == k1) return;
+        s.runs.emplace_back(k0, k1);
+        total += k1 - k0;
+      };
+      for (long uz = az.first(cz); uz <= az.last(cz); ++uz) {
+        const double gz = az.gap(cz, uz);
+        for (long uy = ay.first(cy); uy <= ay.last(cy); ++uy) {
+          const double gy = ay.gap(cy, uy);
+          const double g2 = gz * gz + gy * gy;
+          if (g2 >= rl2) continue;
+          const auto base = static_cast<std::size_t>(
+              (az.wrap(uz) * ay.cells + ay.wrap(uy)) * ax.cells);
+          if (ax.whole()) {
+            run(base, 0, ax.cells - 1);
+            continue;
+          }
+          // Cells two away in x are in reach only if an edge fits.
+          const long span = ax.edge * ax.edge + g2 < rl2 ? 2 : 1;
+          const long u0 = cx - span, u1 = cx + span;
+          if (u0 < 0) {
+            run(base, u0 + ax.cells, ax.cells - 1);
+            run(base, 0, u1);
+          } else if (u1 >= ax.cells) {
+            run(base, u0, ax.cells - 1);
+            run(base, 0, u1 - ax.cells);
+          } else {
+            run(base, u0, u1);
+          }
+        }
+      }
+
+      // The cell's atoms are the columns; every candidate is the row.
+      s.home.resize(nh);
+      for (std::size_t h = 0; h < nh; ++h) {
+        const std::size_t k = h0 + h;
+        s.home[h] = {V::broadcast(grid.x[k]), V::broadcast(grid.y[k]),
+                     V::broadcast(grid.z[k]), V::broadcast(grid.id[k]),
+                     (grid.atom[k] & 1u) != 0 ? ~0u : 0u};
+      }
+      const std::size_t cap = total + kScanWidth;
+      s.kept.resize(nh * cap);
+      s.nkept.assign(nh, 0);
+      for (const auto& [k0, k1] : s.runs) {
+        for (std::size_t k = k0; k < k1; k += kScanWidth) {
+          const V x = V::load(grid.x.data() + k);
+          const V y = V::load(grid.y.data() + k);
+          const V z = V::load(grid.z.data() + k);
+          const V id = V::load(grid.id.data() + k);
+          const V parity = id - two * V::floor(half_one * id);
+          const unsigned odd = V::mask_bits(V::cmp_ge(parity, half_one));
+          const std::size_t left = k1 - k;
+          const unsigned lanes =
+              left >= kScanWidth ? (1u << kScanWidth) - 1u : (1u << left) - 1u;
+          for (std::size_t h = 0; h < nh; ++h) {
+            const ScanScratch::Home& home = s.home[h];
+            const V dx = image(home.x - x, 0);
+            const V dy = image(home.y - y, 1);
+            const V dz = image(home.z - z, 2);
+            const V r2 = dx * dx + dy * dy + dz * dz;
+            // Keep the pairs inside r_l whose row is the candidate's: odd
+            // index sums go to the smaller index, even ones to the larger.
+            // A NaN distance fails cmp_ge, so a non-finite atom stays listed.
+            const unsigned odd_sum = odd ^ home.odd;
+            const unsigned lower = V::mask_bits(V::cmp_lt(id, home.id));
+            const unsigned higher = V::mask_bits(V::cmp_lt(home.id, id));
+            const unsigned far = V::mask_bits(V::cmp_ge(r2, rl2v));
+            const unsigned keep =
+                ~far & ((odd_sum & lower) | (~odd_sum & higher)) & lanes;
+            std::uint32_t* const out = s.kept.data() + h * cap;
+            std::size_t m = s.nkept[h];
+            for (int l = 0; l < kScanWidth; ++l) {
+              out[m] = grid.atom[k + static_cast<std::size_t>(l)];
+              m += (keep >> l) & 1u;
+            }
+            s.nkept[h] = m;
+          }
+        }
+      }
+
+      // Drop each atom's excluded partners and append its pairs.
+      for (std::size_t h = 0; h < nh; ++h) {
+        const std::uint32_t a = grid.atom[h0 + h];
+        std::uint32_t* const kept = s.kept.data() + h * cap;
+        std::size_t nkept = s.nkept[h];
+        for (const std::size_t p : topology.excluded_partners(a)) {
+          std::uint32_t* const end = kept + nkept;
+          std::uint32_t* const hit = std::find(kept, end, static_cast<std::uint32_t>(p));
+          if (hit != end) {
+            std::copy(hit + 1, end, hit);
+            --nkept;
+          }
+        }
+        slice_block[a] = static_cast<std::uint32_t>(t);
+        slice_begin[a] = block.rows.size();
+        block.rows.insert(block.rows.end(), kept, kept + nkept);
+        slice_end[a] = block.rows.size();
+      }
+    }
+  });
+
+  // Per-row counts over contiguous column ranges, one per block.
+  const std::size_t chunk = (n + nblocks - 1) / nblocks;
+  auto slice = [&](std::size_t a) {
+    const std::uint32_t* rows = blocks[slice_block[a]].rows.data();
+    return std::span<const std::uint32_t>(rows + slice_begin[a], rows + slice_end[a]);
+  };
+  parallel_for(pool, 0, nblocks, [&](std::size_t t) {
+    std::vector<std::size_t>& count = blocks[t].count;
+    count.assign(n, 0);
+    const std::size_t a_end = std::min(n, (t + 1) * chunk);
+    for (std::size_t a = t * chunk; a < a_end; ++a) {
+      for (const std::uint32_t r : slice(a)) ++count[r];
+    }
+  });
+
+  // Row offsets, and each block's starting slot in every row.
+  row_start.resize(n + 1);
+  row_start[0] = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    std::size_t slot = row_start[r];
+    for (BuildBlock& block : blocks) {
+      const std::size_t count = block.count[r];
+      block.count[r] = slot;
+      slot += count;
+    }
+    row_start[r + 1] = slot;
+  }
+  cols.assign(row_start[n] + kScanWidth, 0);
+  parallel_for(pool, 0, nblocks, [&](std::size_t t) {
+    std::vector<std::size_t>& cursor = blocks[t].count;
+    const std::size_t a_end = std::min(n, (t + 1) * chunk);
+    for (std::size_t a = t * chunk; a < a_end; ++a) {
+      for (const std::uint32_t r : slice(a)) {
+        cols[cursor[r]++] = static_cast<std::uint32_t>(a);
+      }
+    }
+  });
+
+  reference.assign(positions.begin(), positions.end());
+  box = b.lengths;
+  ++builds;
+}
+
 ShortRangeEngine::ShortRangeEngine(const ShortRangeParams& params)
-    : params_(params) {
+    : params_(params), cache_(std::make_unique<PairListCache>()) {
   if (params.kernel == CoulombKernel::kTabulated) {
     table_ = std::make_unique<ForceTable>(params.alpha, params.table_r_min,
                                           params.cutoff, params.table_segments);
@@ -63,6 +460,15 @@ ShortRangeEngine::ShortRangeEngine(const ShortRangeParams& params)
   }
 }
 
+ShortRangeEngine::~ShortRangeEngine() = default;
+ShortRangeEngine::ShortRangeEngine(ShortRangeEngine&&) noexcept = default;
+ShortRangeEngine& ShortRangeEngine::operator=(ShortRangeEngine&&) noexcept = default;
+
+std::size_t ShortRangeEngine::list_builds() const {
+  const std::lock_guard<std::mutex> lock(cache_->mutex);
+  return cache_->builds;
+}
+
 ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
                                            const Topology& topology,
                                            ThreadPool* pool_ptr) const {
@@ -72,92 +478,49 @@ ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
   const std::size_t n = system.size();
   if (n == 0) return out;
   ThreadPool& pool = pool_ptr != nullptr ? *pool_ptr : global_pool();
+  const std::size_t nb = std::min<std::size_t>(
+      ThreadPool::in_parallel_region() ? 1 : pool.concurrency(), n);
 
+  const std::lock_guard<std::mutex> lock(cache_->mutex);
+  PairListCache& list = *cache_;
+  if (!list.same_topology(topology)) list.set_topology(topology, params_);
+  if (!list.current(system.box, system.positions)) {
+    list.build(system.box, system.positions, topology, params_.cutoff + kListBuffer,
+               pool, nb);
+    TME_COUNTER_ADD("short_range/list_builds", 1);
+  }
+  TME_GAUGE_SET("short_range/lj_types", list.ntypes);
+
+  // --- parallel sweep over fixed contiguous row ranges ---------------------
+  const std::size_t chunk = (n + nb - 1) / nb;
+  list.partials.resize(nb);
   const double cutoff2 = params_.cutoff * params_.cutoff;
-  const CellList cells(system.box, system.positions, params_.cutoff);
-  const std::size_t ncells = cells.cell_count();
-
-  // --- LJ type compression + flat mixing table -----------------------------
-  const auto& lj = topology.lj();
-  std::vector<std::uint32_t> type_of(n);
-  std::vector<LjParams> types;
-  {
-    std::map<std::pair<double, double>, std::uint32_t> ids;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto [it, inserted] = ids.try_emplace(
-          {lj[i].sigma, lj[i].epsilon}, static_cast<std::uint32_t>(types.size()));
-      if (inserted) types.push_back(lj[i]);
-      type_of[i] = it->second;
-    }
-  }
-  const std::size_t ntypes = types.size();
-  TME_GAUGE_SET("short_range/lj_types", ntypes);
-  double inv_rc6 = 0.0;
-  if (params_.shift_lj) inv_rc6 = 1.0 / (cutoff2 * cutoff2 * cutoff2);
-  std::vector<MixedLj> mix(ntypes * ntypes);
-  for (std::size_t a = 0; a < ntypes; ++a) {
-    for (std::size_t b = 0; b < ntypes; ++b) {
-      const double eps = std::sqrt(types[a].epsilon * types[b].epsilon);
-      if (eps <= 0.0) continue;
-      const double sigma = 0.5 * (types[a].sigma + types[b].sigma);
-      const double sig2 = sigma * sigma;
-      const double sig6 = sig2 * sig2 * sig2;
-      MixedLj& m = mix[a * ntypes + b];
-      m.c6 = 4.0 * eps * sig6;
-      m.c12 = m.c6 * sig6;
-      m.e_shift = (m.c12 * inv_rc6 - m.c6) * inv_rc6;
-    }
-  }
-
-  // --- cell-sorted SoA packing ---------------------------------------------
-  std::vector<double> sx(n), sy(n), sz(n), sq(n);
-  std::vector<std::uint32_t> stype(n);
-  std::vector<std::size_t> orig(n);          // sorted index -> original index
-  std::vector<std::size_t> cstart(ncells + 1, 0);
-  {
-    std::size_t k = 0;
-    for (std::size_t c = 0; c < ncells; ++c) {
-      cstart[c] = k;
-      for (const std::size_t i : cells.cell_atoms(c)) {
-        orig[k] = i;
-        sx[k] = system.positions[i].x;
-        sy[k] = system.positions[i].y;
-        sz[k] = system.positions[i].z;
-        sq[k] = system.charges[i];
-        stype[k] = type_of[i];
-        ++k;
-      }
-    }
-    cstart[ncells] = k;
-  }
-
-  // Stencils are precomputed once per call instead of allocating a vector
-  // per cell inside the sweep.
-  std::vector<std::vector<std::size_t>> stencil(ncells);
-  parallel_for(pool, 0, ncells,
-               [&](std::size_t c) { stencil[c] = cells.half_stencil(c); });
-
-  // --- parallel sweep over contiguous cell batches -------------------------
-  const std::size_t nb =
-      std::min<std::size_t>(ThreadPool::in_parallel_region() ? 1 : pool.concurrency(),
-                            ncells);
-  const std::size_t chunk = (ncells + nb - 1) / nb;
-  std::vector<Partial> partials(nb);
-
   const Box box = system.box;
+  const std::vector<double>& charge = system.charges;
+  list.px.resize(n);
+  list.py.resize(n);
+  list.pz.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    list.px[i] = system.positions[i].x;
+    list.py[i] = system.positions[i].y;
+    list.pz[i] = system.positions[i].z;
+  }
   const PairKernelConfig kernel_cfg{params_.alpha, table_.get()};
   const simd::Mode mode = mode_;
   const int width = simd::lanes(mode);
   parallel_for(pool, 0, nb, [&](std::size_t b) {
     TME_TRACE_SPAN("short_range/batch");
-    Partial& part = partials[b];
+    Partial& part = list.partials[b];
     part.forces.assign(n, Vec3{});
+    part.energy_coulomb = 0.0;
+    part.energy_lj = 0.0;
+    part.pairs = 0;
 
-    // The sweep filters pairs into an SoA batch; the vectorized kernel
-    // (md/short_range_kernels.hpp) evaluates them, and the flush scatters
-    // the results serially in the same enumeration order the old per-pair
-    // loop used, so energies and forces stay bitwise reproducible per pool
-    // size and identical between TME_SIMD=scalar and native.
+    // The sweep filters list entries into an SoA batch; the vectorized
+    // kernel (md/short_range_kernels.hpp) evaluates them, and the flush
+    // scatters the results serially in list order, so energies and forces
+    // stay bitwise reproducible per pool size and identical between
+    // TME_SIMD=scalar and native.
     PairBatch batch;
     batch.reserve(kFlushPairs + 64);
     auto flush = [&] {
@@ -177,32 +540,60 @@ ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
       part.pairs += np;
       batch.clear();
     };
-    auto pair = [&](std::size_t ka, std::size_t kb) {
-      const double dx = min_image(sx[ka] - sx[kb], box.lengths.x);
-      const double dy = min_image(sy[ka] - sy[kb], box.lengths.y);
-      const double dz = min_image(sz[ka] - sz[kb], box.lengths.z);
-      const double r2 = dx * dx + dy * dy + dz * dz;
-      if (r2 >= cutoff2 || r2 == 0.0) return;
-      if (topology.excluded(orig[ka], orig[kb])) return;
-      const MixedLj& m = mix[stype[ka] * ntypes + stype[kb]];
-      batch.push(dx, dy, dz, r2, constants::kCoulomb * sq[ka] * sq[kb], m.c6,
-                 m.c12, m.e_shift, static_cast<std::uint32_t>(ka),
-                 static_cast<std::uint32_t>(kb));
-      if (batch.size() >= kFlushPairs) flush();
-    };
 
-    const std::size_t c_begin = b * chunk;
-    const std::size_t c_end = std::min(c_begin + chunk, ncells);
-    for (std::size_t c = c_begin; c < c_end; ++c) {
-      // Pairs within the cell.
-      for (std::size_t ka = cstart[c]; ka < cstart[c + 1]; ++ka) {
-        for (std::size_t kb = ka + 1; kb < cstart[c + 1]; ++kb) pair(ka, kb);
-      }
-      // Pairs with the 13 forward neighbour cells; cross-batch neighbours
-      // accumulate into this batch's private buffer, so no writes conflict.
-      for (const std::size_t nc : stencil[c]) {
-        for (std::size_t ka = cstart[c]; ka < cstart[c + 1]; ++ka) {
-          for (std::size_t kb = cstart[nc]; kb < cstart[nc + 1]; ++kb) pair(ka, kb);
+    // Each row's columns are filtered W at a time; lanes are independent,
+    // so a pair's bits do not depend on which other columns share its
+    // vector, and the kept pairs are pushed in column order.
+    using V = ScanVec;
+    alignas(64) std::int64_t idx[kScanWidth];
+    alignas(64) double ddx[kScanWidth], ddy[kScanWidth], ddz[kScanWidth],
+        dr2[kScanWidth];
+    const V len[3] = {V::broadcast(box.lengths.x), V::broadcast(box.lengths.y),
+                      V::broadcast(box.lengths.z)};
+    const V neg_len[3] = {V::broadcast(-box.lengths.x), V::broadcast(-box.lengths.y),
+                          V::broadcast(-box.lengths.z)};
+    // min_image(d, L) = d - L * nearbyint(d / L), as one fused step.
+    auto image = [&](V d, int axis) {
+      return V::fma(neg_len[axis], V::nearbyint(d / len[axis]), d);
+    };
+    const V cutoff2v = V::broadcast(cutoff2);
+    const V tiny = V::broadcast(std::numeric_limits<double>::denorm_min());
+    const std::uint32_t* const cols = list.cols.data();
+    const std::size_t r_end = std::min(n, (b + 1) * chunk);
+    for (std::size_t i = b * chunk; i < r_end; ++i) {
+      const V xi = V::broadcast(list.px[i]);
+      const V yi = V::broadcast(list.py[i]);
+      const V zi = V::broadcast(list.pz[i]);
+      const double qi = constants::kCoulomb * charge[i];
+      const MixedLj* mix_i = list.mix.data() + list.type_of[i] * list.ntypes;
+      const std::size_t e_end = list.row_start[i + 1];
+      for (std::size_t e = list.row_start[i]; e < e_end; e += kScanWidth) {
+        for (int l = 0; l < kScanWidth; ++l) {
+          idx[l] = cols[e + static_cast<std::size_t>(l)];
+        }
+        const V dx = image(xi - V::gather(list.px.data(), idx), 0);
+        const V dy = image(yi - V::gather(list.py.data(), idx), 1);
+        const V dz = image(zi - V::gather(list.pz.data(), idx), 2);
+        const V r2 = V::fma(dz, dz, V::fma(dy, dy, dx * dx));
+        // Skip r2 >= cutoff² and r2 == 0; a NaN r2 is kept, so a non-finite
+        // position shows up in the forces.
+        const std::size_t left = e_end - e;
+        unsigned keep = left >= kScanWidth ? (1u << kScanWidth) - 1u : (1u << left) - 1u;
+        keep &= ~V::mask_bits(V::cmp_ge(r2, cutoff2v));
+        keep &= ~V::mask_bits(V::cmp_lt(r2, tiny));
+        if (keep == 0) continue;
+        dx.store(ddx);
+        dy.store(ddy);
+        dz.store(ddz);
+        r2.store(dr2);
+        while (keep != 0) {
+          const int l = __builtin_ctz(keep);
+          keep &= keep - 1;
+          const std::uint32_t j = cols[e + static_cast<std::size_t>(l)];
+          const MixedLj& m = mix_i[list.type_of[j]];
+          batch.push(ddx[l], ddy[l], ddz[l], dr2[l], qi * charge[j], m.c6, m.c12,
+                     m.e_shift, static_cast<std::uint32_t>(i), j);
+          if (batch.size() >= kFlushPairs) flush();
         }
       }
     }
@@ -214,14 +605,14 @@ ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
     TME_PHASE("reduce");
     parallel_for(pool, 0, n, [&](std::size_t k) {
       Vec3 acc{};
-      for (std::size_t b = 0; b < nb; ++b) acc += partials[b].forces[k];
-      system.forces[orig[k]] += acc;
+      for (std::size_t b = 0; b < nb; ++b) acc += list.partials[b].forces[k];
+      system.forces[k] += acc;
     });
   }
   for (std::size_t b = 0; b < nb; ++b) {
-    out.energy_coulomb += partials[b].energy_coulomb;
-    out.energy_lj += partials[b].energy_lj;
-    out.pair_count += partials[b].pairs;
+    out.energy_coulomb += list.partials[b].energy_coulomb;
+    out.energy_lj += list.partials[b].energy_lj;
+    out.pair_count += list.partials[b].pairs;
   }
 
   // Newton's-third-law ABFT check: the pair kernel writes +fij/-fij, so the
@@ -232,7 +623,7 @@ ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
     double fmax = 0.0;
     for (std::size_t b = 0; b < nb; ++b) {
       for (std::size_t k = 0; k < n; ++k) {
-        const Vec3& f = partials[b].forces[k];
+        const Vec3& f = list.partials[b].forces[k];
         out.net_force += f;
         fmax = std::max({fmax, std::abs(f.x), std::abs(f.y), std::abs(f.z)});
       }
@@ -253,6 +644,12 @@ ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
   }
 
   TME_COUNTER_ADD("short_range/pairs", out.pair_count);
+  TME_COUNTER_ADD("short_range/list_pairs", list.entries());
+  if (list.entries() != 0) {
+    TME_GAUGE_SET("short_range/list_efficiency",
+                  static_cast<double>(out.pair_count) /
+                      static_cast<double>(list.entries()));
+  }
   TME_GAUGE_SET("short_range/batches", nb);
   return out;
 }

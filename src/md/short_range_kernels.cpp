@@ -5,43 +5,30 @@
 namespace tme {
 
 void PairBatch::clear() {
-  dx.clear();
-  dy.clear();
-  dz.clear();
-  r2.clear();
-  qq.clear();
-  c6.clear();
-  c12.clear();
-  e_shift.clear();
-  ia.clear();
-  ib.clear();
   count_ = 0;
   padded_ = 0;
 }
 
 void PairBatch::reserve(std::size_t n) {
-  dx.reserve(n);
-  dy.reserve(n);
-  dz.reserve(n);
-  r2.reserve(n);
-  qq.reserve(n);
-  c6.reserve(n);
-  c12.reserve(n);
-  e_shift.reserve(n);
-  ia.reserve(n);
-  ib.reserve(n);
+  if (n <= dx.size()) return;
+  for (auto* v : {&dx, &dy, &dz, &r2, &qq, &c6, &c12, &e_shift}) v->resize(n);
+  ia.resize(n);
+  ib.resize(n);
 }
 
 void PairBatch::finalize(int width) {
   const std::size_t w = static_cast<std::size_t>(width);
   padded_ = ((count_ + w - 1) / w) * w;
+  reserve(padded_);
   // Benign pad pairs: r2 = 1 keeps divisions and the table's segment clamp
   // well-defined; zero charge/LJ parameters make every pad output exactly 0.
-  r2.resize(padded_, 1.0);
-  qq.resize(padded_, 0.0);
-  c6.resize(padded_, 0.0);
-  c12.resize(padded_, 0.0);
-  e_shift.resize(padded_, 0.0);
+  for (std::size_t k = count_; k < padded_; ++k) {
+    r2[k] = 1.0;
+    qq[k] = 0.0;
+    c6[k] = 0.0;
+    c12[k] = 0.0;
+    e_shift[k] = 0.0;
+  }
   e_coul.assign(padded_, 0.0);
   e_lj.assign(padded_, 0.0);
   f_over_r.assign(padded_, 0.0);
@@ -71,9 +58,12 @@ void eval_impl(PairBatch& b, const PairKernelConfig& cfg) {
       alignas(64) double t_arr[W];
       alignas(64) std::int64_t idx[W];
       u.store(u_arr);
+      // Lanes outside [0, segments) -- below the table (redone analytically
+      // below), the round-off at r_max², or NaN -- take the last segment
+      // without reaching the float-to-integer cast.
       for (int l = 0; l < W; ++l) {
-        std::size_t k = static_cast<std::size_t>(u_arr[l]);
-        if (k >= segments) k = segments - 1;
+        const bool inside = u_arr[l] >= 0.0 && u_arr[l] < static_cast<double>(segments);
+        const std::size_t k = inside ? static_cast<std::size_t>(u_arr[l]) : segments - 1;
         t_arr[l] = u_arr[l] - static_cast<double>(k);
         idx[l] = static_cast<std::int64_t>(8 * k);
       }

@@ -1,7 +1,7 @@
 // Batched pair-interaction kernels for the short-range engine — the
 // vectorized heart of the software nonbond pipelines.
 //
-// The engine's cell sweep filters candidate pairs (cutoff + exclusions) into
+// The engine's pair-list sweep filters list entries against the cutoff into
 // a PairBatch of SoA lanes, evaluate_pair_batch() computes every pair's
 // energies and force magnitude with the portable SIMD layer (util/simd.hpp),
 // and the engine scatters the results back in enumeration order.  The
@@ -24,15 +24,15 @@
 namespace tme {
 
 // SoA batch of filtered pairs (inside the cutoff, not excluded), kept in
-// cell-sweep enumeration order so the scalar accumulation that follows is
-// bitwise independent of the evaluation width.
+// pair-list order so the scalar accumulation that follows is bitwise
+// independent of the evaluation width.
 struct PairBatch {
-  // Inputs, one entry per pair.
+  // Inputs, one entry per pair (the arrays may be longer than size()).
   std::vector<double> dx, dy, dz;      // minimum-image displacement a - b
   std::vector<double> r2;              // |d|²
   std::vector<double> qq;              // kCoulomb * q_a * q_b
   std::vector<double> c6, c12, e_shift;  // mixed LJ parameters
-  std::vector<std::uint32_t> ia, ib;   // cell-sorted particle indices
+  std::vector<std::uint32_t> ia, ib;   // particle indices
 
   // Outputs of evaluate_pair_batch, parallel to the inputs.
   std::vector<double> e_coul, e_lj, f_over_r;
@@ -40,23 +40,26 @@ struct PairBatch {
   // Real (unpadded) pair count — the bound for the accumulation loop.
   std::size_t size() const { return count_; }
 
+  // clear() keeps the storage, so a batch refilled every flush allocates
+  // only while it grows.
   void clear();
   void reserve(std::size_t n);
 
   void push(double dx_, double dy_, double dz_, double r2_, double qq_,
             double c6_, double c12_, double e_shift_, std::uint32_t ia_,
             std::uint32_t ib_) {
-    dx.push_back(dx_);
-    dy.push_back(dy_);
-    dz.push_back(dz_);
-    r2.push_back(r2_);
-    qq.push_back(qq_);
-    c6.push_back(c6_);
-    c12.push_back(c12_);
-    e_shift.push_back(e_shift_);
-    ia.push_back(ia_);
-    ib.push_back(ib_);
-    ++count_;
+    if (count_ == dx.size()) reserve(2 * count_ + 64);
+    const std::size_t k = count_++;
+    dx[k] = dx_;
+    dy[k] = dy_;
+    dz[k] = dz_;
+    r2[k] = r2_;
+    qq[k] = qq_;
+    c6[k] = c6_;
+    c12[k] = c12_;
+    e_shift[k] = e_shift_;
+    ia[k] = ia_;
+    ib[k] = ib_;
   }
 
   // Pads the input arrays with benign entries (r2 = 1, everything else 0) up

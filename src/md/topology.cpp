@@ -55,11 +55,14 @@ void Topology::finalize(std::size_t n_atoms) {
 }
 
 bool Topology::excluded(std::size_t i, std::size_t j) const {
-  if (excl_offsets_.empty()) return false;
-  if (i + 1 >= excl_offsets_.size()) return false;
-  const auto begin = excl_neighbours_.begin() + static_cast<long>(excl_offsets_[i]);
-  const auto end = excl_neighbours_.begin() + static_cast<long>(excl_offsets_[i + 1]);
-  return std::binary_search(begin, end, j);
+  const std::span<const std::size_t> partners = excluded_partners(i);
+  return std::binary_search(partners.begin(), partners.end(), j);
+}
+
+std::span<const std::size_t> Topology::excluded_partners(std::size_t i) const {
+  if (i + 1 >= excl_offsets_.size()) return {};
+  return {excl_neighbours_.data() + excl_offsets_[i],
+          excl_offsets_[i + 1] - excl_offsets_[i]};
 }
 
 }  // namespace tme

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -73,6 +74,8 @@ class Topology {
   // Fast membership test; call finalize() after all exclusions are added.
   void finalize(std::size_t n_atoms);
   bool excluded(std::size_t i, std::size_t j) const;
+  // The atoms excluded() pairs with i, ascending (empty before finalize()).
+  std::span<const std::size_t> excluded_partners(std::size_t i) const;
 
   // Number of constrained degrees of freedom (3 per rigid water).
   std::size_t constraint_count() const { return 3 * rigid_waters_.size(); }

@@ -92,7 +92,10 @@ long bspline_weights(int p, double u, std::span<double> values,
       derivs[static_cast<std::size_t>(k)] = hi - lo;
     }
   }
-  return static_cast<long>(fl) - (p - 1);
+  // A non-finite u (a NaN or infinite position) gives NaN weights at a
+  // fixed base instead of reaching the float-to-integer cast, whose result
+  // would be undefined.
+  return (std::isfinite(fl) ? static_cast<long>(fl) : 0L) - (p - 1);
 }
 
 long bspline_weights_central(int p, double u, std::span<double> values,

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -172,6 +173,28 @@ TEST(CellList, DegenerateSmallBoxStillCorrect) {
   std::size_t found = 0;
   cells.for_each_pair(box, pos, cutoff, [&](std::size_t, std::size_t) { ++found; });
   EXPECT_EQ(found, brute);
+}
+
+TEST(CellList, NonFiniteCoordinateBinsIntoCellZero) {
+  const Box box{{2.0, 2.0, 2.0}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // A NaN x and an infinite y go to the first cell of their axis; the
+  // finite coordinates bin as usual (1.5 nm is cell 3 of 4).
+  const std::vector<Vec3> pos = {{1.5, 1.5, 1.5}, {nan, 1.5, 1.5}, {1.5, inf, 1.5}};
+  const CellList cells(box, pos, 0.5);
+  ASSERT_EQ(cells.cells_x(), 4u);
+  auto cell_of = [&](std::size_t atom) {
+    for (std::size_t c = 0; c < cells.cell_count(); ++c) {
+      for (const std::size_t a : cells.cell_atoms(c)) {
+        if (a == atom) return c;
+      }
+    }
+    return cells.cell_count();
+  };
+  EXPECT_EQ(cell_of(0), 3u + 4u * (3u + 4u * 3u));
+  EXPECT_EQ(cell_of(1), 0u + 4u * (3u + 4u * 3u));
+  EXPECT_EQ(cell_of(2), 3u + 4u * (0u + 4u * 3u));
 }
 
 // --- short range -------------------------------------------------------------

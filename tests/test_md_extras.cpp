@@ -1,106 +1,19 @@
-// Tests for the MD quality-of-life layer: buffered pair lists, thermostats,
-// and the I/O writers.
+// Tests for the MD quality-of-life layer: thermostats and the I/O writers.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
 #include <gtest/gtest.h>
 
-#include "ewald/splitting.hpp"
-#include "md/pair_list.hpp"
-#include "md/short_range.hpp"
 #include "md/system.hpp"
 #include "md/thermostat.hpp"
 #include "md/water_box.hpp"
 #include "util/io.hpp"
-#include "util/rng.hpp"
 
 namespace tme {
 namespace {
 
 namespace fs = std::filesystem;
-
-TEST(PairList, MatchesFreshCellListEvaluation) {
-  WaterBoxSpec spec;
-  spec.molecules = 216;
-  WaterBox wb_a = build_water_box(spec);
-  WaterBox wb_b = build_water_box(spec);
-  ShortRangeParams params;
-  params.cutoff = 0.7;
-  params.alpha = alpha_from_tolerance(0.7, 1e-4);
-
-  wb_a.system.forces.assign(wb_a.system.size(), Vec3{});
-  const ShortRangeResult fresh = compute_short_range(wb_a.system, wb_a.topology, params);
-
-  PairList list(params.cutoff, 0.15);
-  wb_b.system.forces.assign(wb_b.system.size(), Vec3{});
-  const ShortRangeResult buffered =
-      compute_short_range_with_list(wb_b.system, wb_b.topology, params, list);
-
-  EXPECT_EQ(buffered.pair_count, fresh.pair_count);
-  EXPECT_NEAR(buffered.energy_coulomb, fresh.energy_coulomb, 1e-10);
-  EXPECT_NEAR(buffered.energy_lj, fresh.energy_lj, 1e-10);
-  for (std::size_t i = 0; i < wb_a.system.size(); ++i) {
-    EXPECT_LT(norm(wb_a.system.forces[i] - wb_b.system.forces[i]), 1e-10);
-  }
-}
-
-TEST(PairList, ReusedListStaysExactWithinBuffer) {
-  WaterBoxSpec spec;
-  spec.molecules = 125;
-  WaterBox wb = build_water_box(spec);
-  ShortRangeParams params;
-  params.cutoff = 0.6;
-  params.alpha = 3.0;
-  PairList list(params.cutoff, 0.2);
-
-  Rng rng(3);
-  for (int step = 0; step < 5; ++step) {
-    // Displace everything by less than buffer/2 cumulatively, then compare
-    // against a fresh evaluation.
-    for (auto& r : wb.system.positions) {
-      r += Vec3{0.015 * rng.normal(), 0.015 * rng.normal(), 0.015 * rng.normal()};
-    }
-    wb.system.forces.assign(wb.system.size(), Vec3{});
-    const ShortRangeResult buffered =
-        compute_short_range_with_list(wb.system, wb.topology, params, list);
-
-    auto fresh_sys = wb.system;
-    fresh_sys.forces.assign(fresh_sys.size(), Vec3{});
-    const ShortRangeResult fresh =
-        compute_short_range(fresh_sys, wb.topology, params);
-    EXPECT_EQ(buffered.pair_count, fresh.pair_count) << "step " << step;
-    EXPECT_NEAR(buffered.energy_coulomb, fresh.energy_coulomb, 1e-9);
-  }
-  // Some steps must have reused the list (no rebuild).
-  EXPECT_LT(list.rebuild_count(), 6u);
-  EXPECT_GE(list.rebuild_count(), 1u);
-}
-
-TEST(PairList, RebuildTriggeredByLargeMove) {
-  WaterBoxSpec spec;
-  spec.molecules = 64;
-  WaterBox wb = build_water_box(spec);
-  PairList list(0.6, 0.2);
-  list.update(wb.system.box, wb.system.positions, wb.topology);
-  EXPECT_EQ(list.rebuild_count(), 1u);
-  EXPECT_FALSE(list.update(wb.system.box, wb.system.positions, wb.topology));
-  wb.system.positions[0].x += 0.11;  // > buffer / 2
-  EXPECT_TRUE(list.update(wb.system.box, wb.system.positions, wb.topology));
-  EXPECT_EQ(list.rebuild_count(), 2u);
-}
-
-TEST(PairList, RejectsCutoffMismatch) {
-  WaterBoxSpec spec;
-  spec.molecules = 27;
-  WaterBox wb = build_water_box(spec);
-  ShortRangeParams params;
-  params.cutoff = 0.5;
-  params.alpha = 3.0;
-  PairList list(0.6, 0.1);
-  EXPECT_THROW(compute_short_range_with_list(wb.system, wb.topology, params, list),
-               std::invalid_argument);
-}
 
 TEST(Thermostat, BerendsenDrivesTowardsTarget) {
   WaterBoxSpec spec;

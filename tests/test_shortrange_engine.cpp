@@ -1,15 +1,24 @@
 // Parallel short-range engine, tabulated kernel, and threaded particle-grid
 // path tests: parallel-vs-serial equivalence across pool sizes (1, 2, and N
-// participating threads), force-table accuracy against analytic erfc, and
+// participating threads), the buffered pair list's contract (bits never
+// depend on the list's age, no pair inside the cutoff is ever missed, each
+// topology is honoured), force-table accuracy against analytic erfc, and
 // determinism of the threaded exclusion corrections.
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ewald/charge_assignment.hpp"
 #include "ewald/force_table.hpp"
+#include "ewald/long_range_solver.hpp"
+#include "ewald/spme.hpp"
 #include "ewald/splitting.hpp"
+#include "md/forcefield.hpp"
+#include "md/integrator.hpp"
 #include "md/short_range.hpp"
 #include "md/short_range_engine.hpp"
 #include "md/water_box.hpp"
@@ -195,6 +204,286 @@ TEST(ShortRangeEngine, TabulatedKernelTracksAnalyticForces) {
               1e-6 * std::abs(ra.energy_coulomb));
   // LJ is evaluated identically in both modes.
   EXPECT_EQ(rt.energy_lj, ra.energy_lj);
+}
+
+// --- buffered pair list ------------------------------------------------------
+
+// One engine evaluation on a copy of the system (forces start at zero).
+struct Evaluation {
+  ShortRangeResult result;
+  std::vector<Vec3> forces;
+};
+
+Evaluation evaluate(const ShortRangeEngine& engine, const ParticleSystem& system,
+                    const Topology& topology, ThreadPool* pool = nullptr) {
+  ParticleSystem copy = system;
+  copy.forces.assign(copy.size(), Vec3{});
+  Evaluation e;
+  e.result = engine.compute(copy, topology, pool);
+  e.forces = std::move(copy.forces);
+  return e;
+}
+
+void expect_same_bits(const Evaluation& a, const Evaluation& b) {
+  EXPECT_EQ(a.result.pair_count, b.result.pair_count);
+  EXPECT_EQ(std::memcmp(&a.result.energy_coulomb, &b.result.energy_coulomb, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&a.result.energy_lj, &b.result.energy_lj, sizeof(double)), 0);
+  ASSERT_EQ(a.forces.size(), b.forces.size());
+  EXPECT_EQ(std::memcmp(a.forces.data(), b.forces.data(), a.forces.size() * sizeof(Vec3)), 0)
+      << "forces are not bitwise identical";
+}
+
+// Pairs inside the cutoff and not excluded, by brute force.
+std::size_t brute_force_pairs(const ParticleSystem& system, const Topology& topology,
+                              double cutoff) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < system.size(); ++i) {
+    for (std::size_t j = i + 1; j < system.size(); ++j) {
+      const double r2 = norm2(system.box.min_image_disp(system.positions[i], system.positions[j]));
+      if (r2 < cutoff * cutoff && r2 != 0.0 && !topology.excluded(i, j)) ++count;
+    }
+  }
+  return count;
+}
+
+TEST(ShortRangeEngine, FreshListMatchesSerial) {
+  WaterBoxSpec spec;
+  spec.molecules = 216;
+  WaterBox wb = build_water_box(spec);
+  ShortRangeParams params;
+  params.cutoff = 0.7;
+  params.alpha = alpha_from_tolerance(0.7, 1e-4);
+  const std::size_t n = wb.system.size();
+
+  wb.system.forces.assign(n, Vec3{});
+  const ShortRangeResult serial = compute_short_range(wb.system, wb.topology, params);
+  const Evaluation fresh = evaluate(ShortRangeEngine(params), wb.system, wb.topology);
+
+  EXPECT_EQ(fresh.result.pair_count, serial.pair_count);
+  EXPECT_NEAR(fresh.result.energy_coulomb, serial.energy_coulomb, 1e-10);
+  EXPECT_NEAR(fresh.result.energy_lj, serial.energy_lj, 1e-10);
+  EXPECT_LT(force_deviation(fresh.forces, wb.system.forces), 1e-10);
+}
+
+// Random atoms in small and skewed boxes: axes with fewer than five build
+// cells are scanned whole, longer ones through trimmed x-runs.
+TEST(ShortRangeEngine, FreshListMatchesSerialOnSmallAndSkewedBoxes) {
+  struct Case {
+    Vec3 box;
+    double cutoff;
+  };
+  for (const Case& c : {Case{{1.0, 1.0, 1.0}, 0.45}, Case{{3.0, 2.5, 4.0}, 0.7},
+                        Case{{1.3, 2.9, 1.9}, 0.6}}) {
+    SCOPED_TRACE(c.box);
+    ParticleSystem sys;
+    sys.box.lengths = c.box;
+    sys.resize(300);
+    Topology topo;
+    topo.lj().assign(sys.size(), LjParams{0.2, 0.5});
+    Rng rng(29);
+    for (std::size_t i = 0; i < sys.size(); ++i) {
+      // Some coordinates outside the box, so wrapping is exercised too.
+      sys.positions[i] = {rng.uniform(-0.5, 1.5) * c.box.x, rng.uniform(0.0, c.box.y),
+                          rng.uniform(0.0, c.box.z)};
+      sys.charges[i] = rng.uniform(-1.0, 1.0);
+      if (i % 2 == 1) topo.add_exclusion(i - 1, i);
+    }
+    topo.finalize(sys.size());
+    ShortRangeParams params;
+    params.cutoff = c.cutoff;
+    params.alpha = 3.0;
+
+    sys.forces.assign(sys.size(), Vec3{});
+    const ShortRangeResult serial = compute_short_range(sys, topo, params);
+    const Evaluation fresh = evaluate(ShortRangeEngine(params), sys, topo);
+    EXPECT_EQ(fresh.result.pair_count, serial.pair_count);
+    EXPECT_EQ(fresh.result.pair_count, brute_force_pairs(sys, topo, params.cutoff));
+    EXPECT_LT(force_deviation(fresh.forces, sys.forces), 1e-10);
+  }
+}
+
+TEST(ShortRangeEngine, ReusedListStaysExactWithinBuffer) {
+  WaterBoxSpec spec;
+  spec.molecules = 125;
+  WaterBox wb = build_water_box(spec);
+  ShortRangeParams params;
+  params.cutoff = 0.6;
+  params.alpha = 3.0;
+  const ShortRangeEngine engine(params);
+
+  Rng rng(3);
+  for (int step = 0; step < 6; ++step) {
+    // Small random moves: their running total stays inside the buffer.
+    if (step > 0) {
+      for (auto& r : wb.system.positions) {
+        r += Vec3{0.003 * rng.normal(), 0.003 * rng.normal(), 0.003 * rng.normal()};
+      }
+    }
+    const Evaluation reused = evaluate(engine, wb.system, wb.topology);
+    wb.system.forces.assign(wb.system.size(), Vec3{});
+    const ShortRangeResult serial = compute_short_range(wb.system, wb.topology, params);
+    EXPECT_EQ(reused.result.pair_count, serial.pair_count) << "step " << step;
+    EXPECT_NEAR(reused.result.energy_coulomb, serial.energy_coulomb, 1e-9);
+    expect_same_bits(reused, evaluate(ShortRangeEngine(params), wb.system, wb.topology));
+  }
+  // Every step after the first reused the list.
+  EXPECT_EQ(engine.list_builds(), 1u);
+}
+
+TEST(ShortRangeEngine, RebuildTriggeredByLargeMove) {
+  WaterBoxSpec spec;
+  spec.molecules = 64;
+  WaterBox wb = build_water_box(spec);
+  ShortRangeParams params;
+  params.cutoff = 0.6;
+  params.alpha = 3.0;
+  const ShortRangeEngine engine(params);
+  EXPECT_EQ(engine.list_builds(), 0u);
+  evaluate(engine, wb.system, wb.topology);
+  EXPECT_EQ(engine.list_builds(), 1u);
+  evaluate(engine, wb.system, wb.topology);
+  EXPECT_EQ(engine.list_builds(), 1u);
+  wb.system.positions[0].x += ShortRangeEngine::kListBuffer + 0.01;
+  evaluate(engine, wb.system, wb.topology);
+  EXPECT_EQ(engine.list_builds(), 2u);
+  // A box change invalidates the list as well.
+  wb.system.box.lengths.x *= 1.01;
+  evaluate(engine, wb.system, wb.topology);
+  EXPECT_EQ(engine.list_builds(), 3u);
+}
+
+// The contract: a warm engine whose list was built k steps ago returns the
+// same bits as a fresh engine on the same frame, at every pool size.
+TEST(ShortRangeEngine, ListAgeNeverChangesTheBits) {
+  WaterBox wb = test_box();
+  ShortRangeParams params = test_params(wb);
+  params.kernel = CoulombKernel::kTabulated;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads - 1);
+    ParticleSystem sys = wb.system;
+    // Off the builder's lattice, whose planes sit mid-cell in the list's
+    // cell grid, so atoms will cross cells below.
+    Rng rng(41);
+    for (Vec3& r : sys.positions) {
+      r += Vec3{0.15 + 0.02 * rng.normal(), 0.15 + 0.02 * rng.normal(),
+                0.15 + 0.02 * rng.normal()};
+    }
+    const ShortRangeEngine warm(params);
+    evaluate(warm, sys, wb.topology, &pool);
+    // Every atom walks a straight line, 0.44 of the buffer in 8 steps: the
+    // two largest moves stay inside the buffer, but many atoms change build
+    // cells, so a fresh list orders its candidates differently.
+    std::vector<Vec3> step(sys.size());
+    for (Vec3& v : step) {
+      v = Vec3{rng.normal(), rng.normal(), rng.normal()};
+      v *= 0.055 * ShortRangeEngine::kListBuffer / norm(v);
+    }
+    for (int k = 1; k <= 8; ++k) {
+      for (std::size_t i = 0; i < sys.size(); ++i) sys.positions[i] += step[i];
+      const Evaluation aged = evaluate(warm, sys, wb.topology, &pool);
+      ASSERT_EQ(warm.list_builds(), 1u) << "the list was rebuilt at age " << k;
+      expect_same_bits(aged, evaluate(ShortRangeEngine(params), sys, wb.topology, &pool));
+    }
+  }
+}
+
+TEST(ShortRangeEngine, NoPairInsideTheCutoffIsMissedOverAnNveRun) {
+  WaterBoxSpec spec;
+  spec.molecules = 216;
+  spec.temperature = 300.0;
+  WaterBox wb = build_water_box(spec);
+  ShortRangeParams sr;
+  sr.cutoff = 0.7;
+  sr.alpha = alpha_from_tolerance(sr.cutoff, 1e-4);
+  sr.shift_lj = true;
+  SpmeParams sp;
+  sp.alpha = sr.alpha;
+  sp.grid = {16, 16, 16};
+  const ForceField ff(sr, make_spme_solver(wb.system.box, sp));
+  IntegratorParams ip;
+  ip.dt = 0.002;
+  const VelocityVerlet integrator(wb.topology, wb.system, ip);
+  integrator.prime(wb.system, wb.topology, ff);
+
+  const ShortRangeEngine& engine = ff.short_range_engine();
+  for (int step = 0; step < 200; ++step) {
+    integrator.step(wb.system, wb.topology, ff);
+    // The integrator's own engine, so the list under test is the one the
+    // trajectory ages.
+    const Evaluation e = evaluate(engine, wb.system, wb.topology);
+    ASSERT_EQ(e.result.pair_count, brute_force_pairs(wb.system, wb.topology, sr.cutoff))
+        << "step " << step;
+  }
+  // The run exercised both reuse and rebuilds.
+  EXPECT_GT(engine.list_builds(), 2u);
+  EXPECT_LT(engine.list_builds(), 100u);
+}
+
+TEST(ShortRangeEngine, HonoursEachTopologyInTurn) {
+  WaterBox wb = test_box();
+  const ShortRangeParams params = test_params(wb);
+  const Topology& with_exclusions = wb.topology;
+  Topology without;  // same atoms and LJ, no exclusions
+  without.lj() = with_exclusions.lj();
+  without.finalize(wb.system.size());
+  ASSERT_FALSE(with_exclusions.exclusions().empty());
+
+  const ShortRangeEngine engine(params);
+  for (int round = 0; round < 2; ++round) {
+    for (const Topology* topology : {&with_exclusions, static_cast<const Topology*>(&without)}) {
+      const Evaluation shared = evaluate(engine, wb.system, *topology);
+      EXPECT_EQ(shared.result.pair_count,
+                brute_force_pairs(wb.system, *topology, params.cutoff));
+      expect_same_bits(shared, evaluate(ShortRangeEngine(params), wb.system, *topology));
+    }
+  }
+}
+
+// Two threads share one engine, each with its own frame and pool: the
+// cached list is rebuilt back and forth under the engine's lock, and every
+// result still matches a fresh engine.
+TEST(ShortRangeEngine, ConcurrentCallersSerialise) {
+  WaterBox wb = test_box();
+  const ShortRangeParams params = test_params(wb);
+  ParticleSystem moved = wb.system;
+  for (auto& r : moved.positions) r.x += 2.0 * ShortRangeEngine::kListBuffer;
+  const ParticleSystem* frames[] = {&wb.system, &moved};
+  Evaluation want[2];
+  for (int f = 0; f < 2; ++f) {
+    ThreadPool pool(0);
+    want[f] = evaluate(ShortRangeEngine(params), *frames[f], wb.topology, &pool);
+  }
+
+  const ShortRangeEngine shared(params);
+  Evaluation got[2][4];
+  std::vector<std::thread> callers;
+  for (int f = 0; f < 2; ++f) {
+    callers.emplace_back([&, f] {
+      ThreadPool pool(0);
+      for (Evaluation& e : got[f]) e = evaluate(shared, *frames[f], wb.topology, &pool);
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int f = 0; f < 2; ++f) {
+    for (const Evaluation& e : got[f]) expect_same_bits(e, want[f]);
+  }
+}
+
+TEST(ShortRangeEngine, NanPositionGivesNonFiniteForceWithoutCrashing) {
+  WaterBox wb = test_box();
+  const ShortRangeParams params = test_params(wb);
+  const ShortRangeEngine engine(params);
+  const Evaluation clean = evaluate(engine, wb.system, wb.topology);
+
+  ParticleSystem poisoned = wb.system;
+  poisoned.positions[5].y = std::numeric_limits<double>::quiet_NaN();
+  const Evaluation bad = evaluate(engine, poisoned, wb.topology);
+  const Vec3& f = bad.forces[5];
+  EXPECT_FALSE(std::isfinite(f.x) && std::isfinite(f.y) && std::isfinite(f.z));
+
+  // Back on the clean frame, the NaN-built list is stale and the bits return.
+  expect_same_bits(evaluate(engine, wb.system, wb.topology), clean);
 }
 
 // --- threaded charge spreading -----------------------------------------------

@@ -142,7 +142,8 @@ TEST(SimdVec, RuntimeFacts) {
 // Property: the short-range engine's forces and energies are bitwise
 // identical between the scalar twin and the native kernel, for both Coulomb
 // kernels and at every pool size (the accumulation order is fixed by the
-// cell sweep, never by the vector width).
+// pair list, never by the vector width) -- on the frame that built the list
+// and on a displaced frame that reuses it.
 
 TEST(SimdParity, ShortRangeForcesBitwiseAcrossPoolSizes) {
   WaterBoxSpec spec;
@@ -157,6 +158,14 @@ TEST(SimdParity, ShortRangeForcesBitwiseAcrossPoolSizes) {
   params.alpha = alpha_from_tolerance(params.cutoff, 1e-4);
   params.shift_lj = true;
 
+  // The second frame moves every atom by under a fifth of the list buffer.
+  std::vector<Vec3> displaced = wb.system.positions;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double s = 0.2 * ShortRangeEngine::kListBuffer / std::sqrt(3.0);
+    displaced[i] += Vec3{s * std::sin(1.0 * i), s * std::cos(2.0 * i), s * std::sin(3.0 * i)};
+  }
+  const std::vector<Vec3> original = wb.system.positions;
+
   for (const CoulombKernel kernel :
        {CoulombKernel::kAnalytic, CoulombKernel::kTabulated}) {
     ShortRangeParams p_scalar = params;
@@ -170,32 +179,40 @@ TEST(SimdParity, ShortRangeForcesBitwiseAcrossPoolSizes) {
     ASSERT_EQ(native_engine.simd_mode(), simd::Mode::kNative);
 
     for (const std::size_t workers : {0u, 1u, 3u}) {
-      SCOPED_TRACE(std::string(kernel == CoulombKernel::kAnalytic
-                                   ? "analytic"
-                                   : "tabulated") +
-                   " workers=" + std::to_string(workers));
-      ThreadPool pool(workers);
+      for (const bool moved : {false, true}) {
+        SCOPED_TRACE(std::string(kernel == CoulombKernel::kAnalytic
+                                     ? "analytic"
+                                     : "tabulated") +
+                     " workers=" + std::to_string(workers) +
+                     (moved ? " displaced frame" : " build frame"));
+        ThreadPool pool(workers);
+        wb.system.positions = moved ? displaced : original;
 
-      wb.system.forces.assign(n, Vec3{});
-      const ShortRangeResult rs =
-          scalar_engine.compute(wb.system, wb.topology, &pool);
-      const std::vector<Vec3> f_scalar = wb.system.forces;
+        wb.system.forces.assign(n, Vec3{});
+        const ShortRangeResult rs =
+            scalar_engine.compute(wb.system, wb.topology, &pool);
+        const std::vector<Vec3> f_scalar = wb.system.forces;
 
-      wb.system.forces.assign(n, Vec3{});
-      const ShortRangeResult rn =
-          native_engine.compute(wb.system, wb.topology, &pool);
+        wb.system.forces.assign(n, Vec3{});
+        const ShortRangeResult rn =
+            native_engine.compute(wb.system, wb.topology, &pool);
 
-      EXPECT_EQ(rn.pair_count, rs.pair_count);
-      EXPECT_EQ(rn.energy_coulomb, rs.energy_coulomb);
-      EXPECT_EQ(rn.energy_lj, rs.energy_lj);
-      EXPECT_TRUE(rn.third_law_ok);
-      ASSERT_EQ(wb.system.forces.size(), f_scalar.size());
-      EXPECT_EQ(std::memcmp(wb.system.forces.data(), f_scalar.data(),
-                            n * sizeof(Vec3)),
-                0)
-          << "native forces are not bitwise identical to the scalar twin";
+        EXPECT_EQ(rn.pair_count, rs.pair_count);
+        EXPECT_EQ(rn.energy_coulomb, rs.energy_coulomb);
+        EXPECT_EQ(rn.energy_lj, rs.energy_lj);
+        EXPECT_TRUE(rn.third_law_ok);
+        ASSERT_EQ(wb.system.forces.size(), f_scalar.size());
+        EXPECT_EQ(std::memcmp(wb.system.forces.data(), f_scalar.data(),
+                              n * sizeof(Vec3)),
+                  0)
+            << "native forces are not bitwise identical to the scalar twin";
+      }
     }
+    // Both engines evaluated every frame from the list of the first one.
+    EXPECT_EQ(scalar_engine.list_builds(), 1u);
+    EXPECT_EQ(native_engine.list_builds(), 1u);
   }
+  wb.system.positions = original;
 }
 
 // ---------------------------------------------------------------------------
