@@ -15,13 +15,20 @@
 // The schedule comes from --spec <file> (JSON, see chaos/schedule.hpp), from
 // the TME_CHAOS_* environment (TME_CHAOS_SURFACES=node,packet,io,... builds
 // a seeded random timeline), or defaults to a four-surface survivable mix.
-// --out <file> records the realized run as a replay file either way.
+// --out <file> records the realized run as a replay file either way.  A
+// malformed spec exits 2 with the offending field named.  The spec is the
+// only way to arm a fault: worker drills ("crash"/"hang"/"delay"), packet
+// loss, node/link kills, SDC bursts and checkpoint IO faults all live there.
 //
 // Typical CI invocations:
 //   TME_CHAOS_SURFACES=node,packet,worker,io TME_CHAOS_SEED=7 ./chaos_drill
+//   ./chaos_drill --spec crash.json  # {"backend":"proc","workers":3,
+//                                    #  "events":[{"step":0,"a":1,"b":2,
+//                                    #  "surface":"worker","detail":"crash"}]}
 //   ./chaos_drill --spec lethal.json --shrink --out repro.json
 //   ./chaos_drill --replay repro.json
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "chaos/runner.hpp"
@@ -39,21 +46,28 @@ int main(int argc, char** argv) {
   using namespace tme;
   const Args args(argc, argv);
 
+  // A malformed spec (JSON or TME_CHAOS_*) is a usage error: print it and
+  // exit 2, before anything runs.
   chaos::ChaosSpec spec;
   const std::string replay_path = args.get("replay", "");
   const std::string spec_path = args.get("spec", "");
-  if (!replay_path.empty()) {
-    spec = chaos::read_replay_spec(replay_path);
-  } else if (!spec_path.empty()) {
-    setenv("TME_CHAOS_SPEC", spec_path.c_str(), 1);
-    spec = chaos::spec_from_env();
-  } else {
-    // Default: a survivable four-surface composition.
-    chaos::ChaosSpec base = chaos::random_spec(
-        2021, 8,
-        {chaos::Surface::kNode, chaos::Surface::kPacket,
-         chaos::Surface::kWorker, chaos::Surface::kIo});
-    spec = chaos::spec_from_env(base);
+  try {
+    if (!replay_path.empty()) {
+      spec = chaos::read_replay_spec(replay_path);
+    } else if (!spec_path.empty()) {
+      setenv("TME_CHAOS_SPEC", spec_path.c_str(), 1);
+      spec = chaos::spec_from_env();
+    } else {
+      // Default: a survivable four-surface composition.
+      chaos::ChaosSpec base = chaos::random_spec(
+          2021, 8,
+          {chaos::Surface::kNode, chaos::Surface::kPacket,
+           chaos::Surface::kWorker, chaos::Surface::kIo});
+      spec = chaos::spec_from_env(base);
+    }
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "chaos_drill: %s\n", e.what());
+    return 2;
   }
 
   chaos::RunnerOptions opts;
@@ -120,7 +134,8 @@ int main(int argc, char** argv) {
   }
   std::printf("  %llu/%llu steps, %llu ckpt writes (%llu refused, %llu "
               "fallbacks), %llu deaths, %llu respawns, %llu retransmissions, "
-              "%llu dropped, %llu corrupted, %llu sdc, %llu io faults\n",
+              "%llu dropped, %llu corrupted, %llu sdc, %llu io faults, max NVE "
+              "drift %.2e\n",
               static_cast<unsigned long long>(result.steps_completed),
               static_cast<unsigned long long>(spec.steps),
               static_cast<unsigned long long>(result.checkpoint_writes),
@@ -132,7 +147,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.frames_dropped),
               static_cast<unsigned long long>(result.frames_corrupted),
               static_cast<unsigned long long>(result.sdc_injected),
-              static_cast<unsigned long long>(result.io_faults_injected));
+              static_cast<unsigned long long>(result.io_faults_injected),
+              result.max_energy_drift);
 
   if (!replay_path.empty()) {
     // A replay reproduces whatever verdict the file records — for a shrunk

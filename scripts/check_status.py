@@ -5,7 +5,7 @@ Usage:
     check_status.py STATUS.json [--require-fleet] [--require-chaos]
                     [--min-step N]
 
-The snapshot is what worker_drill/chaos_drill write on SIGUSR1 or every N
+The snapshot is what chaos_drill writes on SIGUSR1 or every N
 steps (--status-out / TME_STATUS_OUT).  Checks:
   - top level: schema == "tme-status-v1", numeric step/pid/written_unix_ms
   - metrics section with counters/gauges objects and histogram summaries

@@ -20,7 +20,7 @@ Checks, against the trace-event format Chrome and Perfetto accept:
 --require-counters unless at least one counter series exists (per-link
 telemetry).
 
-For merged fleet timelines (the worker_drill/chaos_drill --trace-out output):
+For merged fleet timelines (the chaos_drill --trace-out output):
 --require-workers N fails unless at least N distinct "worker <rank> (pid ..)"
 process tracks carry span events, --require-flow unless dispatch -> task flow
 arrows ("s"/"f" pairs sharing a flow id) are present; both also validate the

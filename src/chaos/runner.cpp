@@ -1,10 +1,12 @@
 #include "chaos/runner.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -13,44 +15,18 @@
 #include "hw/fault.hpp"
 #include "hw/sdc_guard.hpp"
 #include "md/checkpoint.hpp"
-#include "md/guardrail.hpp"
-#include "md/integrator.hpp"
+#include "md/simulation.hpp"
+#include "md/water_box.hpp"
 #include "obs/status.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "par/fleet.hpp"
 #include "par/par_tme.hpp"
 #include "util/io_shim.hpp"
-#include "util/logging.hpp"
-#include "util/rng.hpp"
 
 namespace tme::chaos {
 
 namespace {
-
-// Deterministic drift per step; small enough that the gas never leaves the
-// regime the short TME parameters were tuned for.
-constexpr double kDriftGamma = 1e-5;
-
-double wrap(double x, double length) {
-  x = std::fmod(x, length);
-  return x < 0.0 ? x + length : x;
-}
-
-void drift(ParticleSystem& system, const std::vector<Vec3>& forces) {
-  for (std::size_t i = 0; i < system.size(); ++i) {
-    system.forces[i] = forces[i];
-    system.positions[i].x =
-        wrap(system.positions[i].x + kDriftGamma * forces[i].x,
-             system.box.lengths.x);
-    system.positions[i].y =
-        wrap(system.positions[i].y + kDriftGamma * forces[i].y,
-             system.box.lengths.y);
-    system.positions[i].z =
-        wrap(system.positions[i].z + kDriftGamma * forces[i].z,
-             system.box.lengths.z);
-  }
-}
 
 bool bitwise_equal(const CoulombResult& a, const CoulombResult& b) {
   if (a.energy != b.energy || a.forces.size() != b.forces.size()) return false;
@@ -86,6 +62,16 @@ bool bitwise_equal(const ParticleSystem& a, const ParticleSystem& b) {
   return true;
 }
 
+bool bitwise_equal(const StepReport& a, const StepReport& b) {
+  const EnergyReport& x = a.energies;
+  const EnergyReport& y = b.energies;
+  return a.kinetic == b.kinetic && x.coulomb_short == y.coulomb_short &&
+         x.coulomb_long == y.coulomb_long &&
+         x.coulomb_exclusion == y.coulomb_exclusion && x.lj == y.lj &&
+         x.bonds == y.bonds && x.angles == y.angles &&
+         x.dihedrals == y.dihedrals;
+}
+
 std::uint64_t io_faults_total(const io::IoStats& s) {
   return s.injected_enospc + s.injected_short_writes + s.injected_eintr +
          s.injected_fsync_failures + s.injected_rename_failures +
@@ -96,6 +82,21 @@ std::uint64_t io_faults_total(const io::IoStats& s) {
 struct ShimDisarm {
   ~ShimDisarm() { io::IoShim::instance().disarm(); }
 };
+
+// TME on a water box of edge `length` split at `r_cut`: the finest grid is
+// a power of two >= 16 (which the 2x2x1 torus divides) with spacing
+// <= 0.1 nm.
+TmeParams water_tme_params(double length, double r_cut) {
+  TmeParams tp;
+  tp.alpha = alpha_from_tolerance(r_cut, 1e-4);
+  std::size_t n = 16;
+  while (0.1 * static_cast<double>(n) < length) n *= 2;
+  tp.grid = {n, n, n};
+  tp.levels = 1;
+  tp.grid_cutoff = 4;
+  tp.num_gaussians = 3;
+  return tp;
+}
 
 }  // namespace
 
@@ -158,40 +159,30 @@ ChaosRunResult ChaosRunner::run() {
     }
   };
 
-  // --- the physics: a seeded neutral charge gas (worker_drill's system) -----
-  Box box;
-  box.lengths = {3.2, 3.2, 3.2};
-  const std::size_t atoms = spec_.atoms;
-  ParticleSystem sys;
-  sys.resize(atoms);
-  sys.box = box;
-  Rng rng(spec_.seed);
-  double total_q = 0.0;
-  for (std::size_t i = 0; i < atoms; ++i) {
-    sys.positions[i] = {rng.uniform(0.0, box.lengths.x),
-                        rng.uniform(0.0, box.lengths.y),
-                        rng.uniform(0.0, box.lengths.z)};
-    sys.charges[i] = rng.uniform(-1.0, 1.0);
-    sys.masses[i] = 1.0;
-    total_q += sys.charges[i];
-  }
-  for (double& q : sys.charges) q -= total_q / static_cast<double>(atoms);
-  ParticleSystem ref = sys;  // the clean twin's state
-
-  TmeParams tp;
-  tp.alpha = alpha_from_tolerance(0.8, 1e-4);
-  tp.grid = {16, 16, 16};
-  tp.levels = 1;
-  tp.grid_cutoff = 4;
-  tp.num_gaussians = 3;
+  // --- the physics: SETTLE TIP3P water at liquid density, run twice ---------
+  WaterBoxSpec water_spec;
+  water_spec.molecules = spec_.atoms / 3;
+  water_spec.seed = spec_.seed;
+  const WaterBox water = build_water_box(water_spec);
+  const Box& box = water.system.box;
+  ShortRangeParams sr;
+  sr.cutoff = std::min(0.9, 0.45 * box.lengths.x);  // inside the minimum image
+  const TmeParams tp = water_tme_params(box.lengths.x, sr.cutoff);
+  sr.alpha = tp.alpha;
   const hw::TorusTopology topo(2, 2, 1);
   const std::size_t node_count = topo.node_count();
 
-  // Clean twin: inline serial executor, no faults armed, ever.
-  par::ParallelTme twin(box, tp, topo);
+  // Chaos side: ParallelTme dispatched through a worker fleet.  Clean twin:
+  // the same pipeline on its inline SerialExecutor, no faults armed, ever.
+  auto chaos_solver = std::make_unique<par::ParallelTme>(box, tp, topo);
+  par::ParallelTme& distributed = *chaos_solver;
+  const ForceField ff(sr, std::move(chaos_solver));
+  const ForceField twin_ff(sr,
+                           std::make_unique<par::ParallelTme>(box, tp, topo));
+  // VelocityVerlet keeps no per-run state, so both sides share one.
+  const VelocityVerlet integrator(water.topology, water.system,
+                                  IntegratorParams{});
 
-  // Chaos side: the same pipeline through a worker fleet.
-  par::ParallelTme distributed(box, tp, topo);
   par::FleetConfig fc;
   fc.backend = spec_.backend == "proc" ? par::FleetConfig::Backend::kProc
                                        : par::FleetConfig::Backend::kInProc;
@@ -200,41 +191,80 @@ ChaosRunResult ChaosRunner::run() {
   fc.term_grace_ms = 1000;
   fc.worker_bin = options_.worker_bin;
   fc.context_path = ctx_path;
-  // Runner-owned telemetry aggregator: it outlives the kSigterm surface's
-  // fleet restarts, so worker chunks from every fleet generation merge into
-  // one timeline.
+  // Runner-owned telemetry aggregator: it outlives the fleet restarts below,
+  // so worker chunks from every fleet generation merge into one timeline.
   obs::FleetTelemetry fleet_telemetry;
-  auto fleet = std::make_unique<par::WorkerFleet>(distributed.context(),
-                                                  distributed.topology(), fc);
-  fleet->set_telemetry_sink(&fleet_telemetry);
-  distributed.set_executor(fleet.get());
+  std::unique_ptr<par::WorkerFleet> fleet;
+  bool packet_window_open = false;
+  const auto start_fleet = [&] {
+    fleet = std::make_unique<par::WorkerFleet>(distributed.context(),
+                                               distributed.topology(), fc);
+    fleet->set_telemetry_sink(&fleet_telemetry);
+    distributed.set_executor(fleet.get());
+  };
+  // Fleet counters accumulate over every generation, folded in at retirement.
+  const auto harvest = [&] {
+    const par::FleetStats& fs = fleet->stats();
+    const par::TransportStats& ts = fleet->transport_stats();
+    result.worker_deaths += fs.worker_deaths;
+    result.respawns += fs.respawns;
+    result.retransmissions += fs.retransmissions;
+    result.frames_dropped += ts.frames_dropped;
+    result.frames_corrupted += ts.frames_corrupted;
+  };
+  // The one quiesce-and-rebuild path (SIGTERM drain, worker drills): the new
+  // fleet starts from the current FleetConfig with a default transport.
+  const auto restart_fleet = [&]() -> bool {
+    const bool acked = fleet->quiesce();
+    result.quiesces++;
+    harvest();
+    fleet.reset();
+    start_fleet();
+    packet_window_open = false;
+    return acked;
+  };
+  start_fleet();
+
+  // Both sides under the guardrail at its defaults, abort on any violation;
+  // only the chaos side checkpoints.  Constructing each driver primes it.
+  ParticleSystem sys = water.system;
+  ParticleSystem ref = water.system;
+  SimulationParams params;
+  params.guardrail.policy = GuardrailPolicy::kAbort;
+  Simulation twin(ref, water.topology, twin_ff, integrator, params);
+  params.checkpoint_path = ckpt_path;
+  params.checkpoint_interval = spec_.checkpoint_interval;
+  params.checkpoint_keep = spec_.checkpoint_keep;
+  Simulation sim(sys, water.topology, ff, integrator, params);
+  const auto sync_checkpoint_stats = [&] {
+    result.checkpoint_writes = sim.result().checkpoint_writes;
+    result.checkpoint_write_failures = sim.result().checkpoint_write_failures;
+  };
+  std::vector<Checkpoint> snapshots;  // every write that reported success
+  if (sim.result().checkpoint_writes > 0) snapshots.push_back({0, sys});
+  sync_checkpoint_stats();
 
   // Live introspection: the fleet and the runner each contribute a section
   // to SIGUSR1 / periodic status snapshots while this run is live.
   obs::StatusReporter& status = obs::StatusReporter::global();
   const int fleet_section = status.add_provider(
       "fleet", [&fleet](obs::JsonValue& v) { fleet->status_json(v); });
-  const int chaos_section =
-      status.add_provider("chaos", [&result, &spec = spec_](obs::JsonValue& v) {
+  const int chaos_section = status.add_provider(
+      "chaos", [&result, &sim, &spec = spec_](obs::JsonValue& v) {
         v = obs::JsonValue::make_object();
         auto& o = v.as_object();
-        o["steps_total"] =
-            obs::JsonValue::make_number(static_cast<double>(spec.steps));
-        o["steps_completed"] = obs::JsonValue::make_number(
-            static_cast<double>(result.steps_completed));
-        o["events_fired"] =
-            obs::JsonValue::make_number(static_cast<double>(result.log.size()));
-        o["checkpoint_writes"] = obs::JsonValue::make_number(
-            static_cast<double>(result.checkpoint_writes));
-        o["quiesces"] =
-            obs::JsonValue::make_number(static_cast<double>(result.quiesces));
-        o["sdc_injected"] = obs::JsonValue::make_number(
-            static_cast<double>(result.sdc_injected));
-        o["abft_violations"] = obs::JsonValue::make_number(
-            static_cast<double>(result.abft_violations));
+        const auto num = [](auto x) {
+          return obs::JsonValue::make_number(static_cast<double>(x));
+        };
+        o["steps_total"] = num(spec.steps);
+        o["steps_completed"] = num(sim.result().steps_completed);
+        o["events_fired"] = num(result.log.size());
+        o["checkpoint_writes"] = num(sim.result().checkpoint_writes);
+        o["quiesces"] = num(result.quiesces);
+        o["sdc_injected"] = num(result.sdc_injected);
+        o["abft_violations"] = num(result.abft_violations);
         o["ok"] = obs::JsonValue::make_bool(result.ok);
-        o["failed_oracle"] =
-            obs::JsonValue::make_string(result.failed_oracle);
+        o["failed_oracle"] = obs::JsonValue::make_string(result.failed_oracle);
       });
   struct SectionGuard {
     obs::StatusReporter& reporter;
@@ -273,15 +303,8 @@ ChaosRunResult ChaosRunner::run() {
     return true;
   };
 
-  GuardrailConfig gc;
-  gc.policy = GuardrailPolicy::kWarn;
-  gc.energy_drift_tol = 1e12;  // NaN / blow-up detection only: positions
-                               // drift, so the energy legitimately walks
-  Guardrail guardrail(gc);
-
-  std::vector<Checkpoint> snapshots;  // every write that reported success
   std::uint64_t alloc_refusals_armed = 0;
-  bool packet_window_open = false;
+  std::optional<double> reference_energy;  // drift reference, as the guardrail
 
   const auto stats_total = [&]() { return io_faults_total(shim.stats()); };
 
@@ -320,6 +343,28 @@ ChaosRunResult ChaosRunner::run() {
                  "SIGTERM worker " + std::to_string(rank) +
                      (fleet->worker_exited_cleanly(rank) ? " (exited 0)"
                                                          : " (escalated)"));
+          } else if (e.detail == "crash" || e.detail == "hang" ||
+                     e.detail == "delay") {
+            // Misbehaviour drill: the rank's policy holds for every later
+            // incarnation of that worker.
+            if (fc.worker_faults.size() <= rank) {
+              fc.worker_faults.resize(rank + 1);
+            }
+            par::WorkerFaultPolicy& policy = fc.worker_faults[rank];
+            const long b = e.b < 0 ? 0 : e.b;
+            if (e.detail == "crash") {
+              policy.crash_after_tasks = b;
+            } else if (e.detail == "hang") {
+              policy.hang_after_tasks = b;
+            } else {
+              policy.delay_ms = b;
+            }
+            restart_fleet();
+            note(s, e.surface,
+                 "worker " + std::to_string(rank) + " drill armed: " +
+                     e.detail + " " + std::to_string(b) +
+                     (e.detail == "delay" ? " ms per task" : " tasks") +
+                     ", fleet restarted");
           } else {
             fleet->kill_worker(rank);
             note(s, e.surface, "SIGKILL worker " + std::to_string(rank));
@@ -358,41 +403,27 @@ ChaosRunResult ChaosRunner::run() {
           break;
         case Surface::kSigterm: {
           // Graceful drain: checkpoint the current state, quiesce the fleet
-          // (which re-seals the worker context), tear it down, then restart
-          // and prove the resume is bitwise-identical.
-          bool drained = true;
-          try {
-            write_checkpoint_rotating(ckpt_path, sys, s, spec_.checkpoint_keep);
-            result.checkpoint_writes++;
+          // (which re-seals the worker context), rebuild it, then resume
+          // through the driver's restore path and prove it bitwise.
+          const ParticleSystem drained_state = sys;
+          const bool drained = sim.checkpoint();
+          sync_checkpoint_stats();
+          if (drained) {
             snapshots.push_back({s, sys});
-          } catch (const CheckpointError& ce) {
-            result.checkpoint_write_failures++;
-            drained = false;
+          } else {
             note(s, e.surface,
-                 std::string("drain checkpoint refused (") +
-                     to_string(ce.fault()) + "), resume check skipped");
+                 "drain checkpoint refused, resume check skipped");
           }
-          const bool acked = fleet->quiesce();
-          result.quiesces++;
           note(s, e.surface,
-               acked ? "fleet quiesced, all workers acked"
-                     : "fleet quiesced with unacked workers");
-          fleet.reset();
-          fleet = std::make_unique<par::WorkerFleet>(
-              distributed.context(), distributed.topology(), fc);
-          fleet->set_telemetry_sink(&fleet_telemetry);
-          distributed.set_executor(fleet.get());
-          packet_window_open = false;  // fresh transport, default policy
+               restart_fleet() ? "fleet quiesced, all workers acked"
+                               : "fleet quiesced with unacked workers");
           if (drained) {
             try {
-              const Checkpoint resumed =
-                  read_latest_checkpoint(ckpt_path, spec_.checkpoint_keep);
-              if (resumed.step != s || !bitwise_equal(resumed.system, sys)) {
+              if (sim.restore() != s || !bitwise_equal(sys, drained_state)) {
                 fail("sigterm-resume", s,
                      "drain checkpoint did not restore bitwise-identically");
                 return result;
               }
-              sys = resumed.system;  // resume *from* the checkpoint, literally
               note(s, e.surface, "resumed bitwise-identically from drain");
             } catch (const CheckpointError& ce) {
               fail("sigterm-resume", s,
@@ -464,15 +495,19 @@ ChaosRunResult ChaosRunner::run() {
       shim.disarm();
     }
 
-    // ---- the step: clean twin, then the chaos side under the deadline -----
-    par::TrafficLog twin_log;
-    const CoulombResult want = twin.compute(ref.positions, ref.charges,
-                                            &twin_log);
+    // ---- the step: the chaos side under the deadline, then the clean twin --
+    // Registry gauges are refreshed only when the step's status poll (inside
+    // the driver) will actually write a snapshot.
+    if (obs::StatusReporter::signal_pending() ||
+        (status.every() != 0 && (s + 1) % status.every() == 0)) {
+      fleet->publish_metrics();
+    }
+    const std::uint64_t writes_before = sim.result().checkpoint_writes;
+    const std::uint64_t refusals_before =
+        sim.result().checkpoint_write_failures;
     const auto t0 = clock::now();
-    CoulombResult got;
     try {
-      par::TrafficLog log;
-      got = distributed.compute(sys.positions, sys.charges, &log);
+      sim.advance();
     } catch (const std::exception& e) {
       fail("recovery", s, e.what());
       return result;
@@ -480,6 +515,8 @@ ChaosRunResult ChaosRunner::run() {
     const auto elapsed_ms =
         std::chrono::duration_cast<std::chrono::milliseconds>(clock::now() - t0)
             .count();
+    twin.advance();
+    sync_checkpoint_stats();
     if (elapsed_ms > spec_.step_deadline_ms) {
       fail("recovery-deadline", s,
            "step took " + std::to_string(elapsed_ms) + " ms (deadline " +
@@ -487,17 +524,24 @@ ChaosRunResult ChaosRunner::run() {
       return result;
     }
 
+    // Oracle: guardrail cleanliness (NaN / blow-up / NVE drift in the run).
+    if (sim.result().aborted) {
+      fail("guardrail", s, sim.guardrail().violations().back().what);
+      return result;
+    }
+
     if (sabotage) {
-      const std::size_t i = static_cast<std::size_t>(sabotage_at) % atoms;
-      got.forces[i].x += 1.0;
+      const std::size_t i = static_cast<std::size_t>(sabotage_at) % sys.size();
+      sys.forces[i].x += 1.0;
       note(s, Surface::kSabotage,
            "corrupted force[" + std::to_string(i) + "].x past every defense");
     }
 
-    // Oracle: force parity with the clean twin, bitwise.
-    if (!bitwise_equal(got, want)) {
-      fail("force-parity", s,
-           "fleet forces diverged from the clean twin");
+    // Oracle: the whole post-step state and the step energies match the
+    // clean twin bitwise.
+    if (!bitwise_equal(sys, ref) ||
+        !bitwise_equal(sim.result().last_report, twin.result().last_report)) {
+      fail("force-parity", s, "post-step state diverged from the clean twin");
       return result;
     }
 
@@ -530,46 +574,23 @@ ChaosRunResult ChaosRunner::run() {
       }
     }
 
-    // Oracle: guardrail cleanliness (NaN / blow-up escaping into the run).
-    sys.forces = got.forces;
-    StepReport rep;
-    rep.energies.coulomb_long = got.energy;
-    rep.kinetic = 0.0;
-    const auto violations = guardrail.check(sys, rep, s);
-    if (!violations.empty()) {
-      fail("guardrail", s, violations.front().what);
-      return result;
+    // Rotating durable checkpoint (written by the driver); typed IO refusals
+    // are survival, not death.
+    if (sim.result().checkpoint_writes > writes_before) {
+      snapshots.push_back({s + 1, sys});
     }
-
-    // Advance both runs on their own forces; divergence shows up as a
-    // force-parity failure next step.
-    drift(sys, got.forces);
-    ParticleSystem ref_next = ref;
-    drift(ref_next, want.forces);
-    ref = std::move(ref_next);
-
-    // Rotating durable checkpoint; typed IO refusals are survival, not death.
-    if (spec_.checkpoint_interval > 0 &&
-        (s + 1) % spec_.checkpoint_interval == 0) {
-      try {
-        write_checkpoint_rotating(ckpt_path, sys, s + 1, spec_.checkpoint_keep);
-        result.checkpoint_writes++;
-        snapshots.push_back({s + 1, sys});
-      } catch (const CheckpointError& ce) {
-        result.checkpoint_write_failures++;
-        note(s, Surface::kIo,
-             std::string("checkpoint write refused, typed ") +
-                 to_string(ce.fault()) + " (older generations intact)");
-      }
+    if (sim.result().checkpoint_write_failures > refusals_before) {
+      note(s, Surface::kIo,
+           "checkpoint write refused, typed (older generations intact)");
     }
+    const double energy = sim.result().last_report.total();
+    if (!reference_energy) reference_energy = energy;
+    result.max_energy_drift = std::max(
+        result.max_energy_drift,
+        std::abs(energy - *reference_energy) /
+            std::max(std::abs(*reference_energy),
+                     params.guardrail.energy_floor));
     result.steps_completed = s + 1;
-    // Status snapshots are written from here (never from signal context);
-    // the registry gauges are refreshed only when a write is actually due.
-    if (obs::StatusReporter::signal_pending() ||
-        (status.every() != 0 && (s + 1) % status.every() == 0)) {
-      fleet->publish_metrics();
-    }
-    status.poll(s + 1);
   }
 
   // ---- end of run: the checkpoint-resume oracle ---------------------------
@@ -615,13 +636,7 @@ ChaosRunResult ChaosRunner::run() {
   shim.disarm();
 
   // ---- harvest ------------------------------------------------------------
-  const par::FleetStats& fs = fleet->stats();
-  const par::TransportStats& ts = fleet->transport_stats();
-  result.worker_deaths += fs.worker_deaths;
-  result.respawns += fs.respawns;
-  result.retransmissions += fs.retransmissions;
-  result.frames_dropped += ts.frames_dropped;
-  result.frames_corrupted += ts.frames_corrupted;
+  harvest();
   result.io_faults_injected = stats_total();
   fleet->quiesce();  // final worker chunks arrive in the shutdown drain
   result.quiesces++;
@@ -685,6 +700,7 @@ void write_replay_file(const std::string& path, const ChaosSpec& spec,
   put("abft_violations", result.abft_violations);
   put("io_faults_injected", result.io_faults_injected);
   put("quiesces", result.quiesces);
+  so["max_energy_drift"] = obs::JsonValue::make_number(result.max_energy_drift);
   ro["stats"] = std::move(stats);
   obj["result"] = std::move(res);
 

@@ -1,36 +1,43 @@
-// ChaosRunner: drives one guarded N-step run under a ChaosSpec and holds it
-// to the repo's correctness oracles.
+// ChaosRunner: drives one guarded N-step MD run under a ChaosSpec and holds
+// it to the repo's correctness oracles.
 //
-// The run is the worker_drill physics scaled down: a seeded neutral charge
-// gas in a 3.2^3 box, long-range forces from ParallelTme over a 2x2x1 node
-// torus, executed through a WorkerFleet (the spec picks the in-proc or the
-// real-process backend).  Positions evolve by a small deterministic
-// force-proportional drift each step, the evolving ParticleSystem is
-// checkpointed on rotation through the durable md/checkpoint path, and the
-// scheduled fault events are applied between steps.
+// The run is real SETTLE-constrained TIP3P water from build_water_box
+// (spec.atoms / 3 molecules at liquid density), integrated by
+// VelocityVerlet through the Simulation step driver (md/simulation).  Its
+// long-range forces come from ParallelTme over a 2x2x1 node torus,
+// dispatched through a WorkerFleet (the spec picks the in-proc or the
+// real-process backend).  The driver checkpoints the evolving system on
+// rotation through the durable md/checkpoint path, and the scheduled fault
+// events are applied between steps.
 //
-// A *clean twin* — the same physics through the inline SerialExecutor with
-// no faults armed — runs in lockstep.  The oracles, checked every step:
+// A *clean twin* — the same water through its own Simulation, with
+// ParallelTme on the inline SerialExecutor and no faults armed — runs in
+// lockstep.  The oracles, checked every step:
 //
-//   force-parity        fleet forces bitwise-equal the twin's (the PR 8
-//                       contract, now under composed faults)
+//   force-parity        the whole post-step state (positions, velocities,
+//                       forces) and the step energies bitwise-equal the
+//                       twin's, under composed faults
 //   abft-recovery       on SDC-burst steps the guarded pipeline reports
 //                       recovered and matches its own clean baseline bitwise
-//   guardrail           no NaN/blow-up escapes into the trajectory
+//   guardrail           the driver's guardrail (GuardrailConfig defaults,
+//                       abort policy): no NaN, force blow-up or NVE energy
+//                       drift beyond tolerance escapes into the trajectory
 //   recovery-deadline   every step (including its deaths, respawns and
 //                       retransmissions) completes inside step_deadline_ms
-//   sigterm-resume      a drained fleet restarts from its drain checkpoint
-//                       bitwise-identically
+//   sigterm-resume      a drained fleet restarts and the driver resumes
+//                       from its drain checkpoint bitwise-identically
 //   checkpoint-resume   at end of run the newest readable generation matches
 //                       the in-memory snapshot of the same step bitwise
 //   machine-partition   scheduled node kills must never partition the torus
 //
 // IO-shim and bit-rot events on the checkpoint path are *expected* to be
 // survived via typed CheckpointErrors and generation fallback — they fail a
-// run only if the fallback chain is exhausted.  The realized fault-event log
-// (what actually fired, against which file/rank/step) is recorded for the
-// replay file; on oracle failure the run stops at the failing step so the
-// shrinker sees a deterministic signature.
+// run only if the fallback chain is exhausted.  Worker drills ("crash",
+// "hang", "delay") set the rank's WorkerFaultPolicy and restart the fleet,
+// so the misbehaviour holds for every later incarnation.  The realized
+// fault-event log (what actually fired, against which file/rank/step) is
+// recorded for the replay file; on oracle failure the run stops at the
+// failing step so the shrinker sees a deterministic signature.
 #pragma once
 
 #include <cstdint>
@@ -80,6 +87,10 @@ struct ChaosRunResult {
   std::uint64_t abft_violations = 0;
   std::uint64_t io_faults_injected = 0;
   std::uint64_t quiesces = 0;
+  // Largest |E(t) - E(ref)| / max(|E(ref)|, energy_floor) of the chaos
+  // side's total energy, referenced to the first step — the guardrail's
+  // NVE-drift measure.
+  double max_energy_drift = 0.0;
 };
 
 // "oracle@step" — the identity delta-debugging preserves while shrinking.

@@ -1,5 +1,6 @@
 #include "chaos/schedule.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -19,9 +20,31 @@ constexpr const char* kSurfaceNames[] = {
 constexpr std::size_t kSurfaceCount =
     sizeof(kSurfaceNames) / sizeof(kSurfaceNames[0]);
 
-double num_or(const obs::JsonValue& obj, const char* key, double fallback) {
+// The one guard in front of every JSON double -> integer conversion (which
+// is undefined out of range): the value must be an integer in [lo, hi].
+// NaN, fractions and out-of-range values throw, naming the field.
+double integer_or(const obs::JsonValue& obj, const char* key, double fallback,
+                  double lo, double hi) {
   if (!obj.contains(key)) return fallback;
-  return obj.at(key).as_number();
+  const double v = obj.at(key).as_number();
+  if (!(v >= lo && v <= hi && v == std::trunc(v))) {
+    std::ostringstream msg;
+    msg << "chaos spec: '" << key << "' = " << v << " is not an integer in ["
+        << lo << ", " << hi << "]";
+    throw std::runtime_error(msg.str());
+  }
+  return v;
+}
+
+double rate_or(const obs::JsonValue& obj, const char* key) {
+  if (!obj.contains(key)) return 0.0;
+  const double v = obj.at(key).as_number();
+  if (!(v >= 0.0 && v <= 1.0)) {
+    std::ostringstream msg;
+    msg << "chaos spec: '" << key << "' = " << v << " is not a rate in [0, 1]";
+    throw std::runtime_error(msg.str());
+  }
+  return v;
 }
 
 std::string str_or(const obs::JsonValue& obj, const char* key,
@@ -86,36 +109,48 @@ obs::JsonValue spec_to_json(const ChaosSpec& spec) {
 }
 
 ChaosSpec spec_from_json(const obs::JsonValue& json) {
+  constexpr double kU64Max = 18446744073709549568.0;  // largest double < 2^64
+  constexpr double kSteps = 1e9;
   ChaosSpec spec;
-  spec.seed = static_cast<std::uint64_t>(num_or(json, "seed", 2021));
+  spec.seed = static_cast<std::uint64_t>(
+      integer_or(json, "seed", static_cast<double>(spec.seed), 0, kU64Max));
   spec.steps = static_cast<std::uint64_t>(
-      num_or(json, "steps", static_cast<double>(spec.steps)));
-  spec.atoms = static_cast<std::size_t>(
-      num_or(json, "atoms", static_cast<double>(spec.atoms)));
+      integer_or(json, "steps", static_cast<double>(spec.steps), 1, kSteps));
+  spec.atoms = static_cast<std::size_t>(integer_or(
+      json, "atoms", static_cast<double>(spec.atoms),
+      static_cast<double>(kMinAtoms), static_cast<double>(kMaxAtoms)));
   spec.workers = static_cast<std::size_t>(
-      num_or(json, "workers", static_cast<double>(spec.workers)));
+      integer_or(json, "workers", static_cast<double>(spec.workers), 1,
+                 static_cast<double>(kMaxWorkers)));
   spec.backend = str_or(json, "backend", spec.backend);
-  spec.checkpoint_interval = static_cast<std::uint64_t>(num_or(
-      json, "checkpoint_interval", static_cast<double>(spec.checkpoint_interval)));
-  spec.checkpoint_keep = static_cast<int>(num_or(
-      json, "checkpoint_keep", static_cast<double>(spec.checkpoint_keep)));
-  spec.timeout_ms = static_cast<long>(
-      num_or(json, "timeout_ms", static_cast<double>(spec.timeout_ms)));
-  spec.step_deadline_ms = static_cast<long>(num_or(
-      json, "step_deadline_ms", static_cast<double>(spec.step_deadline_ms)));
+  if (spec.backend != "inproc" && spec.backend != "proc") {
+    throw std::runtime_error("chaos spec: 'backend' = '" + spec.backend +
+                             "' is not inproc or proc");
+  }
+  spec.checkpoint_interval = static_cast<std::uint64_t>(
+      integer_or(json, "checkpoint_interval",
+                 static_cast<double>(spec.checkpoint_interval), 0, kSteps));
+  spec.checkpoint_keep = static_cast<int>(integer_or(
+      json, "checkpoint_keep", spec.checkpoint_keep, 1, 1000));
+  spec.timeout_ms = static_cast<long>(integer_or(
+      json, "timeout_ms", static_cast<double>(spec.timeout_ms), 1, 3.6e6));
+  spec.step_deadline_ms = static_cast<long>(
+      integer_or(json, "step_deadline_ms",
+                 static_cast<double>(spec.step_deadline_ms), 1, 8.64e7));
   if (json.contains("events")) {
     for (const obs::JsonValue& ev : json.at("events").as_array()) {
       ChaosEvent e;
-      e.step = static_cast<std::uint64_t>(num_or(ev, "step", 0));
+      e.step = static_cast<std::uint64_t>(integer_or(ev, "step", 0, 0, kSteps));
       const std::string name = str_or(ev, "surface", "packet");
       if (!surface_from_string(name, &e.surface)) {
         throw std::runtime_error("chaos spec: unknown surface '" + name + "'");
       }
-      e.rate = num_or(ev, "rate", 0.0);
-      e.rate2 = num_or(ev, "rate2", 0.0);
-      e.a = static_cast<long>(num_or(ev, "a", -1));
-      e.b = static_cast<long>(num_or(ev, "b", -1));
-      e.until_step = static_cast<std::uint64_t>(num_or(ev, "until_step", 0));
+      e.rate = rate_or(ev, "rate");
+      e.rate2 = rate_or(ev, "rate2");
+      e.a = static_cast<long>(integer_or(ev, "a", -1, -1, 1e12));
+      e.b = static_cast<long>(integer_or(ev, "b", -1, -1, 1e12));
+      e.until_step = static_cast<std::uint64_t>(
+          integer_or(ev, "until_step", 0, 0, kSteps));
       e.detail = str_or(ev, "detail", "");
       spec.events.push_back(std::move(e));
     }
@@ -143,9 +178,11 @@ ChaosSpec spec_from_env(ChaosSpec base) {
   base.seed = env::u64_or("TME_CHAOS_SEED", base.seed);
   base.steps = env::u64_or("TME_CHAOS_STEPS", base.steps);
   base.atoms = static_cast<std::size_t>(env::bounded_long_or(
-      "TME_CHAOS_ATOMS", static_cast<long>(base.atoms), 8, 1000000));
+      "TME_CHAOS_ATOMS", static_cast<long>(base.atoms),
+      static_cast<long>(kMinAtoms), static_cast<long>(kMaxAtoms)));
   base.workers = static_cast<std::size_t>(env::bounded_long_or(
-      "TME_CHAOS_WORKERS", static_cast<long>(base.workers), 1, 64));
+      "TME_CHAOS_WORKERS", static_cast<long>(base.workers), 1,
+      static_cast<long>(kMaxWorkers)));
   const std::size_t backend = env::choice_or("TME_CHAOS_BACKEND",
                                              {"inproc", "proc"},
                                              base.backend == "proc" ? 1 : 0);

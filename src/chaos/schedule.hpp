@@ -30,7 +30,7 @@ enum class Surface {
   kLink,       // stochastic: per-transfer corruption at `rate` on the sim machine
   kSdc,        // compute bit flips at `rate` through the ABFT-guarded pipeline
   kPacket,     // transport frames dropped (`rate`) / corrupted (`rate2`) in a window
-  kWorker,     // process drill on rank `a`: detail "kill" (SIGKILL) or "term"
+  kWorker,     // process drill on rank `a`: detail selects it (see ChaosEvent)
   kBitrot,     // flip byte `a` of the newest on-disk checkpoint generation
   kIo,         // arm the IO shim on the checkpoint path: detail selects the fault
   kAlloc,      // refuse the next `a` guarded restore allocations
@@ -50,14 +50,23 @@ struct ChaosEvent {
   long b = -1;                   // secondary knob (e.g. term grace ms)
   std::uint64_t until_step = 0;  // >step: window [step, until_step); else one-shot
   // kIo: "enospc" | "short" | "eintr" | "fsync" | "open".
-  // kWorker: "kill" | "term".  Free-form note elsewhere.
+  // kWorker: "kill" (SIGKILL now) | "term" (SIGTERM, `b` = grace ms) |
+  // "crash" / "hang" after `b` tasks | "delay" every result by `b` ms — the
+  // last three set the rank's fault policy for every later incarnation.
+  // Free-form note elsewhere.
   std::string detail;
 };
+
+// Bounds every spec source enforces.  Fewer than eight water molecules put
+// periodic images inside the LJ core and the run blows up by construction.
+constexpr std::size_t kMinAtoms = 24;
+constexpr std::size_t kMaxAtoms = 1000000;
+constexpr std::size_t kMaxWorkers = 64;
 
 struct ChaosSpec {
   std::uint64_t seed = 2021;
   std::uint64_t steps = 8;
-  std::size_t atoms = 96;
+  std::size_t atoms = 96;                // water atoms: atoms / 3 molecules
   std::size_t workers = 2;
   std::string backend = "inproc";        // "inproc" | "proc"
   std::uint64_t checkpoint_interval = 2; // steps between rotating writes
@@ -67,9 +76,12 @@ struct ChaosSpec {
   std::vector<ChaosEvent> events;
 };
 
-// JSON round-trip.  parse_spec throws std::runtime_error on malformed input
-// (missing fields fall back to the defaults above, so hand-written repro
-// specs stay short).
+// JSON round-trip.  spec_from_json / parse_spec throw std::runtime_error,
+// naming the field, on malformed input: an unknown surface or backend, a
+// non-integral or out-of-range count (atoms in [kMinAtoms, kMaxAtoms],
+// workers in [1, kMaxWorkers], steps >= 1, checkpoint_keep >= 1), or a rate
+// outside [0, 1].  Missing fields fall back to the defaults above, so
+// hand-written repro specs stay short.
 obs::JsonValue spec_to_json(const ChaosSpec& spec);
 ChaosSpec spec_from_json(const obs::JsonValue& json);
 std::string dump_spec(const ChaosSpec& spec);

@@ -6,8 +6,6 @@
 
 namespace tme {
 
-namespace {
-
 void describe_tme_params(const TmeParams& p, obs::JsonValue& d) {
   auto& obj = d.as_object();
   obj["alpha"] = obs::JsonValue::make_number(p.alpha);
@@ -22,6 +20,8 @@ void describe_tme_params(const TmeParams& p, obs::JsonValue& d) {
   obj["virial"] = obs::JsonValue::make_bool(false);
   obj["simd"] = simd::describe_json();
 }
+
+namespace {
 
 class TmeSolver final : public LongRangeSolver {
  public:

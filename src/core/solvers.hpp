@@ -22,6 +22,10 @@ std::unique_ptr<LongRangeSolver> make_tme_solver(const Box& box,
 std::unique_ptr<LongRangeSolver> make_tme_fixed_solver(
     const Box& box, const TmeParams& params, const TmeFixedConfig& config = {});
 
+// Adds every TmeParams accuracy knob (plus the SIMD mode) to a describe()
+// object — shared by the TME-family backends, serial and distributed.
+void describe_tme_params(const TmeParams& p, obs::JsonValue& d);
+
 // One tuning record covering every backend's accuracy knobs; each backend
 // reads the fields it honours (and records them in its describe()).
 struct SolverTuning {

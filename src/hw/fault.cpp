@@ -4,33 +4,9 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "util/env.hpp"
 
 namespace tme::hw {
-
-FaultConfig fault_config_from_env() {
-  FaultConfig config;
-  config.seed = env::u64_or("TME_FAULT_SEED", config.seed);
-  config.link_error_rate =
-      env::probability_or("TME_FAULT_LINK_ERROR_RATE", config.link_error_rate);
-  config.sdc_rate = env::probability_or("TME_FAULT_SDC_RATE", config.sdc_rate);
-  config.packet_drop_rate = env::probability_or("TME_FAULT_PACKET_DROP_RATE",
-                                                config.packet_drop_rate);
-  config.packet_corrupt_rate = env::probability_or(
-      "TME_FAULT_PACKET_CORRUPT_RATE", config.packet_corrupt_rate);
-  config.kill_worker_rank = env::bounded_long_or(
-      "TME_FAULT_KILL_WORKER_RANK", config.kill_worker_rank, -1, 1023);
-  config.kill_worker_task = env::bounded_long_or(
-      "TME_FAULT_KILL_WORKER_TASK", config.kill_worker_task, -1, 1L << 40);
-  config.hang_worker_task = env::bounded_long_or(
-      "TME_FAULT_HANG_WORKER_TASK", config.hang_worker_task, -1, 1L << 40);
-  config.worker_delay_ms = env::bounded_long_or(
-      "TME_FAULT_WORKER_DELAY_MS", config.worker_delay_ms, 0, 600000);
-  obs::manifest_set("fault_seed", static_cast<double>(config.seed));
-  return config;
-}
 
 const char* to_string(SdcSite site) {
   switch (site) {

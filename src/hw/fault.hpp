@@ -39,28 +39,7 @@ struct FaultConfig {
   double retry_backoff_base_s = 400e-9;  // first backoff; doubles per retry
   double detect_timeout_s = 2e-6;   // receiver CRC window before the NACK
   double sdc_rate = 0.0;            // per-operation compute bit-flip probability
-
-  // --- process-level fault modes (real worker transport drills) -------------
-  // These describe misbehaviour of the *actual* coordinator<->worker traffic
-  // and processes, not the simulated torus: seeded frame loss and bit flips
-  // on the transport (detected by the frame CRC and retransmitted), and one
-  // designated worker that crashes (SIGKILL), hangs (socket open, silent) or
-  // straggles (fixed per-task delay) after a task count.
-  double packet_drop_rate = 0.0;     // coordinator->worker frame loss
-  double packet_corrupt_rate = 0.0;  // coordinator->worker frame bit flips
-  long kill_worker_rank = -1;        // which worker the process drill targets
-  long kill_worker_task = -1;        // crash that worker after N completed tasks
-  long hang_worker_task = -1;        // or go silent after N completed tasks
-  long worker_delay_ms = 0;          // slow-worker drill: delay every result
 };
-
-// Reads TME_FAULT_SEED, TME_FAULT_LINK_ERROR_RATE, TME_FAULT_SDC_RATE and
-// the process-level knobs TME_FAULT_PACKET_DROP_RATE,
-// TME_FAULT_PACKET_CORRUPT_RATE, TME_FAULT_KILL_WORKER_RANK,
-// TME_FAULT_KILL_WORKER_TASK, TME_FAULT_HANG_WORKER_TASK and
-// TME_FAULT_WORKER_DELAY_MS from the environment (unset or malformed values
-// keep the defaults; malformed values log a warning).
-FaultConfig fault_config_from_env();
 
 // Which compute datapath an SDC draw hit.
 enum class SdcSite {

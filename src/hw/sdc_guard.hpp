@@ -11,8 +11,8 @@
 // injection suspended for the retry (an upset is transient, so the re-run
 // is clean and bitwise identical to a fault-free evaluation by
 // construction).  A stage that keeps violating after the retry budget marks
-// the evaluation unrecovered, which the MD-level TME_GUARDRAIL ladder
-// escalates to a checkpoint rollback or abort.
+// the evaluation unrecovered; the caller must treat it as failed (the chaos
+// harness's abft-recovery oracle does).
 //
 // Stage map (violation callback + SdcEvent context use these tags):
 //   0 charge assignment   (LRU)    index: -1

@@ -1,16 +1,11 @@
 #include "md/guardrail.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <memory>
 #include <string>
 
-#include "md/checkpoint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/env.hpp"
 #include "util/logging.hpp"
-#include "util/watchdog.hpp"
 
 namespace tme {
 
@@ -22,15 +17,6 @@ const char* to_string(GuardrailPolicy policy) {
     case GuardrailPolicy::kAbort: return "abort";
   }
   return "?";
-}
-
-GuardrailPolicy guardrail_policy_from_env(GuardrailPolicy fallback) {
-  // Order mirrors the enum so the chosen index casts straight back.
-  static const std::vector<std::string> ladder = {"warn", "recompute",
-                                                  "recover", "abort"};
-  const std::size_t index = env::choice_or("TME_GUARDRAIL", ladder,
-                                           static_cast<std::size_t>(fallback));
-  return static_cast<GuardrailPolicy>(index);
 }
 
 namespace {
@@ -111,144 +97,6 @@ std::vector<GuardrailViolation> Guardrail::check(const ParticleSystem& system,
   TME_COUNTER_ADD("md/guardrail/violations", found.size());
   violations_.insert(violations_.end(), found.begin(), found.end());
   return found;
-}
-
-GuardedRunResult run_guarded(ParticleSystem& system, const Topology& topology,
-                             const ForceField& ff, const VelocityVerlet& integrator,
-                             std::uint64_t steps, const GuardedRunParams& params) {
-  Guardrail guard(params.guardrail);
-  GuardedRunResult result;
-  const bool checkpointing = !params.checkpoint_path.empty();
-  const bool recompute_rung =
-      params.guardrail.policy == GuardrailPolicy::kRecompute;
-
-  // Wall-clock watchdog: petted once per completed step; the monitor thread
-  // dumps where the run was if a step stalls.
-  std::shared_ptr<std::atomic<std::uint64_t>> watched_step;
-  std::unique_ptr<Watchdog> watchdog;
-  if (params.watchdog_timeout_s > 0.0) {
-    watched_step = std::make_shared<std::atomic<std::uint64_t>>(0);
-    watchdog = std::make_unique<Watchdog>(
-        params.watchdog_timeout_s, [watched_step, &params] {
-          log_structured(
-              LogLevel::kError, "guardrail_watchdog_fired",
-              {{"timeout_s", std::to_string(params.watchdog_timeout_s)},
-               {"step", std::to_string(watched_step->load() + 1)}});
-          TME_TRACE_INSTANT_D("watchdog fired",
-                              "no progress while computing step " +
-                                  std::to_string(watched_step->load() + 1));
-        });
-  }
-  auto finish = [&](GuardedRunResult& r) -> GuardedRunResult& {
-    if (watchdog) r.watchdog_fired = watchdog->fired();
-    return r;
-  };
-
-  result.last_report = integrator.prime(system, topology, ff);
-  if (checkpointing) {
-    write_checkpoint(params.checkpoint_path, system, 0);
-  }
-
-  // Escalation: under the recompute rung a persistent or over-budget
-  // violation falls through to the checkpoint rollback, which in turn falls
-  // through to abort; set by the switch below to enter the kRecover arm.
-  while (result.steps_completed < steps) {
-    const std::uint64_t step = result.steps_completed + 1;
-    // The pre-step image the recompute rung restores from: in memory, step
-    // local — no checkpoint I/O and no completed steps lost.
-    ParticleSystem prestep;
-    if (recompute_rung) prestep = system;
-    if (params.fault_hook) params.fault_hook(step, system);
-    StepReport report = integrator.step(system, topology, ff);
-    std::vector<GuardrailViolation> bad = guard.check(system, report, step);
-
-    if (!bad.empty() && recompute_rung) {
-      result.violation_count += bad.size();
-      // Localized retry: restore the in-memory pre-step state and re-run
-      // just this step.  The fault hook models a transient upset and is not
-      // replayed, so a retry of an SDC-corrupted step is clean by
-      // construction and bitwise-identical to the fault-free trajectory.
-      while (!bad.empty() && result.step_recomputes < params.max_step_recomputes) {
-        ++result.step_recomputes;
-        TME_COUNTER_ADD("md/guardrail/step_recomputes", 1);
-        log_structured(
-            LogLevel::kWarn, "guardrail_step_recompute",
-            {{"step", std::to_string(step)},
-             {"retry", std::to_string(result.step_recomputes)},
-             {"max", std::to_string(params.max_step_recomputes)}});
-        TME_TRACE_INSTANT_D("guardrail recompute",
-                            "step " + std::to_string(step) + " retry " +
-                                std::to_string(result.step_recomputes));
-        system = prestep;
-        report = integrator.step(system, topology, ff);
-        bad = guard.check(system, report, step);
-        if (!bad.empty()) result.violation_count += bad.size();
-      }
-      if (!bad.empty()) {
-        log_warn("guardrail: step ", step,
-                 " still violating after localized recompute; escalating to "
-                 "checkpoint rollback");
-      }
-    } else if (!bad.empty()) {
-      result.violation_count += bad.size();
-    }
-
-    if (bad.empty()) {
-      result.steps_completed = step;
-      result.last_report = report;
-      if (watchdog) {
-        watched_step->store(step);
-        watchdog->pet();
-      }
-      if (checkpointing && step % params.checkpoint_interval == 0) {
-        write_checkpoint(params.checkpoint_path, system, step);
-      }
-      continue;
-    }
-
-    switch (params.guardrail.policy) {
-      case GuardrailPolicy::kWarn:
-        // Logged in check(); keep going with the (possibly damaged) state.
-        result.steps_completed = step;
-        result.last_report = report;
-        break;
-      case GuardrailPolicy::kRecompute:
-      case GuardrailPolicy::kRecover: {
-        if (!checkpointing || result.recoveries >= params.max_recoveries) {
-          log_error("guardrail: cannot recover (",
-                    checkpointing ? "recovery limit reached" : "no checkpoint path",
-                    "); aborting at step ", step);
-          TME_COUNTER_ADD("md/guardrail/aborts", 1);
-          TME_TRACE_INSTANT_D("guardrail abort",
-                              "unrecoverable at step " + std::to_string(step));
-          result.aborted = true;
-          return finish(result);
-        }
-        const Checkpoint ckpt = read_checkpoint(params.checkpoint_path);
-        system = ckpt.system;
-        result.steps_completed = ckpt.step;
-        ++result.recoveries;
-        guard.reset_energy_reference();
-        log_structured(LogLevel::kWarn, "guardrail_rollback",
-                       {{"failed_step", std::to_string(step)},
-                        {"checkpoint_step", std::to_string(ckpt.step)}});
-        TME_TRACE_INSTANT_D("guardrail rollback",
-                            "to checkpoint at step " +
-                                std::to_string(ckpt.step));
-        TME_COUNTER_ADD("md/guardrail/recoveries", 1);
-        break;
-      }
-      case GuardrailPolicy::kAbort:
-        log_structured(LogLevel::kError, "guardrail_abort",
-                       {{"step", std::to_string(step)}});
-        TME_COUNTER_ADD("md/guardrail/aborts", 1);
-        TME_TRACE_INSTANT_D("guardrail abort",
-                            "policy abort at step " + std::to_string(step));
-        result.aborted = true;
-        return finish(result);
-    }
-  }
-  return finish(result);
 }
 
 }  // namespace tme

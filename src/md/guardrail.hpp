@@ -1,4 +1,4 @@
-// Numerical guardrails and guarded execution for MD runs.
+// Numerical guardrails for MD runs.
 //
 // A production run on the simulated machine must notice when the physics
 // goes bad — NaN/Inf escaping into coordinates, forces blowing past the
@@ -7,19 +7,15 @@
 // policy: log and continue (warn), roll back to the last good checkpoint
 // (recover), or stop the run (abort).
 //
-// The policy is selectable at runtime through the TME_GUARDRAIL ladder
-// warn | recompute | recover | abort, so the same binary serves CI soaks
-// (abort fast) and long production-style runs (recompute, falling back to
-// recover).  `recompute` is the localized rung: the driver keeps the
-// pre-step state in memory and re-runs just the violating step — a
+// `recompute` is the localized rung: the step driver (md/simulation) keeps
+// the pre-step state in memory and re-runs just the violating step — a
 // transient upset (the SDC fault model in hw/fault) replays clean, so no
 // checkpoint I/O and no completed steps are lost.  Only when the violation
 // persists does it escalate to the checkpoint rollback, and from there to
-// abort.
+// abort.  This header owns the checks; md/simulation owns the reactions.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -34,12 +30,6 @@ namespace tme {
 // before it, and the two recovery rungs fall through to the next rung when
 // they cannot repair the run.
 enum class GuardrailPolicy { kWarn, kRecompute, kRecover, kAbort };
-
-// Reads TME_GUARDRAIL ("warn" | "recompute" | "recover" | "abort",
-// case-sensitive).  Unset keeps the fallback; a malformed value logs a
-// warning and keeps the fallback.
-GuardrailPolicy guardrail_policy_from_env(
-    GuardrailPolicy fallback = GuardrailPolicy::kWarn);
 
 const char* to_string(GuardrailPolicy policy);
 
@@ -72,7 +62,7 @@ class Guardrail {
   // Inspects post-step state; returns the violations found this step (empty
   // = healthy) and remembers them (see violations()).  The first checked
   // step's total energy becomes the drift reference.  Never throws — the
-  // policy reaction is the caller's job (see run_guarded).
+  // policy reaction is the caller's job (see md/simulation).
   std::vector<GuardrailViolation> check(const ParticleSystem& system,
                                         const StepReport& report,
                                         std::uint64_t step);
@@ -88,50 +78,5 @@ class Guardrail {
   std::optional<double> reference_energy_;
   std::vector<GuardrailViolation> violations_;
 };
-
-// --- guarded run driver ------------------------------------------------------
-
-struct GuardedRunParams {
-  GuardrailConfig guardrail;
-  // Empty = no checkpointing (recover policy then degrades to abort).
-  std::string checkpoint_path;
-  std::uint64_t checkpoint_interval = 100;  // steps between checkpoint writes
-  int max_recoveries = 3;
-  // Step-local retries under the recompute policy before escalating to the
-  // checkpoint rollback (budget for the whole run, not per step).
-  int max_step_recomputes = 3;
-  // Wall-clock watchdog: if a step makes no progress for this long, a
-  // diagnostic dump is logged from the monitor thread and the result is
-  // flagged (watchdog_fired).  0 disables the watchdog.
-  double watchdog_timeout_s = 0.0;
-  // Test hook: invoked before each step's force half-kick with the step
-  // number about to be computed; lets tests corrupt state mid-run.  The hook
-  // models a *transient* upset: it is not replayed on a recompute retry of
-  // the same step.
-  std::function<void(std::uint64_t, ParticleSystem&)> fault_hook;
-};
-
-struct GuardedRunResult {
-  std::uint64_t steps_completed = 0;  // steps that passed the guardrail
-  int recoveries = 0;
-  int step_recomputes = 0;  // localized retries that avoided a rollback
-  bool aborted = false;
-  bool watchdog_fired = false;
-  std::size_t violation_count = 0;
-  StepReport last_report;
-};
-
-// Runs `steps` Velocity-Verlet steps under the guardrail: primes the system,
-// checkpoints every `checkpoint_interval` steps (if a path is set), checks
-// every step, and reacts per the escalation ladder — warn logs and
-// continues; recompute restores the in-memory pre-step state and re-runs
-// just that step (bounded by max_step_recomputes), escalating on a
-// persistent violation; recover rolls back to the last checkpoint (bounded
-// by max_recoveries, then aborts); abort stops the run with
-// `aborted = true`.  A non-zero watchdog_timeout_s arms a wall-clock
-// watchdog that logs a diagnostic dump if a step stalls.
-GuardedRunResult run_guarded(ParticleSystem& system, const Topology& topology,
-                             const ForceField& ff, const VelocityVerlet& integrator,
-                             std::uint64_t steps, const GuardedRunParams& params);
 
 }  // namespace tme

@@ -1,11 +1,10 @@
 // Per-run manifest: a JSON block stamped into every BENCH_*.json and trace
 // export so artifacts are self-describing — which commit, which build type,
-// which TME_* environment knobs, which pool size and fault seed produced
-// the numbers.  Build-time facts (git describe, build type, compile-time
-// toggles) come from compile definitions; runtime facts are contributed by
+// which TME_* environment knobs and which pool size produced the numbers.
+// Build-time facts (git describe, build type, compile-time toggles) come
+// from compile definitions; runtime facts are contributed by
 // the subsystems that own them via manifest_set (global_pool reports
-// pool_threads, fault_config_from_env reports fault_seed, benches report
-// their CLI arguments).
+// pool_threads, benches report their CLI arguments and solver manifests).
 #pragma once
 
 #include <string>

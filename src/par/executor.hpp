@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "grid/grid3d.hpp"
@@ -75,6 +76,8 @@ class NodeExecutor {
   virtual std::vector<Grid3d> run_grid(std::vector<GridBlockTask> tasks) = 0;
   virtual std::vector<ExtendedBlock> run_ca(std::vector<CaBlockTask> tasks) = 0;
   virtual std::vector<BiBlockResult> run_bi(std::vector<BiBlockTask> tasks) = 0;
+  // Short label recorded in solver manifests (ParallelTme::describe()).
+  virtual std::string name() const { return "custom"; }
 };
 
 // Runs every task inline in the calling process.
@@ -85,6 +88,7 @@ class SerialExecutor : public NodeExecutor {
   std::vector<Grid3d> run_grid(std::vector<GridBlockTask> tasks) override;
   std::vector<ExtendedBlock> run_ca(std::vector<CaBlockTask> tasks) override;
   std::vector<BiBlockResult> run_bi(std::vector<BiBlockTask> tasks) override;
+  std::string name() const override { return "serial"; }
 
  private:
   const PipelineContext* ctx_;

@@ -13,39 +13,8 @@
 #include "par/telemetry.hpp"
 #include "par/wire.hpp"
 #include "util/crc32.hpp"
-#include "util/env.hpp"
 
 namespace tme::par {
-
-FleetConfig with_fault_modes(FleetConfig base, const hw::FaultConfig& faults) {
-  base.net_fault.seed = faults.seed;
-  base.net_fault.drop_rate = faults.packet_drop_rate;
-  base.net_fault.corrupt_rate = faults.packet_corrupt_rate;
-  if (faults.kill_worker_rank >= 0) {
-    const auto rank = static_cast<std::size_t>(faults.kill_worker_rank);
-    if (base.worker_faults.size() <= rank) base.worker_faults.resize(rank + 1);
-    base.worker_faults[rank].crash_after_tasks = faults.kill_worker_task;
-    base.worker_faults[rank].hang_after_tasks = faults.hang_worker_task;
-    base.worker_faults[rank].delay_ms = faults.worker_delay_ms;
-  }
-  return base;
-}
-
-FleetConfig fleet_config_from_env(FleetConfig base) {
-  const std::size_t backend = env::choice_or(
-      "TME_TRANSPORT", {"inproc", "proc"},
-      base.backend == FleetConfig::Backend::kProc ? 1 : 0);
-  base.backend =
-      backend == 1 ? FleetConfig::Backend::kProc : FleetConfig::Backend::kInProc;
-  base.workers = static_cast<std::size_t>(env::bounded_long_or(
-      "TME_WORKERS", static_cast<long>(base.workers), 1, 1024));
-  base.timeout_ms =
-      env::bounded_long_or("TME_TRANSPORT_TIMEOUT_MS", base.timeout_ms, 1,
-                           600000);
-  base.term_grace_ms = env::bounded_long_or("TME_TERM_GRACE_MS",
-                                            base.term_grace_ms, 0, 60000);
-  return with_fault_modes(std::move(base), hw::fault_config_from_env());
-}
 
 // One outstanding task: the encoded payload (task id baked in) plus a
 // callback that decodes and stores the accepted result.
@@ -635,6 +604,12 @@ std::vector<ExtendedBlock> WorkerFleet::run_ca(std::vector<CaBlockTask> tasks) {
   }
   dispatch(pending);
   return results;
+}
+
+std::string WorkerFleet::name() const {
+  return std::string("fleet/") +
+         (cfg_.backend == FleetConfig::Backend::kProc ? "proc" : "inproc") +
+         " x" + std::to_string(cfg_.workers);
 }
 
 std::vector<BiBlockResult> WorkerFleet::run_bi(std::vector<BiBlockTask> tasks) {

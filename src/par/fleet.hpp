@@ -70,18 +70,6 @@ struct FleetConfig {
   bool telemetry = true;
 };
 
-// Overlays the process-level modes of a hw::FaultConfig onto `base`: packet
-// drop/corrupt rates (and seed) onto the transport fault policy, and the
-// kill/hang/delay drill onto the targeted rank's WorkerFaultPolicy.
-FleetConfig with_fault_modes(FleetConfig base, const hw::FaultConfig& faults);
-
-// Applies TME_TRANSPORT ("inproc"/"proc"), TME_WORKERS,
-// TME_TRANSPORT_TIMEOUT_MS and TME_TERM_GRACE_MS on top of `base` via the
-// strict util/env parser
-// (malformed values warn and keep `base`'s setting), then overlays the
-// process-level TME_FAULT_* modes via with_fault_modes.
-FleetConfig fleet_config_from_env(FleetConfig base = {});
-
 struct FleetStats {
   std::uint64_t tasks_sent = 0;
   std::uint64_t results_received = 0;
@@ -107,6 +95,8 @@ class WorkerFleet : public NodeExecutor {
   std::vector<Grid3d> run_grid(std::vector<GridBlockTask> tasks) override;
   std::vector<ExtendedBlock> run_ca(std::vector<CaBlockTask> tasks) override;
   std::vector<BiBlockResult> run_bi(std::vector<BiBlockTask> tasks) override;
+  // "fleet/<backend> x<workers>", e.g. "fleet/proc x2".
+  std::string name() const override;
 
   // Pings every live worker and waits for the pongs; a miss counts against
   // the worker (and is reported to the health monitor, if any).  Returns the

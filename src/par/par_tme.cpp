@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/solvers.hpp"
 #include "ewald/splitting.hpp"
 #include "grid/multilevel.hpp"
 #include "obs/metrics.hpp"
@@ -503,6 +504,24 @@ CoulombResult ParallelTme::compute(std::span<const Vec3> positions,
                            tme_.top_level().params().alpha, box_.volume(),
                            params.subtract_self);
   return out;
+}
+
+CoulombResult ParallelTme::compute(std::span<const Vec3> positions,
+                                   std::span<const double> charges) const {
+  TrafficLog log;
+  return compute(positions, charges, &log);
+}
+
+obs::JsonValue ParallelTme::describe() const {
+  obs::JsonValue d = obs::JsonValue::make_object();
+  auto& obj = d.as_object();
+  obj["backend"] = obs::JsonValue::make_string(name());
+  describe_tme_params(tme_.params(), d);
+  obj["torus"] = obs::JsonValue::make_string(std::to_string(topo_.nx()) + "x" +
+                                             std::to_string(topo_.ny()) + "x" +
+                                             std::to_string(topo_.nz()));
+  obj["executor"] = obs::JsonValue::make_string(executor().name());
+  return d;
 }
 
 Grid3d parallel_msm_convolution(const Grid3d& in, const std::vector<double>& taps3d,

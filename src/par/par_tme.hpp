@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "core/tme.hpp"
+#include "ewald/long_range_solver.hpp"
 #include "hw/link_stats.hpp"
 #include "par/decomposition.hpp"
 #include "par/executor.hpp"
@@ -61,7 +62,9 @@ class DistributedGrid {
   std::vector<Grid3d> blocks_;
 };
 
-class ParallelTme {
+// A LongRangeSolver ("par_tme"), so a ForceField can run the distributed
+// pipeline on any executor.
+class ParallelTme : public LongRangeSolver {
  public:
   // `nodes` must divide every level's grid extents (e.g. 2^k node arrays
   // with power-of-two grids).
@@ -106,6 +109,16 @@ class ParallelTme {
   // per-phase message accounting.
   CoulombResult compute(std::span<const Vec3> positions,
                         std::span<const double> charges, TrafficLog* log) const;
+
+  // LongRangeSolver: the same evaluation with the traffic log kept internal
+  // (a degraded machine still draws its link retransmissions per transfer).
+  CoulombResult compute(std::span<const Vec3> positions,
+                        std::span<const double> charges) const override;
+  std::string name() const override { return "par_tme"; }
+  double alpha() const override { return tme_.params().alpha; }
+  const Box& box() const override { return box_; }
+  // TME knobs plus the node torus and the executor's name().
+  obs::JsonValue describe() const override;
 
   // The distributed grid pipeline alone (finest charges in, finest
   // potentials out), for stage-level testing.

@@ -1,11 +1,9 @@
 // Environment-variable configuration parsing, shared by every TME_* knob.
 //
-// Before this helper each subsystem hand-rolled its own strtoull/strtod
-// parse-and-warn block (TME_THREADS in util/parallel, TME_FAULT_* in
-// hw/fault, TME_GUARDRAIL in md/guardrail), with slightly different
-// malformed-value behaviour.  This module is the single implementation:
-// strict full-string parses that return nullopt on any malformed input, and
-// typed lookups that log one consistently-formatted warning
+// Every knob (TME_THREADS in util/parallel, TME_SIMD in util/simd, the
+// TME_CHAOS_* spec overrides in chaos/schedule) parses through this one
+// implementation: strict full-string parses that return nullopt on any
+// malformed input, and typed lookups that log one consistently-formatted warning
 //   "<NAME>='<value>' is not <expectation>; keeping <fallback>"
 // and keep the caller's fallback.  Unset or empty variables are silently
 // the fallback — only a present-but-malformed value warns.

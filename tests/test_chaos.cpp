@@ -1,11 +1,14 @@
-// Chaos harness tests: spec round-trips, the oracle-checked runner under a
-// composed multi-surface schedule, graceful SIGTERM drain/resume, and the
-// acceptance contract of the shrinker — a lethal schedule reduces to a
+// Chaos harness tests: spec round-trips and malformed-spec rejection, the
+// oracle-checked runner on real SETTLE water (a clean run inside the NVE
+// drift bound, a composed multi-surface schedule, a real-process worker
+// crash drill, graceful SIGTERM drain/resume), and the acceptance contract
+// of the shrinker — a lethal schedule reduces to a
 // minimal reproducer whose replay re-triggers the same oracle failure
 // deterministically.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +16,9 @@
 #include "chaos/runner.hpp"
 #include "chaos/schedule.hpp"
 #include "chaos/shrink.hpp"
+#include "md/checkpoint.hpp"
+#include "md/guardrail.hpp"
+#include "md/water_box.hpp"
 #include "scratch_dir.hpp"
 #include "util/io_shim.hpp"
 
@@ -85,6 +91,32 @@ TEST(ChaosSpec, JsonRoundTripPreservesEveryField) {
 TEST(ChaosSpec, UnknownSurfaceInJsonThrows) {
   EXPECT_THROW(parse_spec("{\"events\":[{\"step\":0,\"surface\":\"gamma\"}]}"),
                std::runtime_error);
+}
+
+TEST(ChaosSpec, RejectsMalformedFields) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"{\"atoms\":0,\"events\":[{\"step\":0,\"surface\":\"sabotage\"}]}",
+       "atoms"},
+      {"{\"atoms\":0}", "atoms"},
+      {"{\"atoms\":-1}", "atoms"},
+      {"{\"workers\":0}", "workers"},
+      {"{\"steps\":1e300}", "steps"},
+      {"{\"checkpoint_keep\":-5}", "checkpoint_keep"},
+      {"{\"backend\":\"tcp\"}", "backend"},
+      {"{\"atoms\":96.5}", "atoms"},
+      {"{\"events\":[{\"surface\":\"packet\",\"rate\":1.5}]}", "rate"},
+  };
+  for (const auto& [json, field] : bad) {
+    try {
+      parse_spec(json);
+      ADD_FAILURE() << "accepted " << json;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << json << " -> " << e.what();
+    }
+  }
+  EXPECT_NO_THROW(
+      parse_spec("{\"atoms\":24,\"workers\":64,\"backend\":\"proc\"}"));
 }
 
 TEST(ChaosSpec, RandomSpecIsDeterministicInTheSeed) {
@@ -190,6 +222,48 @@ TEST(ChaosRunner, BitrotOnNewestGenerationFallsBackAndStaysGreen) {
   ASSERT_TRUE(result.ok) << failure_signature(result) << ": "
                          << result.failure_detail;
   EXPECT_GE(result.checkpoint_fallbacks, 1u);
+}
+
+// The oracles judge a real trajectory: the water moves, and its NVE energy
+// drifts by a small nonzero amount inside the guardrail's tolerance.
+TEST(ChaosRunner, CleanRunIntegratesRealWaterInsideTheDriftBound) {
+  ChaosSpec spec;
+  spec.steps = 8;
+  const ScratchDir dir;
+  ChaosRunner runner(spec, test_options(dir));
+  const ChaosRunResult result = runner.run();
+  ASSERT_TRUE(result.ok) << failure_signature(result) << ": "
+                         << result.failure_detail;
+  EXPECT_GT(result.max_energy_drift, 0.0);
+  EXPECT_LT(result.max_energy_drift, GuardrailConfig{}.energy_drift_tol);
+
+  WaterBoxSpec water;
+  water.molecules = spec.atoms / 3;
+  water.seed = spec.seed;
+  const ParticleSystem start = build_water_box(water).system;
+  const Checkpoint last = read_checkpoint(dir.file("chaos.ckpt"));
+  EXPECT_EQ(last.step, spec.steps);
+  ASSERT_EQ(last.system.size(), start.size());
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < start.size(); ++i) {
+    moved += last.system.positions[i].x != start.positions[i].x ? 1 : 0;
+  }
+  EXPECT_EQ(moved, start.size());
+}
+
+// A real-process worker crashes mid-dispatch after every second task of
+// every incarnation; detection, respawn and re-homing keep the run green.
+TEST(ChaosRunner, ProcWorkerCrashDrillStaysGreen) {
+  const ChaosSpec spec = parse_spec(
+      "{\"backend\":\"proc\",\"steps\":4,\"events\":[{\"step\":0,"
+      "\"surface\":\"worker\",\"a\":1,\"b\":2,\"detail\":\"crash\"}]}");
+  const ScratchDir dir;
+  ChaosRunner runner(spec, test_options(dir));
+  const ChaosRunResult result = runner.run();
+  EXPECT_TRUE(result.ok) << failure_signature(result) << ": "
+                         << result.failure_detail;
+  EXPECT_EQ(result.steps_completed, spec.steps);
+  EXPECT_GE(result.worker_deaths, 1u);
 }
 
 TEST(ChaosRunner, ReplayFileRoundTripsTheSpec) {

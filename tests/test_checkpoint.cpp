@@ -1,8 +1,7 @@
-// Checkpoint write/restore (CRC-validated, bitwise resume) and the numerical
-// guardrail policies.
+// Checkpoint write/restore (CRC-validated, bitwise resume), the numerical
+// guardrail checks, and the guarded step driver's escalation ladder.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -17,6 +16,7 @@
 #include "md/forcefield.hpp"
 #include "md/guardrail.hpp"
 #include "md/integrator.hpp"
+#include "md/simulation.hpp"
 #include "md/water_box.hpp"
 #include "scratch_dir.hpp"
 #include "util/crc32.hpp"
@@ -512,23 +512,6 @@ TEST_F(CheckpointTest, MidRunKillAndRestoreResumesBitwiseIdentically) {
 
 // --- guardrail ---------------------------------------------------------------
 
-TEST(Guardrail, PolicyEnvParsing) {
-  setenv("TME_GUARDRAIL", "abort", 1);
-  EXPECT_EQ(guardrail_policy_from_env(), GuardrailPolicy::kAbort);
-  setenv("TME_GUARDRAIL", "recover", 1);
-  EXPECT_EQ(guardrail_policy_from_env(), GuardrailPolicy::kRecover);
-  setenv("TME_GUARDRAIL", "recompute", 1);
-  EXPECT_EQ(guardrail_policy_from_env(), GuardrailPolicy::kRecompute);
-  setenv("TME_GUARDRAIL", "warn", 1);
-  EXPECT_EQ(guardrail_policy_from_env(GuardrailPolicy::kAbort),
-            GuardrailPolicy::kWarn);
-  setenv("TME_GUARDRAIL", "bogus", 1);
-  EXPECT_EQ(guardrail_policy_from_env(GuardrailPolicy::kRecover),
-            GuardrailPolicy::kRecover);
-  unsetenv("TME_GUARDRAIL");
-  EXPECT_EQ(guardrail_policy_from_env(), GuardrailPolicy::kWarn);
-}
-
 TEST(Guardrail, FlagsNonFiniteStateAndForceBlowups) {
   ParticleSystem sys = random_state(8, 12);
   Guardrail guard{GuardrailConfig{}};
@@ -573,16 +556,23 @@ TEST(Guardrail, FlagsEnergyDrift) {
   EXPECT_EQ(guard.check(sys, report, 3).size(), 1u);  // 10% drift
 }
 
-// --- guarded run driver ------------------------------------------------------
+// --- guarded step driver -----------------------------------------------------
+
+// One guarded run of `steps` steps through the driver.
+SimulationResult run_steps(MdSetup& md, std::uint64_t steps,
+                           SimulationParams params) {
+  Simulation sim(md.wb.system, md.wb.topology, md.ff, md.integrator,
+                 std::move(params));
+  return sim.run(steps);
+}
 
 TEST(GuardedRun, HealthyRunCompletesAndCheckpoints) {
   MdSetup md = make_md();
-  GuardedRunParams params;
+  SimulationParams params;
   const ScratchDir dir;
   params.checkpoint_path = dir.file("guarded-healthy.ckpt");
   params.checkpoint_interval = 2;
-  const GuardedRunResult result =
-      run_guarded(md.wb.system, md.wb.topology, md.ff, md.integrator, 6, params);
+  const SimulationResult result = run_steps(md, 6, params);
   EXPECT_EQ(result.steps_completed, 6u);
   EXPECT_EQ(result.recoveries, 0);
   EXPECT_FALSE(result.aborted);
@@ -594,15 +584,14 @@ TEST(GuardedRun, HealthyRunCompletesAndCheckpoints) {
 
 TEST(GuardedRun, AbortPolicyStopsOnInjectedNan) {
   MdSetup md = make_md();
-  GuardedRunParams params;
+  SimulationParams params;
   params.guardrail.policy = GuardrailPolicy::kAbort;
   params.fault_hook = [](std::uint64_t step, ParticleSystem& sys) {
     if (step == 4) {
       sys.velocities[0].x = std::numeric_limits<double>::quiet_NaN();
     }
   };
-  const GuardedRunResult result =
-      run_guarded(md.wb.system, md.wb.topology, md.ff, md.integrator, 10, params);
+  const SimulationResult result = run_steps(md, 10, params);
   EXPECT_TRUE(result.aborted);
   EXPECT_EQ(result.steps_completed, 3u);
   EXPECT_GT(result.violation_count, 0u);
@@ -610,7 +599,7 @@ TEST(GuardedRun, AbortPolicyStopsOnInjectedNan) {
 
 TEST(GuardedRun, RecoverPolicyRollsBackToCheckpointAndFinishes) {
   MdSetup md = make_md();
-  GuardedRunParams params;
+  SimulationParams params;
   params.guardrail.policy = GuardrailPolicy::kRecover;
   const ScratchDir dir;
   params.checkpoint_path = dir.file("guarded-recover.ckpt");
@@ -622,8 +611,7 @@ TEST(GuardedRun, RecoverPolicyRollsBackToCheckpointAndFinishes) {
       sys.positions[2].z = std::numeric_limits<double>::quiet_NaN();
     }
   };
-  const GuardedRunResult result =
-      run_guarded(md.wb.system, md.wb.topology, md.ff, md.integrator, 8, params);
+  const SimulationResult result = run_steps(md, 8, params);
   EXPECT_FALSE(result.aborted);
   EXPECT_EQ(result.steps_completed, 8u);
   EXPECT_EQ(result.recoveries, 1);
@@ -633,28 +621,26 @@ TEST(GuardedRun, RecoverPolicyRollsBackToCheckpointAndFinishes) {
   // The recovered trajectory matches an undisturbed one bitwise: the
   // rollback restored the exact step-4 state.
   MdSetup clean = make_md();
-  GuardedRunParams quiet;
-  const GuardedRunResult clean_result = run_guarded(
-      clean.wb.system, clean.wb.topology, clean.ff, clean.integrator, 8, quiet);
+  SimulationParams quiet;
+  const SimulationResult clean_result = run_steps(clean, 8, quiet);
   EXPECT_EQ(clean_result.steps_completed, 8u);
   expect_bitwise_equal(md.wb.system, clean.wb.system);
 }
 
 TEST(GuardedRun, RecoverWithoutCheckpointPathAborts) {
   MdSetup md = make_md();
-  GuardedRunParams params;
+  SimulationParams params;
   params.guardrail.policy = GuardrailPolicy::kRecover;  // but no path set
   params.fault_hook = [](std::uint64_t step, ParticleSystem& sys) {
     if (step == 2) sys.velocities[0].x = std::numeric_limits<double>::quiet_NaN();
   };
-  const GuardedRunResult result =
-      run_guarded(md.wb.system, md.wb.topology, md.ff, md.integrator, 5, params);
+  const SimulationResult result = run_steps(md, 5, params);
   EXPECT_TRUE(result.aborted);
 }
 
 TEST(GuardedRun, RecomputePolicyRetriesTransientFaultInPlace) {
   MdSetup md = make_md();
-  GuardedRunParams params;
+  SimulationParams params;
   params.guardrail.policy = GuardrailPolicy::kRecompute;
   params.watchdog_timeout_s = 30.0;  // generous: must never fire here
   bool injected = false;
@@ -664,8 +650,7 @@ TEST(GuardedRun, RecomputePolicyRetriesTransientFaultInPlace) {
       sys.velocities[1].y = std::numeric_limits<double>::quiet_NaN();
     }
   };
-  const GuardedRunResult result =
-      run_guarded(md.wb.system, md.wb.topology, md.ff, md.integrator, 8, params);
+  const SimulationResult result = run_steps(md, 8, params);
   EXPECT_FALSE(result.aborted);
   EXPECT_EQ(result.steps_completed, 8u);
   EXPECT_EQ(result.step_recomputes, 1u);
@@ -676,16 +661,15 @@ TEST(GuardedRun, RecomputePolicyRetriesTransientFaultInPlace) {
   // The localized recompute restored the exact pre-step state, so the whole
   // trajectory is bitwise identical to an undisturbed run.
   MdSetup clean = make_md();
-  GuardedRunParams quiet;
-  const GuardedRunResult clean_result = run_guarded(
-      clean.wb.system, clean.wb.topology, clean.ff, clean.integrator, 8, quiet);
+  SimulationParams quiet;
+  const SimulationResult clean_result = run_steps(clean, 8, quiet);
   EXPECT_EQ(clean_result.steps_completed, 8u);
   expect_bitwise_equal(md.wb.system, clean.wb.system);
 }
 
 TEST(GuardedRun, RecomputeBudgetExhaustionEscalatesToRollback) {
   MdSetup md = make_md();
-  GuardedRunParams params;
+  SimulationParams params;
   params.guardrail.policy = GuardrailPolicy::kRecompute;
   params.max_step_recomputes = 0;  // force the escalation path
   const ScratchDir dir;
@@ -698,8 +682,7 @@ TEST(GuardedRun, RecomputeBudgetExhaustionEscalatesToRollback) {
       sys.positions[0].x = std::numeric_limits<double>::quiet_NaN();
     }
   };
-  const GuardedRunResult result =
-      run_guarded(md.wb.system, md.wb.topology, md.ff, md.integrator, 8, params);
+  const SimulationResult result = run_steps(md, 8, params);
   EXPECT_FALSE(result.aborted);
   EXPECT_EQ(result.steps_completed, 8u);
   EXPECT_EQ(result.step_recomputes, 0u);
@@ -708,20 +691,19 @@ TEST(GuardedRun, RecomputeBudgetExhaustionEscalatesToRollback) {
 
   // With no checkpoint to fall back on, the same exhaustion aborts.
   MdSetup bare = make_md();
-  GuardedRunParams no_ckpt;
+  SimulationParams no_ckpt;
   no_ckpt.guardrail.policy = GuardrailPolicy::kRecompute;
   no_ckpt.max_step_recomputes = 0;
   no_ckpt.fault_hook = [](std::uint64_t step, ParticleSystem& sys) {
     if (step == 2) sys.forces[0].x = std::numeric_limits<double>::quiet_NaN();
   };
-  const GuardedRunResult bare_result = run_guarded(
-      bare.wb.system, bare.wb.topology, bare.ff, bare.integrator, 5, no_ckpt);
+  const SimulationResult bare_result = run_steps(bare, 5, no_ckpt);
   EXPECT_TRUE(bare_result.aborted);
 }
 
 TEST(GuardedRun, PersistentFaultExhaustsRecoveryBudget) {
   MdSetup md = make_md();
-  GuardedRunParams params;
+  SimulationParams params;
   params.guardrail.policy = GuardrailPolicy::kRecover;
   const ScratchDir dir;
   params.checkpoint_path = dir.file("guarded-persistent.ckpt");
@@ -731,11 +713,63 @@ TEST(GuardedRun, PersistentFaultExhaustsRecoveryBudget) {
     // Deterministic fault that reappears after every rollback.
     if (step == 3) sys.forces[0].x = std::numeric_limits<double>::quiet_NaN();
   };
-  const GuardedRunResult result =
-      run_guarded(md.wb.system, md.wb.topology, md.ff, md.integrator, 6, params);
+  const SimulationResult result = run_steps(md, 6, params);
   EXPECT_TRUE(result.aborted);
   EXPECT_EQ(result.recoveries, 2);
   std::remove(params.checkpoint_path.c_str());
+}
+
+TEST(GuardedRun, ZeroCheckpointIntervalWritesOnlyTheStepZeroGeneration) {
+  MdSetup md = make_md();
+  SimulationParams params;
+  const ScratchDir dir;
+  params.checkpoint_path = dir.file("guarded-zero.ckpt");
+  params.checkpoint_interval = 0;  // no cadence writes
+  const SimulationResult result = run_steps(md, 4, params);
+  EXPECT_FALSE(result.aborted);
+  EXPECT_EQ(result.steps_completed, 4u);
+  EXPECT_EQ(result.checkpoint_writes, 1u);
+  EXPECT_EQ(read_checkpoint(params.checkpoint_path).step, 0u);
+  EXPECT_FALSE(std::ifstream(params.checkpoint_path + ".1").good());
+}
+
+// A full disk refuses one cadence write; the run survives it, and a later
+// transient fault rolls back over the missing generation to the one before.
+TEST(GuardedRun, RefusedCheckpointWriteIsSurvivedAndRolledBackOver) {
+  MdSetup md = make_md();
+  SimulationParams params;
+  params.guardrail.policy = GuardrailPolicy::kRecover;
+  const ScratchDir dir;
+  params.checkpoint_path = dir.file("guarded-enospc.ckpt");
+  params.checkpoint_interval = 2;
+  io::IoShim& shim = io::IoShim::instance();
+  std::vector<std::uint64_t> steps_seen;
+  params.fault_hook = [&](std::uint64_t step, ParticleSystem& sys) {
+    steps_seen.push_back(step);
+    if (steps_seen.size() == 4) {  // the step-4 write hits ENOSPC
+      io::IoFaultPlan plan;
+      plan.path_substring = "guarded-enospc.ckpt";
+      plan.enospc_after_bytes = 64;
+      shim.arm(plan);
+    } else if (steps_seen.size() == 5) {  // transient NaN in step 5
+      shim.disarm();
+      sys.positions[2].z = std::numeric_limits<double>::quiet_NaN();
+    }
+  };
+  const SimulationResult result = run_steps(md, 8, params);
+  shim.disarm();
+  EXPECT_FALSE(result.aborted);
+  EXPECT_EQ(result.steps_completed, 8u);
+  EXPECT_EQ(result.checkpoint_write_failures, 1u);
+  EXPECT_EQ(result.recoveries, 1);
+  // Rolled back to the step-2 generation: step 3 is the next one computed.
+  ASSERT_GE(steps_seen.size(), 6u);
+  EXPECT_EQ(steps_seen[5], 3u);
+
+  MdSetup clean = make_md();
+  const SimulationResult clean_result = run_steps(clean, 8, SimulationParams{});
+  EXPECT_EQ(clean_result.steps_completed, 8u);
+  expect_bitwise_equal(md.wb.system, clean.wb.system);
 }
 
 }  // namespace

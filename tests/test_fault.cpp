@@ -1,7 +1,6 @@
 // Fault injection, fault-aware routing, retry timing, and graceful
 // degradation of the distributed TME.
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -74,23 +73,6 @@ TEST(FaultInjector, CorruptionDrawsFollowTheRate) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(x.attempt_corrupted(3), y.attempt_corrupted(3));
   }
-}
-
-TEST(FaultInjector, EnvConfigParsesAndFallsBack) {
-  setenv("TME_FAULT_SEED", "12345", 1);
-  setenv("TME_FAULT_LINK_ERROR_RATE", "0.25", 1);
-  FaultConfig cfg = fault_config_from_env();
-  EXPECT_EQ(cfg.seed, 12345u);
-  EXPECT_DOUBLE_EQ(cfg.link_error_rate, 0.25);
-
-  setenv("TME_FAULT_SEED", "not-a-number", 1);
-  setenv("TME_FAULT_LINK_ERROR_RATE", "2.5", 1);  // out of [0, 1]
-  cfg = fault_config_from_env();
-  EXPECT_EQ(cfg.seed, FaultConfig{}.seed);
-  EXPECT_DOUBLE_EQ(cfg.link_error_rate, FaultConfig{}.link_error_rate);
-
-  unsetenv("TME_FAULT_SEED");
-  unsetenv("TME_FAULT_LINK_ERROR_RATE");
 }
 
 // --- torus validation + fault-aware routing ----------------------------------

@@ -166,6 +166,31 @@ TEST_F(ParallelTmeTest, ForcesAndEnergyMatchSerial) {
   EXPECT_LT(worst, 1e-10 * scale);
 }
 
+// Through the LongRangeSolver interface (how a ForceField runs it) the
+// result is bitwise the logged evaluation's, and describe() names the torus
+// and the executor.
+TEST_F(ParallelTmeTest, LongRangeSolverInterfaceMatchesLoggedCompute) {
+  const TorusTopology topo(2, 2, 1);
+  const ParallelTme par(sys_.box, default_params(alpha_), topo);
+  const LongRangeSolver& solver = par;
+  TrafficLog log;
+  const CoulombResult want = par.compute(sys_.positions, sys_.charges, &log);
+  const CoulombResult got = solver.compute(sys_.positions, sys_.charges);
+  EXPECT_EQ(got.energy, want.energy);
+  ASSERT_EQ(got.forces.size(), want.forces.size());
+  for (std::size_t i = 0; i < want.forces.size(); ++i) {
+    EXPECT_EQ(got.forces[i].x, want.forces[i].x);
+    EXPECT_EQ(got.forces[i].y, want.forces[i].y);
+    EXPECT_EQ(got.forces[i].z, want.forces[i].z);
+  }
+  EXPECT_EQ(solver.name(), "par_tme");
+  EXPECT_EQ(solver.alpha(), alpha_);
+  const obs::JsonValue d = solver.describe();
+  EXPECT_EQ(d.at("backend").as_string(), "par_tme");
+  EXPECT_EQ(d.at("torus").as_string(), "2x2x1");
+  EXPECT_EQ(d.at("executor").as_string(), "serial");
+}
+
 TEST_F(ParallelTmeTest, NetChargedEnergyMatchesSerial) {
   // A +1 e cell: the neutralising background is part of the contract too.
   TestSystem sys = random_system(400, 3.2, 11);

@@ -1,12 +1,10 @@
-// Transport, worker protocol and WorkerFleet tests: frame codec integrity,
-// strict env knobs, and — the heart of this tier — bitwise force parity
-// between the inline SerialExecutor and real workers behind both transport
-// backends, under packet loss, frame corruption, crashes, hangs and
-// SIGKILL-mid-run drills.
+// Transport, worker protocol and WorkerFleet tests: frame codec integrity
+// and — the heart of this tier — bitwise force parity between the inline
+// SerialExecutor and real workers behind both transport backends, under
+// packet loss, frame corruption, crashes, hangs and SIGKILL-mid-run drills.
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -96,17 +94,6 @@ CoulombResult fleet_run(const TestSystem& sys, const hw::TorusTopology& topo,
   if (tstats_out != nullptr) *tstats_out = fleet.transport_stats();
   return res;
 }
-
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 // --- frame codec -------------------------------------------------------------
 
@@ -280,56 +267,6 @@ TEST(WorkerProtocol, ContextFileSealCatchesTornWrites) {
     f.write(&byte, 1);
   }
   EXPECT_THROW(read_context_file(path), TransportError);
-}
-
-// --- env knobs (strict parser) -----------------------------------------------
-
-TEST(TransportEnv, ValidValuesAreApplied) {
-  EnvGuard t("TME_TRANSPORT", "proc");
-  EnvGuard w("TME_WORKERS", "3");
-  EnvGuard ms("TME_TRANSPORT_TIMEOUT_MS", "1234");
-  const FleetConfig cfg = fleet_config_from_env();
-  EXPECT_EQ(cfg.backend, FleetConfig::Backend::kProc);
-  EXPECT_EQ(cfg.workers, 3u);
-  EXPECT_EQ(cfg.timeout_ms, 1234);
-}
-
-TEST(TransportEnv, MalformedValuesWarnAndKeepFallbacks) {
-  FleetConfig base;
-  base.backend = FleetConfig::Backend::kInProc;
-  base.workers = 4;
-  base.timeout_ms = 500;
-  {
-    EnvGuard t("TME_TRANSPORT", "carrier-pigeon");
-    EnvGuard w("TME_WORKERS", "not-a-number");
-    EnvGuard ms("TME_TRANSPORT_TIMEOUT_MS", "12ms");
-    const FleetConfig cfg = fleet_config_from_env(base);
-    EXPECT_EQ(cfg.backend, FleetConfig::Backend::kInProc);
-    EXPECT_EQ(cfg.workers, 4u);
-    EXPECT_EQ(cfg.timeout_ms, 500);
-  }
-  {
-    // Out-of-bounds values are malformed too.
-    EnvGuard w("TME_WORKERS", "0");
-    EnvGuard ms("TME_TRANSPORT_TIMEOUT_MS", "-5");
-    const FleetConfig cfg = fleet_config_from_env(base);
-    EXPECT_EQ(cfg.workers, 4u);
-    EXPECT_EQ(cfg.timeout_ms, 500);
-  }
-}
-
-TEST(TransportEnv, ProcessFaultModesFlowIntoFleetConfig) {
-  EnvGuard r("TME_FAULT_PACKET_DROP_RATE", "0.25");
-  EnvGuard c("TME_FAULT_PACKET_CORRUPT_RATE", "0.125");
-  EnvGuard k("TME_FAULT_KILL_WORKER_RANK", "1");
-  EnvGuard n("TME_FAULT_KILL_WORKER_TASK", "2");
-  EnvGuard d("TME_FAULT_WORKER_DELAY_MS", "9");
-  const FleetConfig cfg = fleet_config_from_env();
-  EXPECT_EQ(cfg.net_fault.drop_rate, 0.25);
-  EXPECT_EQ(cfg.net_fault.corrupt_rate, 0.125);
-  ASSERT_GE(cfg.worker_faults.size(), 2u);
-  EXPECT_EQ(cfg.worker_faults[1].crash_after_tasks, 2);
-  EXPECT_EQ(cfg.worker_faults[1].delay_ms, 9);
 }
 
 // --- fleet parity ------------------------------------------------------------
