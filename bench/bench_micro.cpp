@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the numerical kernels: B-spline
 // evaluation (the LRU inner loop), FFT sizes the hardware uses, separable
-// vs dense convolution (the GCU workload), charge assignment and back
-// interpolation throughput.
+// vs dense convolution and restriction/prolongation (the GCU workload),
+// charge assignment and back interpolation throughput.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -11,6 +11,7 @@
 #include "ewald/charge_assignment.hpp"
 #include "fft/fft3d.hpp"
 #include "grid/separable_conv.hpp"
+#include "grid/transfer.hpp"
 #include "spline/bspline.hpp"
 #include "util/rng.hpp"
 
@@ -62,6 +63,32 @@ void BM_SeparableConvolution(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(q.size()));
 }
 BENCHMARK(BM_SeparableConvolution)->Arg(16)->Arg(32);
+
+// Grid transfer at order 6 between a fine n^3 grid and its (n/2)^3 coarse
+// level; items are fine grid points.
+void BM_RestrictGrid(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Grid3d fine(n, n, n);
+  Rng rng(7);
+  for (std::size_t i = 0; i < fine.size(); ++i) fine[i] = rng.uniform(-1.0, 1.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(restrict_grid(fine, 6));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(fine.size()));
+}
+BENCHMARK(BM_RestrictGrid)->Arg(16)->Arg(32);
+
+void BM_ProlongGrid(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Grid3d coarse(n / 2, n / 2, n / 2);
+  Rng rng(8);
+  for (std::size_t i = 0; i < coarse.size(); ++i) coarse[i] = rng.uniform(-1.0, 1.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(prolong_grid(coarse, 6));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(8 * coarse.size()));
+}
+BENCHMARK(BM_ProlongGrid)->Arg(16)->Arg(32);
 
 void BM_DenseConvolution(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

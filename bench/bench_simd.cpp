@@ -1,12 +1,9 @@
 // SIMD kernel micro-sweep: every vectorized hot path (batched pair kernel,
 // B-spline spreading and gathering, per-axis separable convolution) timed in
 // both TME_SIMD modes from one process, with the parity contract asserted on
-// every element:
-//  - pair kernel, spreading, and axis convolutions must be BITWISE identical
-//    between the scalar twin and the native-width kernel;
-//  - back interpolation (gathering) reduces lane partials with a fixed tree,
-//    so scalar and native agree to reassociation rounding only (checked at
-//    1e-12 relative) — the one documented relaxation (util/simd.hpp).
+// every element: pair kernel, spreading, gathering (back interpolation) and
+// axis convolutions must be BITWISE identical between the scalar twin and the
+// native-width kernel.
 // Exits non-zero on any parity violation; timing gauges are volatile
 // (speedup / seconds_per_eval) and never gate the regression check.  The
 // element counters gate: they are deterministic for a fixed configuration.
@@ -191,10 +188,8 @@ int main(int argc, char** argv) {
       (m == 0 ? gather.scalar_s : gather.native_s) = best;
       (m == 0 ? phi_scalar : phi_native) = phi;
     }
-    // Gathering is the documented non-bitwise path: lane partials reduce
-    // with a fixed tree, so scalar vs native differ by reassociation only.
     gather.deviation = max_rel_dev(phi_native, phi_scalar);
-    gather.parity_ok = gather.deviation <= 1e-12;
+    gather.parity_ok = bitwise_equal(phi_native, phi_scalar);
     report(gather);
     all_ok = all_ok && gather.parity_ok;
 

@@ -16,15 +16,14 @@ namespace tme {
 namespace {
 
 // Accumulate one x-line of the P×P×P stencil into the grid:
-//   grid_row[wrap(mx0 + k)] = fma(qyz, wx[k], grid_row[wrap(mx0 + k)]).
+//   grid_row[(ix0 + k) mod nx] = fma(qyz, wx[k], grid_row[(ix0 + k) mod nx]).
 // When the x-window stays inside [0, nx) the stores are contiguous and run W
 // elements at a time; the wrapped fallback applies the identical per-element
 // fma, so both paths — and both W instantiations — are bitwise interchangeable.
 template <int W>
-void spread_line(double* grid_row, long mx0, std::size_t nx, int p, double qyz,
-                 const double* wx) {
+void spread_line(double* grid_row, std::size_t ix0, std::size_t nx, int p,
+                 double qyz, const double* wx) {
   using V = simd::vec<double, W>;
-  const std::size_t ix0 = Grid3d::wrap(mx0, nx);
   if (ix0 + static_cast<std::size_t>(p) <= nx) {
     double* g = grid_row + ix0;
     const V qv = V::broadcast(qyz);
@@ -38,59 +37,86 @@ void spread_line(double* grid_row, long mx0, std::size_t nx, int p, double qyz,
           .store_partial(g + k, tail);
     }
   } else {
+    std::size_t ix = ix0;
     for (int k = 0; k < p; ++k) {
-      double& cell = grid_row[Grid3d::wrap(mx0 + k, nx)];
+      double& cell = grid_row[ix];
       cell = simd::fma1(qyz, wx[k], cell);
+      if (++ix == nx) ix = 0;
     }
   }
 }
 
-// Dot the x-line of grid values against the value and derivative weights:
-//   line_v = sum_k pm[k] * wx[k],  line_d = sum_k pm[k] * dx[k].
-// Lane partials are combined with vec::reduce_add's fixed tree, so W > 1
-// differs from the scalar twin by reassociation rounding only (the gather
-// relaxation documented in util/simd.hpp).
+// Back-interpolation stencil of one atom.  The p×p x-rows of the potential
+// are accumulated element-wise (rows in (kz, ky) order) into three x-vectors
+//   a[k] = sum vy vz row[k],  b[k] = sum gy vz row[k],  c[k] = sum vy gz row[k],
+// which four fixed-order fma chains then dot against wx/dx:
+//   phi = a.wx,  dphi/du = (a.dx, b.wx, c.wx).
+// Every step is element-wise or scalar, so the result is bitwise invariant
+// under W.  `ix0`, `iy0`, `iz0` are the wrapped stencil corner.
 template <int W>
-void gather_line(const double* pm, const double* wx, const double* dx, int p,
-                 double& line_v, double& line_d) {
+void interpolate_atom(const double* pdata, const GridDims& dims, std::size_t ix0,
+                      std::size_t iy0, std::size_t iz0, int p, const double* wx,
+                      const double* dx, const double* wy, const double* dy,
+                      const double* wz, const double* dz, double& phi, Vec3& grad) {
   using V = simd::vec<double, W>;
-  V acc_v = V::zero();
-  V acc_d = V::zero();
-  int k = 0;
-  for (; k + W <= p; k += W) {
-    const V pv = V::load(pm + k);
-    acc_v = V::fma(pv, V::load(wx + k), acc_v);
-    acc_d = V::fma(pv, V::load(dx + k), acc_d);
+  constexpr int kChunks = (kMaxBsplineOrder + W - 1) / W;
+  const int chunks = (p + W - 1) / W;
+  const int tail = p - (chunks - 1) * W;
+  const bool contiguous = ix0 + static_cast<std::size_t>(p) <= dims.nx;
+  V a[kChunks] = {}, b[kChunks] = {}, c[kChunks] = {};
+  double wrapped[kMaxBsplineOrder] = {};
+  std::size_t iz = iz0;
+  for (int kz = 0; kz < p; ++kz) {
+    std::size_t iy = iy0;
+    for (int ky = 0; ky < p; ++ky) {
+      const double* row = pdata + (iz * dims.ny + iy) * dims.nx;
+      const double* line = row + ix0;
+      if (!contiguous) {
+        std::size_t ix = ix0;
+        for (int k = 0; k < p; ++k) {
+          wrapped[k] = row[ix];
+          if (++ix == dims.nx) ix = 0;
+        }
+        line = wrapped;
+      }
+      const V sa = V::broadcast(wy[ky] * wz[kz]);
+      const V sb = V::broadcast(dy[ky] * wz[kz]);
+      const V sc = V::broadcast(wy[ky] * dz[kz]);
+      for (int ch = 0; ch < chunks; ++ch) {
+        const V r = ch + 1 < chunks ? V::load(line + ch * W)
+                                    : V::load_partial(line + ch * W, tail);
+        a[ch] = V::fma(sa, r, a[ch]);
+        b[ch] = V::fma(sb, r, b[ch]);
+        c[ch] = V::fma(sc, r, c[ch]);
+      }
+      if (++iy == dims.ny) iy = 0;
+    }
+    if (++iz == dims.nz) iz = 0;
   }
-  if (k < p) {
-    const int tail = p - k;
-    const V pv = V::load_partial(pm + k, tail);
-    acc_v = V::fma(pv, V::load_partial(wx + k, tail), acc_v);
-    acc_d = V::fma(pv, V::load_partial(dx + k, tail), acc_d);
+  double av[kChunks * W] = {}, bv[kChunks * W] = {}, cv[kChunks * W] = {};
+  for (int ch = 0; ch < chunks; ++ch) {
+    a[ch].store(av + ch * W);
+    b[ch].store(bv + ch * W);
+    c[ch].store(cv + ch * W);
   }
-  line_v = acc_v.reduce_add();
-  line_d = acc_d.reduce_add();
-}
-
-// Wrapped fallback for gather_line — same fma chain as the W = 1 path.
-void gather_line_wrapped(const double* row, long mx0, std::size_t nx,
-                         const double* wx, const double* dx, int p,
-                         double& line_v, double& line_d) {
-  double acc_v = 0.0, acc_d = 0.0;
+  phi = 0.0;
+  grad = Vec3{};
   for (int k = 0; k < p; ++k) {
-    const double pm = row[Grid3d::wrap(mx0 + k, nx)];
-    acc_v = simd::fma1(pm, wx[k], acc_v);
-    acc_d = simd::fma1(pm, dx[k], acc_d);
+    phi = simd::fma1(av[k], wx[k], phi);
+    grad.x = simd::fma1(av[k], dx[k], grad.x);
+    grad.y = simd::fma1(bv[k], wx[k], grad.y);
+    grad.z = simd::fma1(cv[k], wx[k], grad.z);
   }
-  line_v = acc_v;
-  line_d = acc_d;
 }
 
 }  // namespace
 
 ChargeAssigner::ChargeAssigner(const Box& box, GridDims dims, int order)
     : box_(box), dims_(dims), p_(order) {
-  if (order < 2) throw std::invalid_argument("ChargeAssigner: order must be >= 2");
+  if (order < 2 || order % 2 != 0 || order > kMaxBsplineOrder) {
+    throw std::invalid_argument(
+        "ChargeAssigner: order must be even and in [2, kMaxBsplineOrder]");
+  }
   if (dims.total() == 0) throw std::invalid_argument("ChargeAssigner: empty grid");
   h_ = {box.lengths.x / static_cast<double>(dims.nx),
         box.lengths.y / static_cast<double>(dims.ny),
@@ -101,28 +127,38 @@ void ChargeAssigner::spread_range(Grid3d& grid, std::span<const Vec3> positions,
                                   std::span<const double> charges,
                                   std::size_t first, std::size_t last) const {
   const int p = p_;
-  const int width = simd::lanes(simd_mode_);
+  const std::size_t np = static_cast<std::size_t>(p);
+  const bool native = simd_mode_ == simd::Mode::kNative;
+  const auto [nx, ny, nz] = dims_;
   double* gdata = grid.data();
-  std::vector<double> wx(static_cast<std::size_t>(p)), wy(wx), wz(wx);
+  double wx[kMaxBsplineOrder] = {};
+  double wy[kMaxBsplineOrder] = {};
+  double wz[kMaxBsplineOrder] = {};
   for (std::size_t i = first; i < last; ++i) {
     const Vec3 u = hadamard_div(box_.wrap(positions[i]), h_);
-    const long mx0 = bspline_weights_central(p, u.x, wx, {});
-    const long my0 = bspline_weights_central(p, u.y, wy, {});
-    const long mz0 = bspline_weights_central(p, u.z, wz, {});
+    const long mx0 = bspline_weights_central(p, u.x, {wx, np}, {});
+    const long my0 = bspline_weights_central(p, u.y, {wy, np}, {});
+    const long mz0 = bspline_weights_central(p, u.z, {wz, np}, {});
+    // Wrap the stencil corner once; the row indices then step with a
+    // compare-and-reset.
+    const std::size_t ix0 = Grid3d::wrap(mx0, nx);
+    const std::size_t iy0 = Grid3d::wrap(my0, ny);
+    std::size_t iz = Grid3d::wrap(mz0, nz);
     const double q = charges[i];
     for (int kz = 0; kz < p; ++kz) {
-      const double qz = q * wz[static_cast<std::size_t>(kz)];
-      const std::size_t iz = Grid3d::wrap(mz0 + kz, dims_.nz);
+      const double qz = q * wz[kz];
+      std::size_t iy = iy0;
       for (int ky = 0; ky < p; ++ky) {
-        const double qyz = qz * wy[static_cast<std::size_t>(ky)];
-        const std::size_t iy = Grid3d::wrap(my0 + ky, dims_.ny);
-        double* row = gdata + (iz * dims_.ny + iy) * dims_.nx;
-        if (width > 1) {
-          spread_line<simd::kNativeWidth>(row, mx0, dims_.nx, p, qyz, wx.data());
+        const double qyz = qz * wy[ky];
+        double* row = gdata + (iz * ny + iy) * nx;
+        if (native) {
+          spread_line<simd::kNativeWidth>(row, ix0, nx, p, qyz, wx);
         } else {
-          spread_line<1>(row, mx0, dims_.nx, p, qyz, wx.data());
+          spread_line<1>(row, ix0, nx, p, qyz, wx);
         }
+        if (++iy == ny) iy = 0;
       }
+      if (++iz == nz) iz = 0;
     }
   }
 }
@@ -182,7 +218,8 @@ double ChargeAssigner::back_interpolate(const Grid3d& potential,
   if (phi_out != nullptr) phi_out->assign(positions.size(), 0.0);
 
   const int p = p_;
-  const int width = simd::lanes(simd_mode_);
+  const std::size_t np = static_cast<std::size_t>(p);
+  const bool native = simd_mode_ == simd::Mode::kNative;
   const double* pdata = potential.data();
   // Per-range partial sums, added in range order afterwards: the energy is
   // then the same on every run at a given pool size, not dependent on which
@@ -190,42 +227,26 @@ double ChargeAssigner::back_interpolate(const Grid3d& potential,
   std::mutex sum_mutex;
   std::vector<std::pair<std::size_t, double>> partials;  // (range begin, sum)
   parallel_for_ranges(0, positions.size(), [&](std::size_t begin, std::size_t end) {
-    std::vector<double> wx(static_cast<std::size_t>(p)), wy(wx), wz(wx);
-    std::vector<double> dx(wx), dy(wx), dz(wx);
+    double wx[kMaxBsplineOrder] = {}, dx[kMaxBsplineOrder] = {};
+    double wy[kMaxBsplineOrder] = {}, dy[kMaxBsplineOrder] = {};
+    double wz[kMaxBsplineOrder] = {}, dz[kMaxBsplineOrder] = {};
     double local_sum = 0.0;
     for (std::size_t i = begin; i < end; ++i) {
       const Vec3 u = hadamard_div(box_.wrap(positions[i]), h_);
-      const long mx0 = bspline_weights_central(p, u.x, wx, dx);
-      const long my0 = bspline_weights_central(p, u.y, wy, dy);
-      const long mz0 = bspline_weights_central(p, u.z, wz, dz);
+      const long mx0 = bspline_weights_central(p, u.x, {wx, np}, {dx, np});
+      const long my0 = bspline_weights_central(p, u.y, {wy, np}, {dy, np});
+      const long mz0 = bspline_weights_central(p, u.z, {wz, np}, {dz, np});
+      const std::size_t ix0 = Grid3d::wrap(mx0, dims_.nx);
+      const std::size_t iy0 = Grid3d::wrap(my0, dims_.ny);
+      const std::size_t iz0 = Grid3d::wrap(mz0, dims_.nz);
       double phi = 0.0;
       Vec3 grad{};  // d phi / d u (grid units)
-      const std::size_t ix0 = Grid3d::wrap(mx0, dims_.nx);
-      const bool contiguous = ix0 + static_cast<std::size_t>(p) <= dims_.nx;
-      for (int kz = 0; kz < p; ++kz) {
-        const std::size_t iz = Grid3d::wrap(mz0 + kz, dims_.nz);
-        const double vz = wz[static_cast<std::size_t>(kz)];
-        const double gz = dz[static_cast<std::size_t>(kz)];
-        for (int ky = 0; ky < p; ++ky) {
-          const std::size_t iy = Grid3d::wrap(my0 + ky, dims_.ny);
-          const double vy = wy[static_cast<std::size_t>(ky)];
-          const double gy = dy[static_cast<std::size_t>(ky)];
-          const double* row = pdata + (iz * dims_.ny + iy) * dims_.nx;
-          double line_v = 0.0, line_d = 0.0;
-          if (!contiguous) {
-            gather_line_wrapped(row, mx0, dims_.nx, wx.data(), dx.data(), p,
-                                line_v, line_d);
-          } else if (width > 1) {
-            gather_line<simd::kNativeWidth>(row + ix0, wx.data(), dx.data(), p,
-                                            line_v, line_d);
-          } else {
-            gather_line<1>(row + ix0, wx.data(), dx.data(), p, line_v, line_d);
-          }
-          phi += line_v * vy * vz;
-          grad.x += line_d * vy * vz;
-          grad.y += line_v * gy * vz;
-          grad.z += line_v * vy * gz;
-        }
+      if (native) {
+        interpolate_atom<simd::kNativeWidth>(pdata, dims_, ix0, iy0, iz0, p, wx,
+                                             dx, wy, dy, wz, dz, phi, grad);
+      } else {
+        interpolate_atom<1>(pdata, dims_, ix0, iy0, iz0, p, wx, dx, wy, dy, wz,
+                            dz, phi, grad);
       }
       if (phi_out != nullptr) (*phi_out)[i] = phi;
       local_sum += charges[i] * phi;

@@ -23,6 +23,8 @@ class ThreadPool;
 class ChargeAssigner {
  public:
   // `dims` is the target grid; grid spacing is box.lengths / dims per axis.
+  // `order` must be even and in [2, kMaxBsplineOrder] (spline/bspline.hpp);
+  // anything else throws std::invalid_argument here.
   ChargeAssigner(const Box& box, GridDims dims, int order);
 
   int order() const { return p_; }
@@ -30,11 +32,10 @@ class ChargeAssigner {
   Vec3 spacing() const { return h_; }
 
   // Which instantiation of the stencil kernels this assigner runs (resolved
-  // from TME_SIMD at construction; settable for A/B parity tests).  Spreading
-  // is bitwise invariant under the mode (element-wise fma on the grid); the
-  // back-interpolation gather reduces lane partials with a fixed tree, so
-  // native differs from scalar by reassociation rounding only — the one
-  // documented relaxation of the SIMD parity contract (util/simd.hpp).
+  // from TME_SIMD at construction; settable for A/B parity tests).  Both
+  // passes are bitwise invariant under the mode: spreading is an
+  // element-wise fma on the grid, and back interpolation accumulates the
+  // stencil's x-rows element-wise before fixed-order scalar dots.
   simd::Mode simd_mode() const { return simd_mode_; }
   void set_simd_mode(simd::Mode mode) { simd_mode_ = mode; }
 

@@ -15,45 +15,47 @@ void check_kernel(const Kernel1d& k) {
   }
 }
 
-// One x-axis line of outputs.  Interior columns n in [c, nx - c) read
-// contiguous source windows src[n + c - t] and run W outputs at a time; the
-// wrapped boundary columns replay the identical per-element fma chain over
-// the taps, so every output is bitwise invariant under W.
+// Stores one block of n outputs: dst = acc, or dst += scale * acc when
+// `scale` is non-null (convolve_tensor's accumulation, fused into the pass).
 template <int W>
-void conv_line_x(const double* src, double* dst, std::size_t nx,
-                 const double* taps, std::size_t ntaps, std::size_t c,
-                 const std::size_t* wrapped) {
+void store_out(simd::vec<double, W> acc, double* dst, int n, const double* scale) {
   using V = simd::vec<double, W>;
-  auto scalar_out = [&](std::size_t n) {
-    const std::size_t* wrap_row = wrapped + n * ntaps;
-    double acc = 0.0;
-    for (std::size_t t = 0; t < ntaps; ++t) {
-      acc = simd::fma1(taps[t], src[wrap_row[t]], acc);
-    }
-    dst[n] = acc;
-  };
-  const std::size_t lo = std::min(c, nx);
-  const std::size_t hi = nx >= 2 * c ? nx - c : lo;
-  for (std::size_t n = 0; n < lo; ++n) scalar_out(n);
-  std::size_t n = lo;
-  for (; n + W <= hi; n += W) {
+  if (scale != nullptr) {
+    acc = (n == W ? V::load(dst) : V::load_partial(dst, n)) + V::broadcast(*scale) * acc;
+  }
+  if (n == W) {
+    acc.store(dst);
+  } else {
+    acc.store_partial(dst, n);
+  }
+}
+
+// One x-axis line of outputs from its periodically padded copy
+// pad[j] = src[(j - c) mod nx], j in [0, nx + 2c): output n reads the
+// contiguous window pad[n + 2c - t], so every output runs W at a time with
+// the same per-element fma chain over the taps in both instantiations.
+template <int W>
+void conv_line_x(const double* pad, double* dst, std::size_t nx,
+                 const double* taps, std::size_t ntaps, const double* scale) {
+  using V = simd::vec<double, W>;
+  const std::size_t c2 = ntaps - 1;
+  std::size_t n = 0;
+  for (; n + W <= nx; n += W) {
     V acc = V::zero();
     for (std::size_t t = 0; t < ntaps; ++t) {
-      acc = V::fma(V::broadcast(taps[t]), V::load(src + n + c - t), acc);
+      acc = V::fma(V::broadcast(taps[t]), V::load(pad + n + c2 - t), acc);
     }
-    acc.store(dst + n);
+    store_out<W>(acc, dst + n, W, scale);
   }
-  if (n < hi) {
-    const int tail = static_cast<int>(hi - n);
+  if (n < nx) {
+    const int tail = static_cast<int>(nx - n);
     V acc = V::zero();
     for (std::size_t t = 0; t < ntaps; ++t) {
-      acc = V::fma(V::broadcast(taps[t]),
-                   V::load_partial(src + n + c - t, tail), acc);
+      acc = V::fma(V::broadcast(taps[t]), V::load_partial(pad + n + c2 - t, tail),
+                   acc);
     }
-    acc.store_partial(dst + n, tail);
-    n = hi;
+    store_out<W>(acc, dst + n, tail, scale);
   }
-  for (; n < nx; ++n) scalar_out(n);
 }
 
 // One y- or z-axis output row: every tap reads the contiguous x-row at
@@ -62,7 +64,8 @@ void conv_line_x(const double* src, double* dst, std::size_t nx,
 template <int W>
 void conv_strided_row(const double* src, const std::size_t* wrap_row,
                       std::size_t stride, std::size_t row_off, double* dst_row,
-                      std::size_t nx, const double* taps, std::size_t ntaps) {
+                      std::size_t nx, const double* taps, std::size_t ntaps,
+                      const double* scale) {
   using V = simd::vec<double, W>;
   std::size_t ix = 0;
   for (; ix + W <= nx; ix += W) {
@@ -71,7 +74,7 @@ void conv_strided_row(const double* src, const std::size_t* wrap_row,
       acc = V::fma(V::broadcast(taps[t]),
                    V::load(src + wrap_row[t] * stride + row_off + ix), acc);
     }
-    acc.store(dst_row + ix);
+    store_out<W>(acc, dst_row + ix, W, scale);
   }
   if (ix < nx) {
     const int tail = static_cast<int>(nx - ix);
@@ -81,7 +84,90 @@ void conv_strided_row(const double* src, const std::size_t* wrap_row,
                    V::load_partial(src + wrap_row[t] * stride + row_off + ix, tail),
                    acc);
     }
-    acc.store_partial(dst_row + ix, tail);
+    store_out<W>(acc, dst_row + ix, tail, scale);
+  }
+}
+
+// convolve_axis, writing out = conv(in) or, with a non-null `scale`,
+// accumulating out += scale * conv(in).
+void convolve_axis_into(const Grid3d& in, const Kernel1d& kernel, ConvAxis axis,
+                        Grid3d& out, simd::Mode mode, const double* scale) {
+  check_kernel(kernel);
+  if (!(in.dims() == out.dims())) {
+    throw std::invalid_argument("convolve_axis: dimension mismatch");
+  }
+  if (&in == &out) throw std::invalid_argument("convolve_axis: in-place not supported");
+  const auto [nx, ny, nz] = in.dims();
+  const int c = kernel.cutoff;
+  const std::size_t n_axis = axis == ConvAxis::kX   ? nx
+                             : axis == ConvAxis::kY ? ny
+                                                    : nz;
+  if (2 * static_cast<long>(c) + 1 > 2 * static_cast<long>(n_axis)) {
+    // Kernels wider than the periodic domain would double-count images in a
+    // way the truncated hardware kernel never does; reject loudly.
+    throw std::invalid_argument("convolve_axis: kernel cutoff exceeds grid period");
+  }
+
+  const double* src = in.data();
+  double* dst = out.data();
+  const double* tap = kernel.taps.data();
+  const std::size_t taps = static_cast<std::size_t>(2 * c + 1);
+  const std::size_t uc = static_cast<std::size_t>(c);
+  const bool native = mode == simd::Mode::kNative;
+
+  if (axis == ConvAxis::kX) {
+    // c < nx (checked above), so each pad side wraps at most once.
+    parallel_for_ranges(0, ny * nz, [&](std::size_t first, std::size_t last) {
+      std::vector<double> pad(nx + 2 * uc);
+      for (std::size_t line = first; line < last; ++line) {
+        const double* row = src + line * nx;
+        std::copy(row + nx - uc, row + nx, pad.begin());
+        std::copy(row, row + nx, pad.begin() + static_cast<long>(uc));
+        std::copy(row, row + uc, pad.begin() + static_cast<long>(uc + nx));
+        if (native) {
+          conv_line_x<simd::kNativeWidth>(pad.data(), dst + line * nx, nx, tap,
+                                          taps, scale);
+        } else {
+          conv_line_x<1>(pad.data(), dst + line * nx, nx, tap, taps, scale);
+        }
+      }
+    });
+    return;
+  }
+
+  // Wrapped source index for each output index along the axis:
+  // wrapped[n * (2c+1) + (m+c)] = (n - m) mod n_axis.
+  std::vector<std::size_t> wrapped(n_axis * taps);
+  for (std::size_t n = 0; n < n_axis; ++n) {
+    for (int m = -c; m <= c; ++m) {
+      wrapped[n * taps + static_cast<std::size_t>(m + c)] =
+          Grid3d::wrap(static_cast<long>(n) - m, n_axis);
+    }
+  }
+  auto row = [&](const double* base, const std::size_t* wrap_row, std::size_t stride,
+                 std::size_t row_off, double* dst_row) {
+    if (native) {
+      conv_strided_row<simd::kNativeWidth>(base, wrap_row, stride, row_off,
+                                           dst_row, nx, tap, taps, scale);
+    } else {
+      conv_strided_row<1>(base, wrap_row, stride, row_off, dst_row, nx, tap, taps,
+                          scale);
+    }
+  };
+  if (axis == ConvAxis::kY) {
+    parallel_for(0, nz, [&](std::size_t iz) {
+      const std::size_t plane = iz * ny * nx;
+      for (std::size_t n = 0; n < ny; ++n) {
+        row(src + plane, wrapped.data() + n * taps, nx, 0, dst + plane + n * nx);
+      }
+    });
+  } else {
+    const std::size_t plane = ny * nx;
+    parallel_for(0, ny, [&](std::size_t iy) {
+      for (std::size_t n = 0; n < nz; ++n) {
+        row(src, wrapped.data() + n * taps, plane, iy * nx, dst + n * plane + iy * nx);
+      }
+    });
   }
 }
 
@@ -94,88 +180,7 @@ void convolve_axis(const Grid3d& in, const Kernel1d& kernel, ConvAxis axis,
 
 void convolve_axis(const Grid3d& in, const Kernel1d& kernel, ConvAxis axis,
                    Grid3d& out, simd::Mode mode) {
-  check_kernel(kernel);
-  if (!(in.dims() == out.dims())) {
-    throw std::invalid_argument("convolve_axis: dimension mismatch");
-  }
-  if (&in == &out) throw std::invalid_argument("convolve_axis: in-place not supported");
-  const auto [nx, ny, nz] = in.dims();
-  const int c = kernel.cutoff;
-  const long n_axis = static_cast<long>(axis == ConvAxis::kX   ? nx
-                                        : axis == ConvAxis::kY ? ny
-                                                               : nz);
-  if (2 * c + 1 > 2 * n_axis) {
-    // Kernels wider than the periodic domain would double-count images in a
-    // way the truncated hardware kernel never does; reject loudly.
-    throw std::invalid_argument("convolve_axis: kernel cutoff exceeds grid period");
-  }
-
-  // Precompute wrapped source offsets for each output index along the axis.
-  // wrapped[n * (2c+1) + (m+c)] = (n - m) mod n_axis.
-  std::vector<std::size_t> wrapped(static_cast<std::size_t>(n_axis) *
-                                   static_cast<std::size_t>(2 * c + 1));
-  for (long n = 0; n < n_axis; ++n) {
-    for (int m = -c; m <= c; ++m) {
-      wrapped[static_cast<std::size_t>(n) * (2 * c + 1) +
-              static_cast<std::size_t>(m + c)] =
-          Grid3d::wrap(n - m, static_cast<std::size_t>(n_axis));
-    }
-  }
-
-  const double* src = in.data();
-  double* dst = out.data();
-  const double* tap = kernel.taps.data();
-  const std::size_t taps = static_cast<std::size_t>(2 * c + 1);
-  const std::size_t uc = static_cast<std::size_t>(c);
-  const bool native = mode == simd::Mode::kNative;
-
-  switch (axis) {
-    case ConvAxis::kX:
-      parallel_for(0, ny * nz, [&](std::size_t line) {
-        const std::size_t base = line * nx;
-        if (native) {
-          conv_line_x<simd::kNativeWidth>(src + base, dst + base, nx, tap, taps,
-                                          uc, wrapped.data());
-        } else {
-          conv_line_x<1>(src + base, dst + base, nx, tap, taps, uc,
-                         wrapped.data());
-        }
-      });
-      break;
-    case ConvAxis::kY:
-      parallel_for(0, nz, [&](std::size_t iz) {
-        const std::size_t plane = iz * ny * nx;
-        for (std::size_t n = 0; n < ny; ++n) {
-          const std::size_t* wrap_row = wrapped.data() + n * taps;
-          if (native) {
-            conv_strided_row<simd::kNativeWidth>(src + plane, wrap_row, nx, 0,
-                                                 dst + plane + n * nx, nx, tap,
-                                                 taps);
-          } else {
-            conv_strided_row<1>(src + plane, wrap_row, nx, 0,
-                                dst + plane + n * nx, nx, tap, taps);
-          }
-        }
-      });
-      break;
-    case ConvAxis::kZ: {
-      const std::size_t plane = ny * nx;
-      parallel_for(0, ny, [&](std::size_t iy) {
-        for (std::size_t n = 0; n < nz; ++n) {
-          const std::size_t* wrap_row = wrapped.data() + n * taps;
-          if (native) {
-            conv_strided_row<simd::kNativeWidth>(src, wrap_row, plane, iy * nx,
-                                                 dst + n * plane + iy * nx, nx,
-                                                 tap, taps);
-          } else {
-            conv_strided_row<1>(src, wrap_row, plane, iy * nx,
-                                dst + n * plane + iy * nx, nx, tap, taps);
-          }
-        }
-      });
-      break;
-    }
-  }
+  convolve_axis_into(in, kernel, axis, out, mode, nullptr);
 }
 
 Grid3d convolve_separable(const Grid3d& in, const Kernel1d& kx,
@@ -193,11 +198,13 @@ void convolve_tensor(const Grid3d& in, const std::vector<SeparableTerm>& terms,
   if (!(in.dims() == out.dims())) {
     throw std::invalid_argument("convolve_tensor: dimension mismatch");
   }
+  const simd::Mode mode = simd::mode_from_env();
+  Grid3d tmp_x(in.dims());
+  Grid3d tmp_y(in.dims());
   for (const SeparableTerm& term : terms) {
-    const Grid3d contribution = convolve_separable(in, term.kx, term.ky, term.kz);
-    const double* src = contribution.data();
-    double* dst = out.data();
-    for (std::size_t i = 0; i < out.size(); ++i) dst[i] += scale * src[i];
+    convolve_axis_into(in, term.kx, ConvAxis::kX, tmp_x, mode, nullptr);
+    convolve_axis_into(tmp_x, term.ky, ConvAxis::kY, tmp_y, mode, nullptr);
+    convolve_axis_into(tmp_y, term.kz, ConvAxis::kZ, out, mode, &scale);
   }
 }
 

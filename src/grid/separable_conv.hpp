@@ -29,11 +29,11 @@ enum class ConvAxis { kX = 0, kY = 1, kZ = 2 };
 // (periodic).  in and out must have identical dims; in-place is not allowed.
 //
 // The inner loops run W grid elements at a time through the portable SIMD
-// layer (interior columns for the x axis, contiguous x-rows for y/z); every
-// element sees the same fma chain over the taps in the same order in both
-// instantiations, so TME_SIMD=scalar and native are bitwise identical.  The
-// 4-argument form follows the TME_SIMD environment knob; pass an explicit
-// mode for A/B parity tests and benches.
+// layer (a periodically padded copy of each x-line for the x axis,
+// contiguous x-rows for y/z); every element sees the same fma chain over the
+// taps in the same order in both instantiations, so TME_SIMD=scalar and
+// native are bitwise identical.  The 4-argument form follows the TME_SIMD
+// environment knob; pass an explicit mode for A/B parity tests and benches.
 void convolve_axis(const Grid3d& in, const Kernel1d& kernel, ConvAxis axis,
                    Grid3d& out);
 void convolve_axis(const Grid3d& in, const Kernel1d& kernel, ConvAxis axis,
@@ -44,7 +44,9 @@ Grid3d convolve_separable(const Grid3d& in, const Kernel1d& kx,
                           const Kernel1d& ky, const Kernel1d& kz);
 
 // Accumulating tensor-structured convolution:
-//   out += scale * sum over terms of separable convolutions.
+//   out += scale * sum over terms of separable convolutions,
+// term by term; each term's z pass adds its scaled result into `out` as it
+// goes.  Follows TME_SIMD.
 struct SeparableTerm {
   Kernel1d kx, ky, kz;
 };

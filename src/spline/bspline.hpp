@@ -3,14 +3,19 @@
 // Conventions follow Essmann et al. (SPME, 1995): M_p(u) is the order-p
 // (degree p-1) uniform B-spline supported on [0, p].  The paper's "central
 // B-spline" is the shifted copy M_p^c(x) = M_p(x + p/2) supported on
-// [-p/2, p/2]; both views are provided.  Order p must be >= 2; the TME /
-// two-scale machinery additionally requires p even.
+// [-p/2, p/2]; both views are provided.  Order p must be in
+// [2, kMaxBsplineOrder]; the TME / two-scale machinery additionally requires
+// p even.
 #pragma once
 
 #include <cstddef>
 #include <span>
 
 namespace tme {
+
+// Largest order accepted: every function here evaluates on stack arrays of
+// this size and throws std::invalid_argument above it.
+inline constexpr int kMaxBsplineOrder = 16;
 
 // M_p(u) for u anywhere on the real line (0 outside [0, p]).
 double bspline(int p, double u);
@@ -28,8 +33,13 @@ double bspline_central_derivative(int p, double x);
 // grid point that the atom touches.  Returns m0.
 //
 // values/derivs must have size >= p.  derivs may be empty when not needed.
+// Orders 4, 6 and 8 run a fully unrolled fixed-order instantiation of the
+// recurrence; it is bitwise equal to bspline_weights_runtime_order, which
+// every other order in [2, kMaxBsplineOrder] runs.
 long bspline_weights(int p, double u, std::span<double> values,
                      std::span<double> derivs);
+long bspline_weights_runtime_order(int p, double u, std::span<double> values,
+                                   std::span<double> derivs);
 
 // Central-convention variant (even p only): identical weight values, but the
 // base index m0 = floor(u) - p/2 + 1 positions them symmetrically around the

@@ -21,8 +21,7 @@
 //    order are therefore bitwise invariant under TME_SIMD.  Horizontal
 //    reduce_add uses a fixed pairwise tree — deterministic per W, but a
 //    different association than a serial loop; kernels that need bitwise
-//    scalar parity must not use it on values that feed results (the
-//    back-interpolation gather documents this as its one relaxation).
+//    scalar parity must not use it on values that feed results.
 //
 // Translation units that instantiate kernels at both widths are compiled
 // with -ffp-contract=off (set in src/CMakeLists.txt) so the compiler cannot

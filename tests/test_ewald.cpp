@@ -8,6 +8,7 @@
 #include "ewald/reference_ewald.hpp"
 #include "ewald/splitting.hpp"
 #include "ewald/spme.hpp"
+#include "spline/bspline.hpp"
 #include "util/constants.hpp"
 #include "util/rng.hpp"
 
@@ -165,6 +166,21 @@ TEST(ChargeAssignment, BackInterpolationRecoversSmoothField) {
   EXPECT_NEAR(forces[0].x, -q[0] * dphi_dx, 1e-5);
   EXPECT_NEAR(forces[0].y, 0.0, 1e-9);
   EXPECT_NEAR(forces[0].z, 0.0, 1e-9);
+}
+
+TEST(ChargeAssigner, RejectsOddOrder) {
+  // Odd orders have no central B-spline; they are rejected at construction
+  // instead of throwing from every atom inside the pool on the first assign.
+  const Box box{{2.0, 2.0, 2.0}};
+  for (const int order : {3, 5, 7}) {
+    EXPECT_THROW(ChargeAssigner(box, {8, 8, 8}, order), std::invalid_argument)
+        << "order=" << order;
+  }
+  EXPECT_THROW(ChargeAssigner(box, {8, 8, 8}, 0), std::invalid_argument);
+  EXPECT_THROW(ChargeAssigner(box, {8, 8, 8}, kMaxBsplineOrder + 2),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ChargeAssigner(box, {8, 8, 8}, 2));
+  EXPECT_NO_THROW(ChargeAssigner(box, {8, 8, 8}, kMaxBsplineOrder));
 }
 
 TEST(GreensFunction, EulerFactorsPositiveForEvenOrders) {

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,7 +9,9 @@
 #include "grid/separable_conv.hpp"
 #include "grid/transfer.hpp"
 #include "spline/two_scale.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace tme {
 namespace {
@@ -218,6 +222,126 @@ TEST(Transfer, NonCubicGridsSupported) {
 TEST(Transfer, RejectsOddExtents) {
   const Grid3d fine = random_grid({6, 6, 7}, 1);
   EXPECT_THROW(restrict_grid(fine, 4), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Transfer parity against a reference copy of the original per-tap loops:
+// every output is an fma chain from 0.0 over the taps in ascending-k order,
+// each tap read through at_wrapped.  The row-wise kernels must reproduce it
+// bitwise at every pool size and in both SIMD modes.
+
+Grid3d reference_restrict_axis(const Grid3d& in, const std::vector<double>& j,
+                               int half_p, int axis, GridDims out_dims) {
+  Grid3d out(out_dims);
+  for (std::size_t mz = 0; mz < out_dims.nz; ++mz) {
+    for (std::size_t my = 0; my < out_dims.ny; ++my) {
+      for (std::size_t mx = 0; mx < out_dims.nx; ++mx) {
+        double acc = 0.0;
+        for (int k = -half_p; k <= half_p; ++k) {
+          const double w = j[static_cast<std::size_t>(k + half_p)];
+          long ix = static_cast<long>(mx), iy = static_cast<long>(my),
+               iz = static_cast<long>(mz);
+          switch (axis) {
+            case 0: ix = 2 * ix + k; break;
+            case 1: iy = 2 * iy + k; break;
+            default: iz = 2 * iz + k; break;
+          }
+          acc = simd::fma1(w, in.at_wrapped(ix, iy, iz), acc);
+        }
+        out.at(mx, my, mz) = acc;
+      }
+    }
+  }
+  return out;
+}
+
+Grid3d reference_prolong_axis(const Grid3d& in, const std::vector<double>& j,
+                              int half_p, int axis, GridDims out_dims) {
+  Grid3d out(out_dims);
+  for (std::size_t nz_i = 0; nz_i < out_dims.nz; ++nz_i) {
+    for (std::size_t ny_i = 0; ny_i < out_dims.ny; ++ny_i) {
+      for (std::size_t nx_i = 0; nx_i < out_dims.nx; ++nx_i) {
+        const long n_axis = static_cast<long>(axis == 0   ? nx_i
+                                              : axis == 1 ? ny_i
+                                                          : nz_i);
+        double acc = 0.0;
+        for (int k = -half_p; k <= half_p; ++k) {
+          if (((n_axis - k) & 1L) != 0) continue;
+          const long m = (n_axis - k) / 2;
+          const double w = j[static_cast<std::size_t>(k + half_p)];
+          long ix = static_cast<long>(nx_i), iy = static_cast<long>(ny_i),
+               iz = static_cast<long>(nz_i);
+          switch (axis) {
+            case 0: ix = m; break;
+            case 1: iy = m; break;
+            default: iz = m; break;
+          }
+          acc = simd::fma1(w, in.at_wrapped(ix, iy, iz), acc);
+        }
+        out.at(nx_i, ny_i, nz_i) = acc;
+      }
+    }
+  }
+  return out;
+}
+
+Grid3d reference_restrict(const Grid3d& fine, int p) {
+  const std::vector<double> j = two_scale_coefficients(p);
+  const GridDims f = fine.dims(), h = f.halved();
+  const Grid3d x = reference_restrict_axis(fine, j, p / 2, 0, {h.nx, f.ny, f.nz});
+  const Grid3d y = reference_restrict_axis(x, j, p / 2, 1, {h.nx, h.ny, f.nz});
+  return reference_restrict_axis(y, j, p / 2, 2, h);
+}
+
+Grid3d reference_prolong(const Grid3d& coarse, int p) {
+  const std::vector<double> j = two_scale_coefficients(p);
+  const GridDims c = coarse.dims();
+  const Grid3d x =
+      reference_prolong_axis(coarse, j, p / 2, 0, {2 * c.nx, c.ny, c.nz});
+  const Grid3d y = reference_prolong_axis(x, j, p / 2, 1, {2 * c.nx, 2 * c.ny, c.nz});
+  return reference_prolong_axis(y, j, p / 2, 2, {2 * c.nx, 2 * c.ny, 2 * c.nz});
+}
+
+std::size_t count_differing(const Grid3d& a, const Grid3d& b) {
+  EXPECT_EQ(a.dims(), b.dims());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    differing += std::memcmp(&a[i], &b[i], sizeof(double)) != 0;
+  }
+  return differing;
+}
+
+TEST(TransferParity, BitwiseEqualToPerTapReferenceAcrossPoolsAndModes) {
+  const GridDims fine_shapes[] = {{32, 32, 32}, {16, 8, 12}, {6, 10, 14}};
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads - 1);
+    for (const simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kNative}) {
+      for (const int p : {2, 4, 6, 8}) {
+        for (const GridDims& dims : fine_shapes) {
+          SCOPED_TRACE("threads=" + std::to_string(threads) + " mode=" +
+                       simd::mode_name(mode) + " p=" + std::to_string(p) +
+                       " fine=" + std::to_string(dims.nx) + "x" +
+                       std::to_string(dims.ny) + "x" + std::to_string(dims.nz));
+          const Grid3d fine = random_grid(dims, 300 + static_cast<std::uint64_t>(p));
+          EXPECT_EQ(count_differing(restrict_grid(fine, p, mode, pool),
+                                    reference_restrict(fine, p)),
+                    0u);
+          const Grid3d coarse =
+              random_grid(dims.halved(), 400 + static_cast<std::uint64_t>(p));
+          EXPECT_EQ(count_differing(prolong_grid(coarse, p, mode, pool),
+                                    reference_prolong(coarse, p)),
+                    0u);
+        }
+        // A 2x2x2 coarse grid: every tap of p >= 4 wraps several times.
+        const Grid3d tiny =
+            random_grid({2, 2, 2}, 500 + static_cast<std::uint64_t>(p));
+        EXPECT_EQ(count_differing(prolong_grid(tiny, p, mode, pool),
+                                  reference_prolong(tiny, p)),
+                  0u)
+            << "2x2x2 coarse, p=" << p;
+      }
+    }
+  }
 }
 
 }  // namespace

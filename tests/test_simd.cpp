@@ -6,7 +6,7 @@
 //  - bitwise grid parity for B-spline charge spreading,
 //  - bitwise parity for every separable-convolution axis (including wrapped
 //    boundaries and partial vector tails),
-//  - the documented reassociation-only relaxation of the gather path.
+//  - bitwise energy, potential and force parity for back interpolation.
 //
 // This translation unit is compiled with -ffp-contract=off (see
 // tests/CMakeLists.txt) so reference expressions written as a*b+c are not
@@ -255,10 +255,10 @@ TEST(SimdParity, ChargeSpreadingBitwiseAcrossPoolSizes) {
   }
 }
 
-// Property: the back-interpolation gather reduces lane partials with a fixed
-// tree, so native agrees with scalar to reassociation rounding only — the
-// documented relaxation.  1e-12 relative is ~4 decades above double epsilon
-// and ~4 decades below any physical tolerance.
+// Property: native back interpolation agrees with scalar to well within
+// 1e-12 relative (~4 decades above double epsilon and ~4 decades below any
+// physical tolerance).  BackInterpolationBitwiseAcrossModes below asserts
+// the stronger bitwise contract.
 
 TEST(SimdParity, BackInterpolationWithinReassociationRounding) {
   Box box;
@@ -292,6 +292,64 @@ TEST(SimdParity, BackInterpolationWithinReassociationRounding) {
     EXPECT_NEAR(phi_native[i], phi_scalar[i],
                 1e-12 * std::max(1.0, std::abs(phi_scalar[i])));
     EXPECT_LE(norm(f_native[i] - f_scalar[i]), 1e-12 * f_scale);
+  }
+}
+
+// Property: back interpolation accumulates each atom's stencil rows
+// element-wise and finishes with fixed-order scalar dots, so energy, phi and
+// forces are bitwise identical under the mode — for every even order, with
+// stencils that wrap (including grids narrower than the stencil).  phi and
+// forces are also bitwise invariant under the pool size.
+
+TEST(SimdParity, BackInterpolationBitwiseAcrossModes) {
+  Box box;
+  box.lengths = {2.0, 2.0, 2.0};
+  Rng rng(2121);
+  const std::size_t n_particles = 300;
+  std::vector<Vec3> pos(n_particles);
+  std::vector<double> q(n_particles);
+  for (std::size_t i = 0; i < n_particles; ++i) {
+    pos[i] = {rng.uniform(-0.3, 2.3), rng.uniform(0.0, 2.0),
+              rng.uniform(0.0, 2.0)};
+    q[i] = rng.uniform(-1.0, 1.0);
+  }
+  for (const int order : {4, 6, 8, 10}) {
+    for (const GridDims dims : {GridDims{20, 20, 20}, GridDims{9, 7, 12},
+                                GridDims{5, 6, 4}}) {
+      SCOPED_TRACE("order=" + std::to_string(order) + " dims=" +
+                   std::to_string(dims.nx) + "x" + std::to_string(dims.ny) +
+                   "x" + std::to_string(dims.nz));
+      ChargeAssigner assigner(box, dims, order);
+      const Grid3d grid = assigner.assign(pos, q);
+      struct Run {
+        double energy = 0.0;
+        std::vector<Vec3> forces;
+        std::vector<double> phi;
+      };
+      auto run = [&](simd::Mode mode) {
+        assigner.set_simd_mode(mode);
+        Run r;
+        r.forces.assign(n_particles, Vec3{});
+        r.energy = assigner.back_interpolate(grid, pos, q, &r.forces, &r.phi);
+        return r;
+      };
+      const Run scalar = run(simd::Mode::kScalar);
+      const Run native = run(simd::Mode::kNative);
+      // A nested call runs serially on the calling thread: pool size 1.
+      Run serial;
+      ThreadPool one(0);
+      parallel_for(one, 0, 1, [&](std::size_t) { serial = run(simd::Mode::kNative); });
+
+      EXPECT_EQ(native.energy, scalar.energy);
+      for (std::size_t i = 0; i < n_particles; ++i) {
+        EXPECT_EQ(native.phi[i], scalar.phi[i]) << "atom " << i;
+        EXPECT_EQ(serial.phi[i], native.phi[i]) << "atom " << i;
+        for (std::size_t k = 0; k < 3; ++k) {
+          EXPECT_EQ(native.forces[i][k], scalar.forces[i][k]) << "atom " << i;
+          EXPECT_EQ(serial.forces[i][k], native.forces[i][k]) << "atom " << i;
+        }
+      }
+    }
   }
 }
 

@@ -1,5 +1,8 @@
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +11,7 @@
 #include "spline/bspline.hpp"
 #include "spline/interpolation_coeffs.hpp"
 #include "spline/two_scale.hpp"
+#include "util/rng.hpp"
 
 namespace tme {
 namespace {
@@ -111,6 +115,56 @@ TEST_P(BSplineOrderSweep, WeightsMatchPointEvaluations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Orders, BSplineOrderSweep, ::testing::Values(2, 4, 6, 8, 10));
+
+// The fixed-order fast paths (p = 4, 6, 8) evaluate the same recurrence as
+// the runtime-order loop, unrolled; the two must agree bitwise on values,
+// derivatives and base index, including at the edge cases of the floor:
+// integers, negatives, one ulp below an integer, and non-finite u.
+TEST(BSplineWeights, FixedOrderPathsBitwiseEqualRuntimeOrder) {
+  Rng rng(4242);
+  std::vector<double> us;
+  for (int i = 0; i < 10000; ++i) us.push_back(rng.uniform(-50.0, 150.0));
+  for (const double m : {-3.0, -1.0, 0.0, 1.0, 2.0, 31.0, 1000.0}) {
+    us.push_back(m);
+    us.push_back(std::nextafter(m, -1e300));
+    us.push_back(std::nextafter(m, 1e300));
+  }
+  us.push_back(std::numeric_limits<double>::quiet_NaN());
+  us.push_back(std::numeric_limits<double>::infinity());
+  us.push_back(-std::numeric_limits<double>::infinity());
+  for (const int p : {4, 6, 8}) {
+    std::size_t differing = 0;
+    for (const double u : us) {
+      for (const bool with_derivs : {false, true}) {
+        std::vector<double> wf(static_cast<std::size_t>(p)), df(wf), wr(wf), dr(wf);
+        const long mf = bspline_weights(p, u, wf, with_derivs ? std::span<double>(df)
+                                                              : std::span<double>());
+        const long mr = bspline_weights_runtime_order(
+            p, u, wr, with_derivs ? std::span<double>(dr) : std::span<double>());
+        EXPECT_EQ(mf, mr) << "p=" << p << " u=" << u;
+        differing += std::memcmp(wf.data(), wr.data(), wf.size() * sizeof(double)) != 0;
+        differing += std::memcmp(df.data(), dr.data(), df.size() * sizeof(double)) != 0;
+      }
+    }
+    EXPECT_EQ(differing, 0u) << "p=" << p;
+    // A non-finite u keeps the fixed base -(p - 1) and NaN weights.
+    std::vector<double> w(static_cast<std::size_t>(p));
+    EXPECT_EQ(bspline_weights(p, std::numeric_limits<double>::quiet_NaN(), w, {}),
+              -(p - 1));
+    EXPECT_TRUE(std::isnan(w[0]));
+  }
+}
+
+TEST(BSplineWeights, RejectsOrderAboveStackCapacity) {
+  std::vector<double> w(kMaxBsplineOrder + 2), d(w);
+  EXPECT_THROW(bspline_weights(kMaxBsplineOrder + 2, 0.5, w, d), std::invalid_argument);
+  EXPECT_THROW(bspline_weights_runtime_order(kMaxBsplineOrder + 1, 0.5, w, d),
+               std::invalid_argument);
+  EXPECT_THROW(bspline_weights_central(kMaxBsplineOrder + 2, 0.5, w, d),
+               std::invalid_argument);
+  EXPECT_THROW(bspline(kMaxBsplineOrder + 1, 0.5), std::invalid_argument);
+  EXPECT_NO_THROW(bspline_weights(kMaxBsplineOrder, 0.5, w, d));
+}
 
 TEST(BSplineCentral, SupportAndPeak) {
   EXPECT_EQ(bspline_central(6, -3.0), 0.0);
