@@ -28,11 +28,11 @@ enum class ConvAxis { kX = 0, kY = 1, kZ = 2 };
 // out[n] = sum_{|m| <= cutoff} k[m] * in[n - m]  along the chosen axis
 // (periodic).  in and out must have identical dims; in-place is not allowed.
 //
-// The inner loops run W grid elements at a time through the portable SIMD
-// layer (a periodically padded copy of each x-line for the x axis,
-// contiguous x-rows for y/z); every element sees the same fma chain over the
-// taps in the same order in both instantiations, so TME_SIMD=scalar and
-// native are bitwise identical.  The 4-argument form follows the TME_SIMD
+// The passes run on the shared row engine (grid/axis_taps.hpp), W grid
+// elements at a time (a periodically padded copy of each x-line for the x
+// axis, contiguous x-rows for y/z); every element sees the same fma chain
+// over the taps in the same order in both instantiations, so TME_SIMD=scalar
+// and native are bitwise identical.  The 4-argument form follows the TME_SIMD
 // environment knob; pass an explicit mode for A/B parity tests and benches.
 void convolve_axis(const Grid3d& in, const Kernel1d& kernel, ConvAxis axis,
                    Grid3d& out);

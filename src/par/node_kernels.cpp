@@ -2,7 +2,10 @@
 
 #include <stdexcept>
 
+#include "grid/axis_taps.hpp"
+#include "grid/transfer.hpp"
 #include "spline/bspline.hpp"
+#include "util/parallel.hpp"
 
 namespace tme::par {
 
@@ -19,99 +22,127 @@ long unwrap_base(int p, long base, long lo, long hi, long period) {
   return base;
 }
 
+// CA/BI keep their stencil weights in arrays sized for the largest order
+// the B-spline code accepts.
+void check_order(int p) {
+  if (p < 2 || p > kMaxBsplineOrder) {
+    throw std::invalid_argument("parallel CA/BI: spline order out of range");
+  }
+}
+
+// Offset of global cell (gx, gy, gz) in a block's data.
+std::size_t cell_index(const ExtendedBlock& b, long gx, long gy, long gz) {
+  return (static_cast<std::size_t>(gz - b.z0) * b.ny + static_cast<std::size_t>(gy - b.y0)) *
+             b.nx +
+         static_cast<std::size_t>(gx - b.x0);
+}
+
+// Workers never touch the process-wide pool (a forked child inherits it with
+// dead threads); a zero-worker pool runs every pass on the calling thread.
+ThreadPool& serial_pool() {
+  static ThreadPool pool(0);
+  return pool;
+}
+
+// Maps a global index along one axis to its index in a halo starting at h0
+// with `extent` cells; a halo that does not cover the stencil is a
+// malformed task.
+auto halo_index(long h0, std::size_t extent) {
+  return [h0, extent](long g) {
+    if (g < h0 || g - h0 >= static_cast<long>(extent)) {
+      throw std::invalid_argument("node kernel: halo does not cover the stencil");
+    }
+    return static_cast<std::size_t>(g - h0);
+  };
+}
+
+// The x, y and z passes of a separable two-scale stencil from the halo to
+// the block of extents `out_dims` at origin (ox, oy, oz).  make_taps(o,
+// n_out, h0, extent) tabulates one axis: n_out outputs from block origin o
+// over a halo starting at h0 with `extent` cells.
+template <typename MakeTaps>
+Grid3d separable_block(const ExtendedBlock& halo, long ox, long oy, long oz,
+                       const GridDims& out_dims, simd::Mode mode,
+                       const MakeTaps& make_taps) {
+  ThreadPool& pool = serial_pool();
+  Grid3d tmp_x(GridDims{out_dims.nx, halo.ny, halo.nz});
+  taps_pass_x(halo.data.data(), halo.nx, halo.ny * halo.nz,
+              make_taps(ox, out_dims.nx, halo.x0, halo.nx), tmp_x.data(), mode, pool);
+  Grid3d tmp_y(GridDims{out_dims.nx, out_dims.ny, halo.nz});
+  taps_pass_yz(tmp_x.data(), tmp_x.dims(), 1,
+               make_taps(oy, out_dims.ny, halo.y0, halo.ny), tmp_y.data(), mode, pool);
+  Grid3d out(out_dims);
+  taps_pass_yz(tmp_y.data(), tmp_y.dims(), 2,
+               make_taps(oz, out_dims.nz, halo.z0, halo.nz), out.data(), mode, pool);
+  return out;
+}
+
 }  // namespace
 
 Grid3d restrict_block(const ExtendedBlock& halo, long ox, long oy, long oz,
                       const GridDims& out_dims, int p,
-                      std::span<const double> j_coeff) {
-  const int half_p = p / 2;
-  Grid3d out(out_dims);
-  for (std::size_t mz = 0; mz < out_dims.nz; ++mz) {
-    for (std::size_t my = 0; my < out_dims.ny; ++my) {
-      for (std::size_t mx = 0; mx < out_dims.nx; ++mx) {
-        const long gx = 2 * (ox + static_cast<long>(mx));
-        const long gy = 2 * (oy + static_cast<long>(my));
-        const long gz = 2 * (oz + static_cast<long>(mz));
-        double acc = 0.0;
-        for (int kz = -half_p; kz <= half_p; ++kz) {
-          const double jz = j_coeff[static_cast<std::size_t>(kz + half_p)];
-          for (int ky = -half_p; ky <= half_p; ++ky) {
-            const double jyz = jz * j_coeff[static_cast<std::size_t>(ky + half_p)];
-            for (int kx = -half_p; kx <= half_p; ++kx) {
-              acc += jyz * j_coeff[static_cast<std::size_t>(kx + half_p)] *
-                     halo.at(gx + kx, gy + ky, gz + kz);
-            }
-          }
-        }
-        out.at(mx, my, mz) = acc;
-      }
-    }
+                      std::span<const double> j_coeff, simd::Mode mode) {
+  if (j_coeff.size() != static_cast<std::size_t>(p + 1)) {
+    throw std::invalid_argument("restrict_block: j_coeff must hold p + 1 taps");
   }
-  return out;
+  return separable_block(halo, ox, oy, oz, out_dims, mode,
+                         [&](long o, std::size_t n_out, long h0, std::size_t extent) {
+                           return restriction_taps(j_coeff, o, n_out,
+                                                   halo_index(h0, extent));
+                         });
 }
 
 Grid3d prolong_block(const ExtendedBlock& halo, long ox, long oy, long oz,
                      const GridDims& out_dims, int p,
-                     std::span<const double> j_coeff) {
-  const int half_p = p / 2;
-  Grid3d out(out_dims);
-  for (std::size_t fz = 0; fz < out_dims.nz; ++fz) {
-    for (std::size_t fy = 0; fy < out_dims.ny; ++fy) {
-      for (std::size_t fx = 0; fx < out_dims.nx; ++fx) {
-        const long gx = ox + static_cast<long>(fx);
-        const long gy = oy + static_cast<long>(fy);
-        const long gz = oz + static_cast<long>(fz);
-        double acc = 0.0;
-        for (int kz = -half_p; kz <= half_p; ++kz) {
-          if (((gz - kz) & 1L) != 0) continue;
-          const long mz = (gz - kz) / 2;
-          const double jz = j_coeff[static_cast<std::size_t>(kz + half_p)];
-          for (int ky = -half_p; ky <= half_p; ++ky) {
-            if (((gy - ky) & 1L) != 0) continue;
-            const long my = (gy - ky) / 2;
-            const double jyz = jz * j_coeff[static_cast<std::size_t>(ky + half_p)];
-            for (int kx = -half_p; kx <= half_p; ++kx) {
-              if (((gx - kx) & 1L) != 0) continue;
-              const long mx = (gx - kx) / 2;
-              acc += jyz * j_coeff[static_cast<std::size_t>(kx + half_p)] *
-                     halo.at(mx, my, mz);
-            }
-          }
-        }
-        out.at(fx, fy, fz) = acc;
-      }
-    }
+                     std::span<const double> j_coeff, simd::Mode mode) {
+  if (j_coeff.size() != static_cast<std::size_t>(p + 1)) {
+    throw std::invalid_argument("prolong_block: j_coeff must hold p + 1 taps");
   }
-  return out;
+  return separable_block(halo, ox, oy, oz, out_dims, mode,
+                         [&](long o, std::size_t n_out, long h0, std::size_t extent) {
+                           return prolongation_taps(j_coeff, o, n_out,
+                                                    halo_index(h0, extent));
+                         });
 }
 
 Grid3d convolve_block_axis(const ExtendedBlock& halo, long ox, long oy, long oz,
                            const GridDims& out_dims, int axis, long reach,
-                           std::size_t n_axis, const Kernel1d& kernel) {
-  Grid3d out(out_dims);
-  for (std::size_t lz = 0; lz < out_dims.nz; ++lz) {
-    for (std::size_t ly = 0; ly < out_dims.ny; ++ly) {
-      for (std::size_t lx = 0; lx < out_dims.nx; ++lx) {
-        const long gx = ox + static_cast<long>(lx);
-        const long gy = oy + static_cast<long>(ly);
-        const long gz = oz + static_cast<long>(lz);
-        double acc = 0.0;
-        for (int m = -kernel.cutoff; m <= kernel.cutoff; ++m) {
-          // Fold taps beyond the clamped halo into the period.
-          long sx = gx, sy = gy, sz = gz;
-          long off = -m;
-          if (off > reach) off -= static_cast<long>(n_axis);
-          if (off < -reach) off += static_cast<long>(n_axis);
-          switch (axis) {
-            case 0: sx += off; break;
-            case 1: sy += off; break;
-            default: sz += off; break;
-          }
-          acc += kernel.tap(m) * halo.at(sx, sy, sz);
-        }
-        out.at(lx, ly, lz) = acc;
-      }
+                           std::size_t n_axis, const Kernel1d& kernel,
+                           simd::Mode mode) {
+  if (axis < 0 || axis > 2) {
+    throw std::invalid_argument("convolve_block_axis: axis must be 0, 1 or 2");
+  }
+  const long origin[3] = {ox, oy, oz};
+  const long h0[3] = {halo.x0, halo.y0, halo.z0};
+  const std::size_t extent[3] = {halo.nx, halo.ny, halo.nz};
+  const std::size_t n_out[3] = {out_dims.nx, out_dims.ny, out_dims.nz};
+  for (int a = 0; a < 3; ++a) {
+    if (a != axis && extent[a] != n_out[a]) {
+      throw std::invalid_argument("convolve_block_axis: halo and block extents differ");
     }
+  }
+  // Output g reads g - m, m ascending, with offsets beyond the clamped reach
+  // folded into the level period.
+  const auto index = halo_index(h0[axis], extent[axis]);
+  AxisTaps t;
+  t.reserve(n_out[axis], kernel.taps.size());
+  for (long g = origin[axis]; g < origin[axis] + static_cast<long>(n_out[axis]); ++g) {
+    t.start_output();
+    for (int m = -kernel.cutoff; m <= kernel.cutoff; ++m) {
+      long off = -m;
+      if (off > reach) off -= static_cast<long>(n_axis);
+      if (off < -reach) off += static_cast<long>(n_axis);
+      t.add(kernel.tap(m), index(g + off));
+    }
+  }
+  t.finish();
+  Grid3d out(out_dims);
+  if (axis == 0) {
+    taps_pass_x(halo.data.data(), halo.nx, halo.ny * halo.nz, t, out.data(), mode,
+                serial_pool());
+  } else {
+    taps_pass_yz(halo.data.data(), {halo.nx, halo.ny, halo.nz}, axis, t, out.data(), mode,
+                 serial_pool());
   }
   return out;
 }
@@ -121,29 +152,31 @@ ExtendedBlock ca_spread_block(std::span<const Vec3> positions,
                               const Vec3& h, int p, long x0, long y0, long z0,
                               std::size_t ex, std::size_t ey, std::size_t ez,
                               const GridDims& global) {
+  check_order(p);
   ExtendedBlock buffer;
   buffer.reset(x0, y0, z0, ex, ey, ez);
-  std::vector<double> wx(static_cast<std::size_t>(p)), wy(wx), wz(wx);
+  const std::size_t np = static_cast<std::size_t>(p);
+  double wx[kMaxBsplineOrder] = {}, wy[kMaxBsplineOrder] = {}, wz[kMaxBsplineOrder] = {};
   for (std::size_t i = 0; i < positions.size(); ++i) {
     const Vec3 u = hadamard_div(box.wrap(positions[i]), h);
-    long mx0 = bspline_weights_central(p, u.x, wx, {});
-    long my0 = bspline_weights_central(p, u.y, wy, {});
-    long mz0 = bspline_weights_central(p, u.z, wz, {});
-    mx0 = unwrap_base(p, mx0, buffer.x0, buffer.x0 + static_cast<long>(buffer.nx),
-                      static_cast<long>(global.nx));
-    my0 = unwrap_base(p, my0, buffer.y0, buffer.y0 + static_cast<long>(buffer.ny),
-                      static_cast<long>(global.ny));
-    mz0 = unwrap_base(p, mz0, buffer.z0, buffer.z0 + static_cast<long>(buffer.nz),
-                      static_cast<long>(global.nz));
-    const double qi = charges[i];
+    const long mx0 = unwrap_base(p, bspline_weights_central(p, u.x, {wx, np}, {}),
+                                 buffer.x0, buffer.x0 + static_cast<long>(buffer.nx),
+                                 static_cast<long>(global.nx));
+    const long my0 = unwrap_base(p, bspline_weights_central(p, u.y, {wy, np}, {}),
+                                 buffer.y0, buffer.y0 + static_cast<long>(buffer.ny),
+                                 static_cast<long>(global.ny));
+    const long mz0 = unwrap_base(p, bspline_weights_central(p, u.z, {wz, np}, {}),
+                                 buffer.z0, buffer.z0 + static_cast<long>(buffer.nz),
+                                 static_cast<long>(global.nz));
+    // The stencil's x-rows are contiguous p-runs of the buffer, spread with
+    // the fma ChargeAssigner applies to each grid point.
+    const double q = charges[i];
     for (int kz = 0; kz < p; ++kz) {
-      const double qz = qi * wz[static_cast<std::size_t>(kz)];
+      const double qz = q * wz[kz];
       for (int ky = 0; ky < p; ++ky) {
-        const double qyz = qz * wy[static_cast<std::size_t>(ky)];
-        for (int kx = 0; kx < p; ++kx) {
-          buffer.at(mx0 + kx, my0 + ky, mz0 + kz) +=
-              qyz * wx[static_cast<std::size_t>(kx)];
-        }
+        const double qyz = qz * wy[ky];
+        double* row = &buffer.data[cell_index(buffer, mx0, my0 + ky, mz0 + kz)];
+        for (int kx = 0; kx < p; ++kx) row[kx] = simd::fma1(qyz, wx[kx], row[kx]);
       }
     }
   }
@@ -155,44 +188,51 @@ BiBlockResult bi_interpolate_block(const ExtendedBlock& halo,
                                    std::span<const double> charges,
                                    const Box& box, const Vec3& h, int p,
                                    const GridDims& global) {
+  check_order(p);
   BiBlockResult res;
   res.forces.assign(positions.size(), Vec3{});
-  std::vector<double> wx(static_cast<std::size_t>(p)), wy(wx), wz(wx);
-  std::vector<double> dx(wx), dy(wx), dz(wx);
+  const std::size_t np = static_cast<std::size_t>(p);
+  double wx[kMaxBsplineOrder] = {}, wy[kMaxBsplineOrder] = {}, wz[kMaxBsplineOrder] = {};
+  double dx[kMaxBsplineOrder] = {}, dy[kMaxBsplineOrder] = {}, dz[kMaxBsplineOrder] = {};
   for (std::size_t i = 0; i < positions.size(); ++i) {
     const Vec3 u = hadamard_div(box.wrap(positions[i]), h);
-    long mx0 = bspline_weights_central(p, u.x, wx, dx);
-    long my0 = bspline_weights_central(p, u.y, wy, dy);
-    long mz0 = bspline_weights_central(p, u.z, wz, dz);
-    mx0 = unwrap_base(p, mx0, halo.x0, halo.x0 + static_cast<long>(halo.nx),
-                      static_cast<long>(global.nx));
-    my0 = unwrap_base(p, my0, halo.y0, halo.y0 + static_cast<long>(halo.ny),
-                      static_cast<long>(global.ny));
-    mz0 = unwrap_base(p, mz0, halo.z0, halo.z0 + static_cast<long>(halo.nz),
-                      static_cast<long>(global.nz));
-    double phi_i = 0.0;
-    Vec3 grad{};
+    const long mx0 = unwrap_base(p, bspline_weights_central(p, u.x, {wx, np}, {dx, np}),
+                                 halo.x0, halo.x0 + static_cast<long>(halo.nx),
+                                 static_cast<long>(global.nx));
+    const long my0 = unwrap_base(p, bspline_weights_central(p, u.y, {wy, np}, {dy, np}),
+                                 halo.y0, halo.y0 + static_cast<long>(halo.ny),
+                                 static_cast<long>(global.ny));
+    const long mz0 = unwrap_base(p, bspline_weights_central(p, u.z, {wz, np}, {dz, np}),
+                                 halo.z0, halo.z0 + static_cast<long>(halo.nz),
+                                 static_cast<long>(global.nz));
+    // ChargeAssigner's scheme: accumulate the stencil's contiguous x-rows
+    // element-wise into a = sum vy vz row, b = sum gy vz row and
+    // c = sum vy gz row, then dot them against wx/dx in fixed order.
+    double a[kMaxBsplineOrder] = {}, b[kMaxBsplineOrder] = {}, c[kMaxBsplineOrder] = {};
     for (int kz = 0; kz < p; ++kz) {
       for (int ky = 0; ky < p; ++ky) {
-        double line_v = 0.0, line_d = 0.0;
-        for (int kx = 0; kx < p; ++kx) {
-          const double pm = halo.at(mx0 + kx, my0 + ky, mz0 + kz);
-          line_v += pm * wx[static_cast<std::size_t>(kx)];
-          line_d += pm * dx[static_cast<std::size_t>(kx)];
+        const double* row = &halo.data[cell_index(halo, mx0, my0 + ky, mz0 + kz)];
+        const double sa = wy[ky] * wz[kz];
+        const double sb = dy[ky] * wz[kz];
+        const double sc = wy[ky] * dz[kz];
+        for (int k = 0; k < p; ++k) {
+          a[k] = simd::fma1(sa, row[k], a[k]);
+          b[k] = simd::fma1(sb, row[k], b[k]);
+          c[k] = simd::fma1(sc, row[k], c[k]);
         }
-        const double vy = wy[static_cast<std::size_t>(ky)];
-        const double gy = dy[static_cast<std::size_t>(ky)];
-        const double vz = wz[static_cast<std::size_t>(kz)];
-        const double gz = dz[static_cast<std::size_t>(kz)];
-        phi_i += line_v * vy * vz;
-        grad.x += line_d * vy * vz;
-        grad.y += line_v * gy * vz;
-        grad.z += line_v * vy * gz;
       }
     }
-    res.q_phi += charges[i] * phi_i;
-    res.forces[i] = {-charges[i] * grad.x / h.x, -charges[i] * grad.y / h.y,
-                     -charges[i] * grad.z / h.z};
+    double phi = 0.0;
+    Vec3 grad{};  // d phi / d u (grid units)
+    for (int k = 0; k < p; ++k) {
+      phi = simd::fma1(a[k], wx[k], phi);
+      grad.x = simd::fma1(a[k], dx[k], grad.x);
+      grad.y = simd::fma1(b[k], wx[k], grad.y);
+      grad.z = simd::fma1(c[k], wx[k], grad.z);
+    }
+    const double q = charges[i];
+    res.q_phi += q * phi;
+    res.forces[i] = {-q * grad.x / h.x, -q * grad.y / h.y, -q * grad.z / h.z};
   }
   return res;
 }

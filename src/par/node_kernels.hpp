@@ -9,8 +9,18 @@
 // worker thread, or in a forked worker process and still produce bitwise
 // identical results: the same function over the same bytes.
 //
-// Workers deliberately avoid the thread pool (a forked child inherits dead
-// pool threads), so everything here is plain scalar loops.
+// The grid kernels are the inline stencils' separable passes: each task
+// tabulates its (weight, halo-relative source) taps per axis — prolongation
+// only the taps of each output's parity, the convolution with out-of-reach
+// offsets folded into the period — and runs them through the shared row
+// engine (grid/axis_taps.hpp).  Over a halo that covers the whole period a
+// block therefore equals the same cells of restrict_grid / prolong_grid /
+// convolve_axis bit for bit.  CA and BI step each stencil x-row
+// contiguously with the fma scheme of ChargeAssigner on stack arrays.
+// Workers deliberately avoid the process-wide thread pool (a forked child
+// inherits dead pool threads): the passes run on a zero-worker ThreadPool,
+// i.e. serially on the calling thread.  Every kernel is bitwise invariant
+// under TME_SIMD, which workers inherit from the coordinator's environment.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +29,7 @@
 
 #include "grid/grid3d.hpp"
 #include "grid/separable_conv.hpp"
+#include "util/simd.hpp"
 #include "util/vec3.hpp"
 
 namespace tme::par {
@@ -53,24 +64,31 @@ struct ExtendedBlock {
   }
 };
 
+// The three grid kernels throw std::invalid_argument when the halo does not
+// cover the stencil of the requested block.  `mode` picks the row engine's
+// instantiation (default: TME_SIMD); the result does not depend on it.
+
 // Restriction: coarse cell m at global (ox+mx, ...) accumulates fine cells
 // 2m +- p/2 through the two-scale J stencil.  `halo` is the fine-grid halo
 // buffer; `out_dims` the coarse local block.
 Grid3d restrict_block(const ExtendedBlock& halo, long ox, long oy, long oz,
                       const GridDims& out_dims, int p,
-                      std::span<const double> j_coeff);
+                      std::span<const double> j_coeff,
+                      simd::Mode mode = simd::mode_from_env());
 
 // Prolongation: fine cell g draws coarse cells m with g = 2m + k, |k| <= p/2
 // (parity-guarded).  `halo` is the coarse-grid halo buffer.
 Grid3d prolong_block(const ExtendedBlock& halo, long ox, long oy, long oz,
                      const GridDims& out_dims, int p,
-                     std::span<const double> j_coeff);
+                     std::span<const double> j_coeff,
+                     simd::Mode mode = simd::mode_from_env());
 
 // One axis pass of the separable level convolution over a slab halo, with
 // taps beyond the clamped reach folded into the level period n_axis.
 Grid3d convolve_block_axis(const ExtendedBlock& halo, long ox, long oy, long oz,
                            const GridDims& out_dims, int axis, long reach,
-                           std::size_t n_axis, const Kernel1d& kernel);
+                           std::size_t n_axis, const Kernel1d& kernel,
+                           simd::Mode mode = simd::mode_from_env());
 
 // Charge assignment: spread `positions`/`charges` (one node's atoms) into a
 // sleeved buffer with the given origin/extents.  Throws std::logic_error when

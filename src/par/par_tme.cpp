@@ -8,136 +8,11 @@
 #include "ewald/splitting.hpp"
 #include "grid/multilevel.hpp"
 #include "obs/metrics.hpp"
+#include "par/halo.hpp"
 #include "spline/bspline.hpp"
 #include "spline/two_scale.hpp"
 
 namespace tme::par {
-
-namespace {
-
-// Degraded-machine context threaded through the traffic helpers: an optional
-// host remapping for dead nodes plus the corruption stream retransmissions
-// are drawn from.  Default-constructed = healthy machine.
-struct FaultContext {
-  const RecoveryPlan* plan = nullptr;
-  const FaultInjector* faults = nullptr;
-  hw::LinkTelemetry* links = nullptr;
-};
-
-// Log one logical message, mapped through the recovery plan (if any) and
-// charged for CRC-detected retransmissions drawn from the corruption stream
-// (if any).  Messages between blocks that now share a surviving host become
-// node-local and are dropped from the log.
-void log_transfer(TrafficLog* log, const std::string& phase, std::size_t words,
-                  std::size_t from, std::size_t to, const TorusTopology& topo,
-                  const FaultContext& ctx) {
-  std::size_t hops;
-  std::size_t host_from = from;
-  std::size_t host_to = to;
-  if (ctx.plan != nullptr) {
-    host_from = ctx.plan->host(from);
-    host_to = ctx.plan->host(to);
-    if (host_from == host_to) return;
-    hops = ctx.plan->hops(from, to);
-    if (ctx.plan->rerouted(from, to)) {
-      TME_COUNTER_ADD("par_tme/rerouted_messages", 1);
-    }
-  } else {
-    hops = topo.hops(topo.coord(from), topo.coord(to));
-  }
-  log->add(phase, 1, words, hops);
-  if (ctx.links != nullptr) {
-    ctx.links->record_transfer(host_from, host_to, words * 4);
-  }
-  if (ctx.faults != nullptr && ctx.faults->config().link_error_rate > 0.0) {
-    std::size_t retries = 0;
-    const auto max_retries =
-        static_cast<std::size_t>(ctx.faults->config().max_retries);
-    while (retries < max_retries && ctx.faults->attempt_corrupted(hops)) {
-      ++retries;
-    }
-    if (retries > 0) {
-      log->add("fault retransmission", retries, retries * words, hops);
-      TME_COUNTER_ADD("par_tme/nw_retries", retries);
-      if (ctx.links != nullptr) {
-        ctx.links->record_transfer(host_from, host_to, retries * words * 4,
-                                   retries);
-      }
-    }
-  }
-}
-
-// Fill a node's extended buffer from the distributed grid; every cell that
-// lives on another node is a received word.  Messages are grouped by source
-// node, hops measured on the torus.
-void import_halo(const DistributedGrid& grid, const GridDecomposition& decomp,
-                 const NodeCoord& me, ExtendedBlock& buffer,
-                 const std::string& phase, TrafficLog* log,
-                 const FaultContext& ctx = {}) {
-  const GridDims& local = decomp.local();
-  const TorusTopology& topo = decomp.topology();
-  const std::size_t me_idx = topo.index(me);
-  std::vector<std::size_t> words_from(topo.node_count(), 0);
-
-  for (long gz = buffer.z0; gz < buffer.z0 + static_cast<long>(buffer.nz); ++gz) {
-    for (long gy = buffer.y0; gy < buffer.y0 + static_cast<long>(buffer.ny); ++gy) {
-      for (long gx = buffer.x0; gx < buffer.x0 + static_cast<long>(buffer.nx); ++gx) {
-        const NodeCoord src = decomp.owner(gx, gy, gz);
-        const std::size_t src_idx = topo.index(src);
-        const Grid3d& blk = grid.block(src_idx);
-        const std::size_t lx = Grid3d::wrap(gx, decomp.global().nx) % local.nx;
-        const std::size_t ly = Grid3d::wrap(gy, decomp.global().ny) % local.ny;
-        const std::size_t lz = Grid3d::wrap(gz, decomp.global().nz) % local.nz;
-        buffer.at(gx, gy, gz) = blk.at(lx, ly, lz);
-        if (src_idx != me_idx) ++words_from[src_idx];
-      }
-    }
-  }
-  if (log != nullptr) {
-    for (std::size_t src = 0; src < words_from.size(); ++src) {
-      if (words_from[src] == 0) continue;
-      log_transfer(log, phase, words_from[src], src, me_idx, topo, ctx);
-    }
-  }
-}
-
-// Scatter-accumulate a node's sleeved buffer back into the distributed grid
-// (used by CA: contributions written outside the owned block travel to the
-// neighbour that owns them).
-void export_sleeves(DistributedGrid& grid, const GridDecomposition& decomp,
-                    const NodeCoord& me, const ExtendedBlock& buffer,
-                    const std::string& phase, TrafficLog* log,
-                    const FaultContext& ctx = {}) {
-  const GridDims& local = decomp.local();
-  const TorusTopology& topo = decomp.topology();
-  const std::size_t me_idx = topo.index(me);
-  std::vector<std::size_t> words_to(topo.node_count(), 0);
-
-  for (long gz = buffer.z0; gz < buffer.z0 + static_cast<long>(buffer.nz); ++gz) {
-    for (long gy = buffer.y0; gy < buffer.y0 + static_cast<long>(buffer.ny); ++gy) {
-      for (long gx = buffer.x0; gx < buffer.x0 + static_cast<long>(buffer.nx); ++gx) {
-        const double v = buffer.at(gx, gy, gz);
-        if (v == 0.0) continue;
-        const NodeCoord dst = decomp.owner(gx, gy, gz);
-        const std::size_t dst_idx = topo.index(dst);
-        Grid3d& blk = grid.block(dst_idx);
-        const std::size_t lx = Grid3d::wrap(gx, decomp.global().nx) % local.nx;
-        const std::size_t ly = Grid3d::wrap(gy, decomp.global().ny) % local.ny;
-        const std::size_t lz = Grid3d::wrap(gz, decomp.global().nz) % local.nz;
-        blk.at(lx, ly, lz) += v;
-        if (dst_idx != me_idx) ++words_to[dst_idx];
-      }
-    }
-  }
-  if (log != nullptr) {
-    for (std::size_t dst = 0; dst < words_to.size(); ++dst) {
-      if (words_to[dst] == 0) continue;
-      log_transfer(log, phase, words_to[dst], me_idx, dst, topo, ctx);
-    }
-  }
-}
-
-}  // namespace
 
 // --- DistributedGrid ---------------------------------------------------------
 
@@ -149,15 +24,16 @@ DistributedGrid::DistributedGrid(const GridDecomposition& decomp)
 Grid3d DistributedGrid::assemble() const {
   const GridDecomposition& d = *decomp_;
   Grid3d out(d.global());
+  const GridDims& g = d.global();
   const GridDims& local = d.local();
   for (std::size_t n = 0; n < blocks_.size(); ++n) {
     const NodeCoord c = d.topology().coord(n);
+    const double* src = blocks_[n].data();
     for (std::size_t lz = 0; lz < local.nz; ++lz) {
-      for (std::size_t ly = 0; ly < local.ny; ++ly) {
-        for (std::size_t lx = 0; lx < local.nx; ++lx) {
-          out.at(d.origin_x(c) + lx, d.origin_y(c) + ly, d.origin_z(c) + lz) =
-              blocks_[n].at(lx, ly, lz);
-        }
+      for (std::size_t ly = 0; ly < local.ny; ++ly, src += local.nx) {
+        std::copy(src, src + local.nx,
+                  out.data() + ((d.origin_z(c) + lz) * g.ny + d.origin_y(c) + ly) * g.nx +
+                      d.origin_x(c));
       }
     }
   }
@@ -170,16 +46,18 @@ DistributedGrid DistributedGrid::distribute(const Grid3d& global,
     throw std::invalid_argument("DistributedGrid::distribute: dims mismatch");
   }
   DistributedGrid out(decomp);
+  const GridDims& g = decomp.global();
   const GridDims& local = decomp.local();
   for (std::size_t n = 0; n < out.node_count(); ++n) {
     const NodeCoord c = decomp.topology().coord(n);
+    double* dst = out.block(n).data();
     for (std::size_t lz = 0; lz < local.nz; ++lz) {
-      for (std::size_t ly = 0; ly < local.ny; ++ly) {
-        for (std::size_t lx = 0; lx < local.nx; ++lx) {
-          out.block(n).at(lx, ly, lz) = global.at(decomp.origin_x(c) + lx,
-                                                  decomp.origin_y(c) + ly,
-                                                  decomp.origin_z(c) + lz);
-        }
+      for (std::size_t ly = 0; ly < local.ny; ++ly, dst += local.nx) {
+        const double* src =
+            global.data() +
+            ((decomp.origin_z(c) + lz) * g.ny + decomp.origin_y(c) + ly) * g.nx +
+            decomp.origin_x(c);
+        std::copy(src, src + local.nx, dst);
       }
     }
   }

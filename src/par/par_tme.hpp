@@ -16,7 +16,8 @@
 // The level loop is the one multilevel driver (grid/multilevel.hpp) over
 // DistributedGrid; this file supplies its stage bodies, which build the
 // per-node tasks above.  The coordinator owns every distributed grid and the
-// traffic log; the per-node compute is batched through a NodeExecutor
+// traffic log, and stages each task's halo (par/halo.hpp); the per-node
+// compute is batched through a NodeExecutor
 // (par/executor.hpp), so the same pipeline runs inline (SerialExecutor, the
 // default) or across real worker processes (par/fleet.hpp) with bitwise
 // identical results.

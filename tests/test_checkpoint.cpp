@@ -1,5 +1,6 @@
 // Checkpoint write/restore (CRC-validated, bitwise resume), the numerical
 // guardrail checks, and the guarded step driver's escalation ladder.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -39,6 +40,61 @@ TEST(Crc32, IncrementalUpdateEqualsOneShot) {
   crc = crc32_update(crc, digits, 4);
   crc = crc32_update(crc, digits + 4, 5);
   EXPECT_EQ(crc, 0xCBF43926u);
+}
+
+// The byte-at-a-time table loop the sliced crc32_update must reproduce.
+std::uint32_t crc32_bytewise(std::uint32_t crc, const unsigned char* p,
+                             std::size_t len) {
+  static const std::vector<std::uint32_t> table = [] {
+    std::vector<std::uint32_t> t(256);
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  crc ^= 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.next_u64() & 0xFFu);
+  return bytes;
+}
+
+TEST(Crc32, SlicedEqualsBytewiseAtEveryLengthAndAlignment) {
+  const std::vector<unsigned char> buf = random_bytes(4099 + 16, 11);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 4099; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(crc32(p, len), crc32_bytewise(0, p, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, ChainedUpdatesAtRandomSplitsEqualOneShot) {
+  Rng rng(12);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng.next_u64() % 5000);
+    const std::vector<unsigned char> buf =
+        random_bytes(n, 100 + static_cast<std::uint64_t>(trial));
+    const std::uint32_t whole = crc32_bytewise(0, buf.data(), n);
+    ASSERT_EQ(crc32(buf.data(), n), whole);
+    std::uint32_t crc = 0;
+    std::size_t at = 0;
+    while (at < n) {
+      const std::size_t piece =
+          std::min<std::size_t>(n - at, rng.next_u64() % 97);
+      crc = crc32_update(crc, buf.data() + at, piece);
+      at += piece;
+    }
+    EXPECT_EQ(crc, whole) << "trial " << trial << " n " << n;
+  }
 }
 
 // --- checkpoint I/O ----------------------------------------------------------

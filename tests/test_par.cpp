@@ -1,4 +1,7 @@
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,6 +10,7 @@
 #include "core/tme.hpp"
 #include "ewald/splitting.hpp"
 #include "par/decomposition.hpp"
+#include "par/halo.hpp"
 #include "par/par_tme.hpp"
 #include "grid/separable_conv.hpp"
 #include "par/traffic.hpp"
@@ -85,14 +89,26 @@ TEST(Decomposition, AtomAssignmentCoversAllNodesUniformly) {
 }
 
 TEST(DistributedGrid, DistributeAssembleRoundTrip) {
-  const TorusTopology topo(2, 2, 2);
-  const GridDecomposition d({16, 16, 16}, topo);
-  Grid3d g(d.global());
-  Rng rng(4);
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] = rng.uniform(-1.0, 1.0);
-  const DistributedGrid dist = DistributedGrid::distribute(g, d);
-  const Grid3d back = dist.assemble();
-  for (std::size_t i = 0; i < g.size(); ++i) EXPECT_EQ(back[i], g[i]);
+  for (const auto& [dims, topo] : {std::pair{GridDims{16, 16, 16}, TorusTopology(2, 2, 2)},
+                                   std::pair{GridDims{16, 8, 8}, TorusTopology(4, 2, 2)}}) {
+    const GridDecomposition d(dims, topo);
+    Grid3d g(d.global());
+    Rng rng(4);
+    for (std::size_t i = 0; i < g.size(); ++i) g[i] = rng.uniform(-1.0, 1.0);
+    const DistributedGrid dist = DistributedGrid::distribute(g, d);
+    // Every block holds the cells of its node's origin.
+    const GridDims& l = d.local();
+    for (std::size_t n = 0; n < topo.node_count(); ++n) {
+      const NodeCoord c = topo.coord(n);
+      for (std::size_t i = 0; i < l.total(); ++i) {
+        const std::size_t lx = i % l.nx, ly = i / l.nx % l.ny, lz = i / (l.nx * l.ny);
+        ASSERT_EQ(dist.block(n).at(lx, ly, lz),
+                  g.at(d.origin_x(c) + lx, d.origin_y(c) + ly, d.origin_z(c) + lz));
+      }
+    }
+    const Grid3d back = dist.assemble();
+    for (std::size_t i = 0; i < g.size(); ++i) EXPECT_EQ(back[i], g[i]);
+  }
 }
 
 // --- traffic log -------------------------------------------------------------
@@ -336,6 +352,142 @@ TEST(ParallelTmeTwoLevel, MatchesSerialWithDeeperHierarchy) {
   for (std::size_t i = 0; i < serial.forces.size(); ++i) {
     EXPECT_LT(norm(parallel.forces[i] - serial.forces[i]), 1e-8);
   }
+}
+
+// --- halo staging ------------------------------------------------------------
+
+// The per-cell staging loops the row-run import_halo/export_sleeves replace:
+// an owner lookup and three modulos per cell, words counted per peer and
+// logged in node order (healthy machine).
+void per_cell_import(const DistributedGrid& grid, const GridDecomposition& decomp,
+                     const NodeCoord& me, ExtendedBlock& buffer,
+                     const std::string& phase, TrafficLog* log) {
+  const GridDims& local = decomp.local();
+  const TorusTopology& topo = decomp.topology();
+  std::vector<std::size_t> words_from(topo.node_count(), 0);
+  for (long gz = buffer.z0; gz < buffer.z0 + static_cast<long>(buffer.nz); ++gz) {
+    for (long gy = buffer.y0; gy < buffer.y0 + static_cast<long>(buffer.ny); ++gy) {
+      for (long gx = buffer.x0; gx < buffer.x0 + static_cast<long>(buffer.nx); ++gx) {
+        const std::size_t src = topo.index(decomp.owner(gx, gy, gz));
+        buffer.at(gx, gy, gz) = grid.block(src).at(
+            Grid3d::wrap(gx, decomp.global().nx) % local.nx,
+            Grid3d::wrap(gy, decomp.global().ny) % local.ny,
+            Grid3d::wrap(gz, decomp.global().nz) % local.nz);
+        if (src != topo.index(me)) ++words_from[src];
+      }
+    }
+  }
+  for (std::size_t src = 0; src < words_from.size(); ++src) {
+    if (words_from[src] == 0) continue;
+    log->add(phase, 1, words_from[src], topo.hops(topo.coord(src), me));
+  }
+}
+
+void per_cell_export(DistributedGrid& grid, const GridDecomposition& decomp,
+                     const NodeCoord& me, const ExtendedBlock& buffer,
+                     const std::string& phase, TrafficLog* log) {
+  const GridDims& local = decomp.local();
+  const TorusTopology& topo = decomp.topology();
+  std::vector<std::size_t> words_to(topo.node_count(), 0);
+  for (long gz = buffer.z0; gz < buffer.z0 + static_cast<long>(buffer.nz); ++gz) {
+    for (long gy = buffer.y0; gy < buffer.y0 + static_cast<long>(buffer.ny); ++gy) {
+      for (long gx = buffer.x0; gx < buffer.x0 + static_cast<long>(buffer.nx); ++gx) {
+        const double v = buffer.at(gx, gy, gz);
+        if (v == 0.0) continue;
+        const std::size_t dst = topo.index(decomp.owner(gx, gy, gz));
+        grid.block(dst).at(Grid3d::wrap(gx, decomp.global().nx) % local.nx,
+                           Grid3d::wrap(gy, decomp.global().ny) % local.ny,
+                           Grid3d::wrap(gz, decomp.global().nz) % local.nz) += v;
+        if (dst != topo.index(me)) ++words_to[dst];
+      }
+    }
+  }
+  for (std::size_t dst = 0; dst < words_to.size(); ++dst) {
+    if (words_to[dst] == 0) continue;
+    log->add(phase, 1, words_to[dst], topo.hops(me, topo.coord(dst)));
+  }
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+void expect_same_log(const TrafficLog& a, const TrafficLog& b) {
+  ASSERT_EQ(a.phases().size(), b.phases().size());
+  for (std::size_t i = 0; i < a.phases().size(); ++i) {
+    const PhaseTraffic& x = a.phases()[i];
+    const PhaseTraffic& y = b.phases()[i];
+    EXPECT_EQ(x.phase, y.phase);
+    EXPECT_EQ(x.messages, y.messages) << x.phase;
+    EXPECT_EQ(x.words, y.words) << x.phase;
+    EXPECT_EQ(x.max_hops, y.max_hops) << x.phase;
+    EXPECT_EQ(x.word_hops, y.word_hops) << x.phase;
+  }
+}
+
+// Every node's buffer at its block origin minus `reach` on each side, plus a
+// few off-centre buffers with negative origins: the staging must match the
+// per-cell loops in values, accumulation order and traffic.
+void check_staging(GridDims level, const TorusTopology& topo, long reach,
+                   std::uint64_t seed) {
+  const GridDecomposition decomp(level, topo);
+  Rng rng(seed);
+  Grid3d values(level);
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = rng.uniform(-1.0, 1.0);
+  const DistributedGrid grid = DistributedGrid::distribute(values, decomp);
+  DistributedGrid sum_runs = DistributedGrid::distribute(values, decomp);
+  DistributedGrid sum_cells = DistributedGrid::distribute(values, decomp);
+  TrafficLog log_runs, log_cells;
+
+  const GridDims& local = decomp.local();
+  for (std::size_t n = 0; n < topo.node_count(); ++n) {
+    const NodeCoord me = topo.coord(n);
+    const long shift = static_cast<long>(n % 3) - 1;  // -1, 0, +1
+    std::vector<ExtendedBlock> buffers(2);
+    buffers[0].reset(static_cast<long>(decomp.origin_x(me)) - reach,
+                     static_cast<long>(decomp.origin_y(me)) - reach,
+                     static_cast<long>(decomp.origin_z(me)) - reach,
+                     local.nx + 2 * static_cast<std::size_t>(reach),
+                     local.ny + 2 * static_cast<std::size_t>(reach),
+                     local.nz + 2 * static_cast<std::size_t>(reach));
+    buffers[1].reset(-reach - 3 + shift, -2 * reach + shift, -1,
+                     level.nx + static_cast<std::size_t>(reach) + 5, 3,
+                     local.nz + static_cast<std::size_t>(reach));
+    for (ExtendedBlock& b : buffers) {
+      ExtendedBlock by_runs = b, by_cells = b;
+      import_halo(grid, decomp, me, by_runs, "import", &log_runs);
+      per_cell_import(grid, decomp, me, by_cells, "import", &log_cells);
+      EXPECT_TRUE(bitwise_equal(by_runs.data, by_cells.data)) << "node " << n;
+
+      // A sleeve buffer with exact zeros (not exported, not counted).
+      for (double& v : b.data) v = rng.uniform() < 0.3 ? 0.0 : rng.uniform(-1.0, 1.0);
+      export_sleeves(sum_runs, decomp, me, b, "export", &log_runs);
+      per_cell_export(sum_cells, decomp, me, b, "export", &log_cells);
+    }
+  }
+  for (std::size_t n = 0; n < topo.node_count(); ++n) {
+    EXPECT_TRUE(bitwise_equal(sum_runs.block(n).values(), sum_cells.block(n).values()))
+        << "node " << n;
+  }
+  expect_same_log(log_runs, log_cells);
+  if (topo.node_count() > 1) {
+    EXPECT_GT(log_runs.total_words(), 0u);
+  }
+}
+
+TEST(HaloStaging, RowRunsMatchPerCellLoops) {
+  check_staging({32, 32, 32}, TorusTopology(2, 2, 1), 4, 41);
+  check_staging({32, 32, 16}, TorusTopology(2, 2, 2), 3, 42);
+  check_staging({16, 32, 8}, TorusTopology(4, 2, 2), 1, 43);
+}
+
+TEST(HaloStaging, HalosWiderThanThePeriod) {
+  // A 16^3 level with reach 8: on 2x2x1 the z halo spans 32 cells of a
+  // 16-cell period; on 4x4x2 every axis halo wraps the level.
+  check_staging({16, 16, 16}, TorusTopology(2, 2, 1), 8, 44);
+  check_staging({16, 16, 16}, TorusTopology(4, 4, 2), 8, 45);
+  check_staging({8, 8, 8}, TorusTopology(1, 1, 1), 9, 46);
 }
 
 }  // namespace
