@@ -15,10 +15,12 @@
 // The schedule comes from --spec <file> (JSON, see chaos/schedule.hpp), from
 // the TME_CHAOS_* environment (TME_CHAOS_SURFACES=node,packet,io,... builds
 // a seeded random timeline), or defaults to a four-surface survivable mix.
-// --out <file> records the realized run as a replay file either way.  A
-// malformed spec exits 2 with the offending field named.  The spec is the
-// only way to arm a fault: worker drills ("crash"/"hang"/"delay"), packet
-// loss, node/link kills, SDC bursts and checkpoint IO faults all live there.
+// --out <file> records the realized run as a replay file either way.  An
+// unreadable spec file exits 2, a malformed spec exits 2 with the offending
+// field named, and a replay file that cannot be written exits 1.  The spec
+// is the only way to arm a fault: worker drills ("crash"/"hang"/"delay"),
+// packet loss, node/link kills, SDC bursts and checkpoint IO faults all live
+// there.
 //
 // Typical CI invocations:
 //   TME_CHAOS_SURFACES=node,packet,worker,io TME_CHAOS_SEED=7 ./chaos_drill
@@ -37,6 +39,7 @@
 #include "obs/status.hpp"
 #include "obs/trace.hpp"
 #include "util/args.hpp"
+#include "util/io_shim.hpp"
 
 #ifndef TME_WORKER_BIN
 #define TME_WORKER_BIN ""
@@ -46,8 +49,8 @@ int main(int argc, char** argv) {
   using namespace tme;
   const Args args(argc, argv);
 
-  // A malformed spec (JSON or TME_CHAOS_*) is a usage error: print it and
-  // exit 2, before anything runs.
+  // An unreadable or malformed spec (file, JSON or TME_CHAOS_*) is a usage
+  // error: print it and exit 2, before anything runs.
   chaos::ChaosSpec spec;
   const std::string replay_path = args.get("replay", "");
   const std::string spec_path = args.get("spec", "");
@@ -55,8 +58,7 @@ int main(int argc, char** argv) {
     if (!replay_path.empty()) {
       spec = chaos::read_replay_spec(replay_path);
     } else if (!spec_path.empty()) {
-      setenv("TME_CHAOS_SPEC", spec_path.c_str(), 1);
-      spec = chaos::spec_from_env();
+      spec = chaos::spec_from_env(chaos::read_spec_file(spec_path));
     } else {
       // Default: a survivable four-surface composition.
       chaos::ChaosSpec base = chaos::random_spec(
@@ -75,6 +77,18 @@ int main(int argc, char** argv) {
   opts.worker_bin = args.get("worker-bin", TME_WORKER_BIN);
   opts.verbose = !args.get_flag("quiet");
   const std::string out_path = args.get("out", "");
+  // A replay file that cannot be written fails the drill, so a CI job never
+  // keeps a missing or torn reproducer as the record of its run.
+  const auto write_replay = [&](const chaos::ChaosSpec& s,
+                                const chaos::ChaosRunResult& r) {
+    try {
+      chaos::write_replay_file(out_path, s, r);
+      return true;
+    } catch (const io::IoError& e) {
+      std::fprintf(stderr, "chaos_drill: %s\n", e.what());
+      return false;
+    }
+  };
 
   // --trace-out <file>: merged fleet timeline (chaos instants + one process
   // track per worker incarnation, surviving mid-run fleet restarts).
@@ -120,7 +134,7 @@ int main(int argc, char** argv) {
                 shrunk.events_before, shrunk.events_after,
                 shrunk.signature.c_str(), shrunk.runs);
     if (!out_path.empty()) {
-      chaos::write_replay_file(out_path, shrunk.spec, shrunk.last_run);
+      if (!write_replay(shrunk.spec, shrunk.last_run)) return 1;
       std::printf("minimal reproducer written: %s\n", out_path.c_str());
     }
     return 0;
@@ -129,7 +143,7 @@ int main(int argc, char** argv) {
   chaos::ChaosRunner runner(spec, opts);
   const chaos::ChaosRunResult result = runner.run();
   if (!out_path.empty()) {
-    chaos::write_replay_file(out_path, spec, result);
+    if (!write_replay(spec, result)) return 1;
     std::printf("replay file written: %s\n", out_path.c_str());
   }
   std::printf("  %llu/%llu steps, %llu ckpt writes (%llu refused, %llu "

@@ -8,7 +8,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "ewald/splitting.hpp"
@@ -704,21 +703,13 @@ void write_replay_file(const std::string& path, const ChaosSpec& spec,
   ro["stats"] = std::move(stats);
   obj["result"] = std::move(res);
 
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("chaos: cannot write replay file " + path);
-  }
-  out << root.dump() << "\n";
+  io::write_file_durable(path, root.dump() + "\n");
 }
 
 ChaosSpec read_replay_spec(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("chaos: cannot read replay file " + path);
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  const obs::JsonValue root = obs::json_parse(text.str());
+  const std::vector<std::uint8_t> text = io::read_file(path);
+  const obs::JsonValue root =
+      obs::json_parse(std::string(text.begin(), text.end()));
   // Accept both a full replay file and a bare spec.
   if (root.contains("spec")) return spec_from_json(root.at("spec"));
   return spec_from_json(root);

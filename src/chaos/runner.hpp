@@ -114,7 +114,9 @@ class ChaosRunner {
 
 // Replay file: {"spec": <spec json>, "result": {ok, failed_oracle,
 // failed_step, signature, realized event log, stats}} — self-contained, so
-// `chaos_drill --replay file.json` re-runs the exact schedule.
+// `chaos_drill --replay file.json` re-runs the exact schedule.  Written
+// through io::write_file_durable: a failed write (a full disk) throws
+// io::IoError instead of leaving a truncated replay behind.
 void write_replay_file(const std::string& path, const ChaosSpec& spec,
                        const ChaosRunResult& result);
 ChaosSpec read_replay_spec(const std::string& path);

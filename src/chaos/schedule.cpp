@@ -1,11 +1,11 @@
 #include "chaos/schedule.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/env.hpp"
+#include "util/io_shim.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -164,17 +164,12 @@ ChaosSpec parse_spec(const std::string& text) {
   return spec_from_json(obs::json_parse(text));
 }
 
+ChaosSpec read_spec_file(const std::string& path) {
+  const std::vector<std::uint8_t> text = io::read_file(path);
+  return parse_spec(std::string(text.begin(), text.end()));
+}
+
 ChaosSpec spec_from_env(ChaosSpec base) {
-  if (const auto path = env::raw("TME_CHAOS_SPEC")) {
-    std::ifstream in(*path);
-    if (!in) {
-      log_warn("chaos", "TME_CHAOS_SPEC='" + *path + "' is not readable");
-    } else {
-      std::ostringstream text;
-      text << in.rdbuf();
-      base = parse_spec(text.str());
-    }
-  }
   base.seed = env::u64_or("TME_CHAOS_SEED", base.seed);
   base.steps = env::u64_or("TME_CHAOS_STEPS", base.steps);
   base.atoms = static_cast<std::size_t>(env::bounded_long_or(
@@ -196,7 +191,7 @@ ChaosSpec spec_from_env(ChaosSpec base) {
       if (surface_from_string(item, &s)) {
         surfaces.push_back(s);
       } else {
-        log_warn("chaos", "TME_CHAOS_SURFACES: unknown surface '" + item + "'");
+        log_warn("TME_CHAOS_SURFACES: unknown surface '", item, "'");
       }
     }
     if (!surfaces.empty()) {

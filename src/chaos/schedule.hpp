@@ -87,8 +87,11 @@ ChaosSpec spec_from_json(const obs::JsonValue& json);
 std::string dump_spec(const ChaosSpec& spec);
 ChaosSpec parse_spec(const std::string& text);
 
+// Reads and parses a JSON spec file; throws io::IoError when the file
+// cannot be read and std::runtime_error on a malformed spec.
+ChaosSpec read_spec_file(const std::string& path);
+
 // Builds a spec from the environment on top of `base`:
-//   TME_CHAOS_SPEC=<file>       parse this JSON spec file first
 //   TME_CHAOS_SEED / TME_CHAOS_STEPS / TME_CHAOS_ATOMS / TME_CHAOS_WORKERS
 //   TME_CHAOS_BACKEND=inproc|proc
 //   TME_CHAOS_SURFACES=a,b,...  overwrite the event list with a seeded

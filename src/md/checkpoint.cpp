@@ -4,13 +4,11 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "util/crc32.hpp"
+#include "util/bytes.hpp"
 #include "util/io_shim.hpp"
 
 namespace tme {
@@ -19,231 +17,103 @@ namespace {
 
 constexpr char kMagic[8] = {'T', 'M', 'E', 'C', 'K', 'P', 'T', '\0'};
 constexpr std::uint32_t kVersion = 1;
+constexpr std::uint64_t kPerParticleBytes =
+    3 * 3 * sizeof(double) + 2 * sizeof(double);  // 3 Vec3 arrays + 2 scalars
+constexpr std::uint64_t kHeaderBytes = sizeof(kMagic) + sizeof(std::uint32_t) +
+                                       2 * sizeof(std::uint64_t) +
+                                       3 * sizeof(double);
 
-// Payload serialisation into a flat byte buffer: simplest way to both write
-// in one shot and CRC the exact bytes on disk.
-class Writer {
- public:
-  void raw(const void* data, std::size_t len) {
-    const std::size_t old = bytes_.size();
-    bytes_.resize(old + len);
-    std::memcpy(bytes_.data() + old, data, len);
-  }
-  template <typename T>
-  void value(const T& v) {
-    raw(&v, sizeof(T));
-  }
-  void vecs(const std::vector<Vec3>& v) {
-    for (const Vec3& e : v) {
-      value(e.x);
-      value(e.y);
-      value(e.z);
-    }
-  }
-  void doubles(const std::vector<double>& v) { raw(v.data(), v.size() * sizeof(double)); }
+// Particle arrays travel as raw doubles (Vec3 x/y/z interleaved).
+template <typename T>
+void put_array(bytes::Writer& w, const std::vector<T>& v) {
+  w.raw(v.data(), v.size() * sizeof(T));
+}
 
-  const std::vector<unsigned char>& bytes() const { return bytes_; }
-
- private:
-  std::vector<unsigned char> bytes_;
-};
-
-class Reader {
- public:
-  Reader(const unsigned char* data, std::size_t len) : data_(data), len_(len) {}
-
-  void raw(void* out, std::size_t len) {
-    if (pos_ + len > len_) {
-      throw CheckpointError(CheckpointFault::kTruncated,
-                            "checkpoint: truncated file");
-    }
-    std::memcpy(out, data_ + pos_, len);
-    pos_ += len;
-  }
-  template <typename T>
-  T value() {
-    T v;
-    raw(&v, sizeof(T));
-    return v;
-  }
-  void vecs(std::vector<Vec3>& v, std::size_t n) {
-    v.resize(n);
-    for (Vec3& e : v) {
-      e.x = value<double>();
-      e.y = value<double>();
-      e.z = value<double>();
-    }
-  }
-  void doubles(std::vector<double>& v, std::size_t n) {
-    v.resize(n);
-    raw(v.data(), n * sizeof(double));
-  }
-
- private:
-  const unsigned char* data_;
-  std::size_t len_;
-  std::size_t pos_ = 0;
-};
+template <typename T>
+void get_array(bytes::Reader& r, std::vector<T>& v, std::size_t n) {
+  v.resize(n);
+  r.raw(v.data(), n * sizeof(T));
+}
 
 }  // namespace
 
 void write_checkpoint(const std::string& path, const ParticleSystem& system,
                       std::uint64_t step) {
-  Writer w;
+  bytes::Writer w;
+  w.reserve(kHeaderBytes + system.size() * kPerParticleBytes +
+            bytes::kSealBytes);
   w.raw(kMagic, sizeof(kMagic));
-  w.value(kVersion);
-  w.value(step);
-  w.value(static_cast<std::uint64_t>(system.size()));
-  w.value(system.box.lengths.x);
-  w.value(system.box.lengths.y);
-  w.value(system.box.lengths.z);
-  w.vecs(system.positions);
-  w.vecs(system.velocities);
-  w.vecs(system.forces);
-  w.doubles(system.masses);
-  w.doubles(system.charges);
-  const std::uint32_t crc = crc32(w.bytes().data(), w.bytes().size());
-  w.value(crc);
-
-  const std::string tmp = path + ".tmp";
-  auto& shim = io::IoShim::instance();
-  const int fd = shim.open_for_write(tmp);
-  if (fd < 0) {
-    throw CheckpointError(CheckpointFault::kIoError,
-                          "checkpoint: cannot open " + tmp + " for writing: " +
-                              std::strerror(errno));
-  }
-  // fd is owned from here on: any failure unlinks the temp file so a full
-  // disk is not further polluted and older generations stay the newest
-  // readable state.
-  auto fail = [&](CheckpointFault fault, const std::string& what) {
-    const int saved = errno;
-    shim.close_fd(fd);
-    std::remove(tmp.c_str());
-    throw CheckpointError(fault, what + ": " + std::strerror(saved));
-  };
-
-  // Write-all loop with EINTR retry.  A zero-progress write (possible under
-  // an injected short-write plan colliding with an ENOSPC budget) is treated
-  // as out-of-space rather than spinning forever.
-  const unsigned char* data = w.bytes().data();
-  std::size_t remaining = w.bytes().size();
-  int zero_progress = 0;
-  while (remaining > 0) {
-    const ssize_t n = shim.write_some(fd, data, remaining, tmp);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail(errno == ENOSPC ? CheckpointFault::kNoSpace
-                           : CheckpointFault::kIoError,
-           "checkpoint: write to " + tmp + " failed");
-    } else if (n == 0) {
-      if (++zero_progress >= 8) {
-        errno = ENOSPC;
-        fail(CheckpointFault::kNoSpace,
-             "checkpoint: write to " + tmp + " made no progress");
-      }
-    } else {
-      zero_progress = 0;
-      data += n;
-      remaining -= static_cast<std::size_t>(n);
-    }
-  }
-
-  // Durability, step 1: the temp file's bytes must be on the device before
-  // the rename publishes them, or a crash can leave `path` pointing at a
-  // hole.  A failed fsync leaves the page cache in an undefined state, so
-  // the write is abandoned rather than renamed.
-  while (shim.fsync_fd(fd, tmp) != 0) {
-    if (errno == EINTR) continue;
-    fail(CheckpointFault::kIoError, "checkpoint: fsync of " + tmp + " failed");
-  }
-  if (shim.close_fd(fd) != 0) {
-    std::remove(tmp.c_str());
-    throw CheckpointError(CheckpointFault::kIoError,
-                          "checkpoint: close of " + tmp + " failed: " +
-                              std::strerror(errno));
-  }
-  if (shim.rename_file(tmp, path) != 0) {
-    const int saved = errno;
-    std::remove(tmp.c_str());
-    throw CheckpointError(CheckpointFault::kIoError,
-                          "checkpoint: cannot rename " + tmp + " to " + path +
-                              ": " + std::strerror(saved));
-  }
-  // Durability, step 2: the rename itself lives in the directory; fsync it
-  // so the new name survives a power cut too.
-  if (shim.fsync_parent_dir(path) != 0) {
-    throw CheckpointError(CheckpointFault::kIoError,
-                          "checkpoint: fsync of parent directory of " + path +
-                              " failed: " + std::strerror(errno));
+  w.u32(kVersion);
+  w.u64(step);
+  w.u64(system.size());
+  w.f64(system.box.lengths.x);
+  w.f64(system.box.lengths.y);
+  w.f64(system.box.lengths.z);
+  put_array(w, system.positions);
+  put_array(w, system.velocities);
+  put_array(w, system.forces);
+  put_array(w, system.masses);
+  put_array(w, system.charges);
+  bytes::seal(w);
+  try {
+    io::write_file_durable(path, w.bytes());
+  } catch (const io::IoError& e) {
+    throw CheckpointError(e.error() == ENOSPC ? CheckpointFault::kNoSpace
+                                              : CheckpointFault::kIoError,
+                          std::string("checkpoint: ") + e.what());
   }
   TME_COUNTER_ADD("md/checkpoint/writes", 1);
 }
 
 Checkpoint read_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::vector<std::uint8_t> file;
+  try {
+    file = io::read_file(path);
+  } catch (const io::IoError& e) {
     throw CheckpointError(CheckpointFault::kMissingFile,
-                          "checkpoint: cannot open " + path);
+                          std::string("checkpoint: ") + e.what());
   }
-  std::vector<unsigned char> bytes((std::istreambuf_iterator<char>(in)),
-                                   std::istreambuf_iterator<char>());
-
-  if (bytes.size() < sizeof(kMagic) + sizeof(std::uint32_t)) {
+  // Too short to hold the header is truncated, whatever the bytes say.
+  if (file.size() < kHeaderBytes + bytes::kSealBytes) {
     throw CheckpointError(CheckpointFault::kTruncated,
                           "checkpoint: truncated file");
   }
-  const std::size_t payload = bytes.size() - sizeof(std::uint32_t);
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + payload, sizeof(stored_crc));
-  if (crc32(bytes.data(), payload) != stored_crc) {
+  std::span<const std::uint8_t> body;
+  try {
+    body = bytes::unseal(file);
+  } catch (const bytes::Error&) {
     throw CheckpointError(CheckpointFault::kCrcMismatch,
                           "checkpoint: CRC mismatch (corrupted file)");
   }
 
-  Reader r(bytes.data(), payload);
+  // The header fits (checked above) and the arrays are sized exactly
+  // (checked below), so no read in this function can overrun.
+  bytes::Reader r(body);
   char magic[8];
   r.raw(magic, sizeof(magic));
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     throw CheckpointError(CheckpointFault::kBadMagic,
                           "checkpoint: bad magic (not a TME checkpoint)");
   }
-  const auto version = r.value<std::uint32_t>();
-  if (version != kVersion) {
+  if (const std::uint32_t version = r.u32(); version != kVersion) {
     throw CheckpointError(CheckpointFault::kBadVersion,
                           "checkpoint: unsupported version " +
                               std::to_string(version));
   }
-
   Checkpoint ckpt;
-  ckpt.step = r.value<std::uint64_t>();
-  const auto declared_n = r.value<std::uint64_t>();
+  ckpt.step = r.u64();
+  const std::uint64_t declared_n = r.u64();
   // Defensive header validation: the declared particle count fixes the exact
   // payload size, so verify it against the file length BEFORE sizing any
   // allocation from it.  A forged or bit-rotted count that happens to carry
   // a matching CRC must fail here, not in a multi-gigabyte resize.
-  constexpr std::uint64_t kPerParticleBytes =
-      3 * 3 * sizeof(double) + 2 * sizeof(double);  // 3 Vec3 arrays + 2 scalars
-  const std::uint64_t header_bytes = sizeof(kMagic) + sizeof(std::uint32_t) +
-                                     2 * sizeof(std::uint64_t) +
-                                     3 * sizeof(double);
-  if (payload < header_bytes) {
-    throw CheckpointError(CheckpointFault::kTruncated,
-                          "checkpoint: truncated file");
-  }
-  if (declared_n > (payload - header_bytes) / kPerParticleBytes) {
+  const std::uint64_t array_bytes = body.size() - kHeaderBytes;
+  if (array_bytes % kPerParticleBytes != 0 ||
+      declared_n != array_bytes / kPerParticleBytes) {
     throw CheckpointError(
         CheckpointFault::kBadLength,
         "checkpoint: declared particle count " + std::to_string(declared_n) +
-            " exceeds file size");
-  }
-  const std::uint64_t expected = header_bytes + declared_n * kPerParticleBytes;
-  if (expected != payload) {
-    throw CheckpointError(
-        CheckpointFault::kBadLength,
-        "checkpoint: payload size " + std::to_string(payload) +
-            " does not match declared particle count (expected " +
-            std::to_string(expected) + ")");
+            " does not match the payload size " + std::to_string(body.size()));
   }
   // Bounded allocation hook: the restore buffers are the one place this
   // layer sizes memory from external input, so ask the shim before
@@ -258,14 +128,14 @@ Checkpoint read_checkpoint(const std::string& path) {
                               " bytes refused");
   }
   const auto n = static_cast<std::size_t>(declared_n);
-  ckpt.system.box.lengths.x = r.value<double>();
-  ckpt.system.box.lengths.y = r.value<double>();
-  ckpt.system.box.lengths.z = r.value<double>();
-  r.vecs(ckpt.system.positions, n);
-  r.vecs(ckpt.system.velocities, n);
-  r.vecs(ckpt.system.forces, n);
-  r.doubles(ckpt.system.masses, n);
-  r.doubles(ckpt.system.charges, n);
+  ckpt.system.box.lengths.x = r.f64();
+  ckpt.system.box.lengths.y = r.f64();
+  ckpt.system.box.lengths.z = r.f64();
+  get_array(r, ckpt.system.positions, n);
+  get_array(r, ckpt.system.velocities, n);
+  get_array(r, ckpt.system.forces, n);
+  get_array(r, ckpt.system.masses, n);
+  get_array(r, ckpt.system.charges, n);
   TME_COUNTER_ADD("md/checkpoint/restores", 1);
   return ckpt;
 }

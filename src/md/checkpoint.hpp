@@ -34,7 +34,7 @@ struct Checkpoint {
 // (fall back to an older generation, alert) switch on this instead of
 // parsing message strings.
 enum class CheckpointFault {
-  kMissingFile,   // cannot open for reading
+  kMissingFile,   // cannot open or read
   kTruncated,     // shorter than its own structure claims
   kCrcMismatch,   // seal does not cover the bytes on disk
   kBadMagic,      // not a TME checkpoint at all
@@ -57,14 +57,14 @@ class CheckpointError : public std::runtime_error {
   CheckpointFault fault_;
 };
 
-// Writes atomically *and durably* for a crash-interrupted run: the file is
-// staged as <path>.tmp, fsynced, renamed into place, and the parent
-// directory is fsynced after the rename — so after a power cut `path`
-// holds either the previous checkpoint or a complete new one, never a torn
-// or merely-cached write.  All IO goes through tme::io::IoShim, so the
-// chaos harness can inject ENOSPC / short writes / EINTR storms / fsync
-// failures; those surface as typed CheckpointErrors (kNoSpace, kIoError)
-// with the temp file unlinked, leaving older generations untouched.
+// Writes atomically *and durably* through io::write_file_durable: after a
+// power cut `path` holds either the previous checkpoint or a complete new
+// one, never a torn or merely-cached write.  All IO goes through
+// tme::io::IoShim, so the chaos harness can inject ENOSPC / short writes /
+// EINTR storms / fsync failures; those surface as typed CheckpointErrors
+// (kNoSpace for ENOSPC or a write that stops making progress, kIoError for
+// the rest) with the temp file unlinked, leaving older generations
+// untouched.
 void write_checkpoint(const std::string& path, const ParticleSystem& system,
                       std::uint64_t step);
 

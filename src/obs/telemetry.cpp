@@ -10,6 +10,7 @@
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
+#include "util/io_shim.hpp"
 
 namespace tme::obs {
 
@@ -284,13 +285,12 @@ std::string FleetTelemetry::to_json(const Tracer& coordinator) const {
 
 bool FleetTelemetry::write(const std::string& path,
                            const Tracer& coordinator) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::string json = to_json(coordinator);
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = written == json.size() && std::fclose(f) == 0;
-  if (written != json.size()) std::fclose(f);
-  return ok;
+  try {
+    io::write_file_durable(path, to_json(coordinator));
+    return true;
+  } catch (const io::IoError&) {
+    return false;
+  }
 }
 
 void FleetTelemetry::clear() {

@@ -72,6 +72,7 @@ class FleetTelemetry {
   // with timestamps shifted onto the coordinator clock.  Deterministic for
   // a fixed ingest order: byte-identical output for identical inputs.
   std::string to_json(const Tracer& coordinator) const;
+  // to_json() through io::write_file_durable; false on I/O failure.
   bool write(const std::string& path, const Tracer& coordinator) const;
 
   void clear();

@@ -8,6 +8,7 @@
 
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
+#include "util/io_shim.hpp"
 
 namespace tme::obs {
 
@@ -350,13 +351,12 @@ std::string Tracer::to_json() const {
 }
 
 bool Tracer::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::string json = to_json();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = written == json.size() && std::fclose(f) == 0;
-  if (written != json.size()) std::fclose(f);
-  return ok;
+  try {
+    io::write_file_durable(path, to_json());
+    return true;
+  } catch (const io::IoError&) {
+    return false;
+  }
 }
 
 void Tracer::set_buffer_capacity(std::size_t events) {

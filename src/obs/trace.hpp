@@ -148,7 +148,8 @@ class Tracer {
   // consistent prefix of each buffer).
   std::string to_json() const;
 
-  // to_json() to a file; returns false (and logs nothing) on I/O failure.
+  // to_json() to a file through io::write_file_durable; returns false (and
+  // logs nothing) on I/O failure.
   bool write(const std::string& path) const;
 
   // Per-thread ring capacity for buffers created *after* this call (existing

@@ -11,8 +11,7 @@
 #include "obs/metrics.hpp"
 #include "par/proc_transport.hpp"
 #include "par/telemetry.hpp"
-#include "par/wire.hpp"
-#include "util/crc32.hpp"
+#include "util/bytes.hpp"
 
 namespace tme::par {
 
@@ -257,21 +256,19 @@ bool WorkerFleet::init_worker(std::size_t w) {
     if (st != RecvStatus::kOk) continue;
     maybe_ingest_telemetry(reply, w);
     if (reply.type != MsgType::kInitAck) continue;
-    wire::Reader r(reply.payload);
-    if (r.u32() == crc) {
-      // A successful init is a fresh tracer epoch on the worker side, so the
-      // old offset is meaningless; the InitAck extension (trailing i64 pid +
-      // f64 clock reading, ignored by pre-extension readers) seeds the new
-      // incarnation's estimate from this very round trip.
-      if (w < offsets_.size()) offsets_[w].reset();
-      if (r.remaining() >= 16) {
-        worker_os_pid_[w] = r.i64();
-        record_clock_sample(w, t0, t1, r.f64());
-      }
-      ++stats_.reinits;
-      return true;
-    }
-    return false;  // half-applied context: refuse the worker
+    // u32 context CRC | i64 pid | f64 worker clock, exactly.  A wrong CRC or
+    // a short or padded ack is a half-applied context: refuse the worker.
+    if (reply.payload.size() != sizeof(std::uint32_t) + 2 * 8) return false;
+    bytes::Reader r(reply.payload);
+    if (r.u32() != crc) return false;
+    // A successful init is a fresh tracer epoch on the worker side, so the
+    // old offset is meaningless; the ack's clock reading seeds the new
+    // incarnation's estimate from this very round trip.
+    if (w < offsets_.size()) offsets_[w].reset();
+    worker_os_pid_[w] = r.i64();
+    record_clock_sample(w, t0, t1, r.f64());
+    ++stats_.reinits;
+    return true;
   }
   return false;
 }
@@ -639,7 +636,7 @@ std::size_t WorkerFleet::heartbeat(std::chrono::milliseconds timeout) {
   next_task_id_ += W;
   for (std::size_t w = 0; w < W; ++w) {
     if (worker_dead_[w]) continue;
-    wire::Writer body;
+    bytes::Writer body;
     body.u64(nonce_base + w);
     Message ping;
     ping.type = MsgType::kPing;
@@ -674,17 +671,16 @@ std::size_t WorkerFleet::heartbeat(std::chrono::milliseconds timeout) {
     maybe_ingest_telemetry(out, arrived->worker);
     if (out.type != MsgType::kPong) continue;  // stale result straggler
     const double pong_recv_us = obs::Tracer::global().now_us();
-    wire::Reader r(out.payload);
+    // u64 nonce | f64 worker clock, exactly; a malformed pong is no answer.
+    // The clock reading turns every heartbeat into an NTP-style offset
+    // sample.
+    if (out.payload.size() != 2 * 8) continue;
+    bytes::Reader r(out.payload);
     if (r.u64() == nonce_base + arrived->worker) {
       pongd[arrived->worker] = 1;
       want[arrived->worker] = 0;
-      // Pong extension: a trailing remote clock reading turns every
-      // heartbeat into an NTP-style offset sample (pre-extension pongs just
-      // echo the ping and fall through).
-      if (r.remaining() >= 8) {
-        record_clock_sample(arrived->worker, ping_sent_us[arrived->worker],
-                            pong_recv_us, r.f64());
-      }
+      record_clock_sample(arrived->worker, ping_sent_us[arrived->worker],
+                          pong_recv_us, r.f64());
     }
   }
   std::size_t answered = 0;

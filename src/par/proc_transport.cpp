@@ -266,8 +266,7 @@ void ProcTransport::pump(int timeout_ms, int want_writable_fd, bool* writable) {
       const bool open = drain_fd(p.fd, p.rxbuf);
       std::uint64_t rejects = 0;
       decode_buffered(p.rxbuf, p.rxq, &rejects);
-      stats_.crc_rejects += rejects;
-      per_worker(w).crc_rejects += rejects;
+      count_crc_rejects(w, rejects);
       if (!open) mark_dead(w);
     }
   }
@@ -288,27 +287,7 @@ void ProcTransport::send(std::size_t worker, const Message& m) {
                                " is gone");
   }
   std::vector<std::uint8_t> frame = encode_frame(m, p.tx_seq++);
-  if (opts_.fault.delay_ms > 0) {
-    // Outbound leg only: asymmetric delay for the clock-offset drills.
-    std::this_thread::sleep_for(std::chrono::milliseconds(opts_.fault.delay_ms));
-  }
-  if (opts_.fault.active()) {
-    if (opts_.fault.drop_rate > 0.0 &&
-        fault_rng_.uniform() < opts_.fault.drop_rate) {
-      ++stats_.frames_dropped;
-      ++per_worker(worker).frames_dropped;
-      return;
-    }
-    if (opts_.fault.corrupt_rate > 0.0 &&
-        fault_rng_.uniform() < opts_.fault.corrupt_rate) {
-      const std::size_t bit = static_cast<std::size_t>(
-          fault_rng_.next_u64() % ((frame.size() - kFrameHeaderBytes) * 8));
-      frame[kFrameHeaderBytes + bit / 8] ^=
-          static_cast<std::uint8_t>(1u << (bit % 8));
-      ++stats_.frames_corrupted;
-      ++per_worker(worker).frames_corrupted;
-    }
-  }
+  if (!mangle_outbound(worker, opts_.fault, fault_rng_, frame)) return;
   std::size_t off = 0;
   while (off < frame.size()) {
     const ssize_t n = ::send(p.fd, frame.data() + off, frame.size() - off,
@@ -334,11 +313,7 @@ void ProcTransport::send(std::size_t worker, const Message& m) {
                                std::to_string(worker) + " failed: " +
                                std::strerror(errno));
   }
-  stats_.bytes_sent += frame.size();
-  ++stats_.messages_sent;
-  TransportStats& ws = per_worker(worker);
-  ws.bytes_sent += frame.size();
-  ++ws.messages_sent;
+  count_sent(worker, frame.size());
 }
 
 RecvStatus ProcTransport::recv(std::size_t worker, Message& out,
@@ -349,13 +324,8 @@ RecvStatus ProcTransport::recv(std::size_t worker, Message& out,
     if (!p.rxq.empty()) {
       out = std::move(p.rxq.front());
       p.rxq.pop_front();
-      const std::uint64_t frame_bytes =
-          kFrameHeaderBytes + out.payload.size() + kFrameTrailerBytes;
-      ++stats_.messages_received;
-      stats_.bytes_received += frame_bytes;
-      TransportStats& ws = per_worker(worker);
-      ++ws.messages_received;
-      ws.bytes_received += frame_bytes;
+      count_received(worker, kFrameHeaderBytes + out.payload.size() +
+                                 kFrameTrailerBytes);
       return RecvStatus::kOk;
     }
     if (!p.alive) return RecvStatus::kClosed;
@@ -375,13 +345,8 @@ std::optional<Transport::AnyResult> ProcTransport::recv_any(
       if (!p.rxq.empty()) {
         out = std::move(p.rxq.front());
         p.rxq.pop_front();
-        const std::uint64_t frame_bytes =
-            kFrameHeaderBytes + out.payload.size() + kFrameTrailerBytes;
-        ++stats_.messages_received;
-        stats_.bytes_received += frame_bytes;
-        TransportStats& ws = per_worker(w);
-        ++ws.messages_received;
-        ws.bytes_received += frame_bytes;
+        count_received(w, kFrameHeaderBytes + out.payload.size() +
+                              kFrameTrailerBytes);
         return AnyResult{w, RecvStatus::kOk};
       }
     }
@@ -418,8 +383,7 @@ void ProcTransport::terminate(std::size_t worker, long grace_ms) {
     drain_fd(p.fd, p.rxbuf);
     std::uint64_t rejects = 0;
     decode_buffered(p.rxbuf, p.rxq, &rejects);
-    stats_.crc_rejects += rejects;
-    per_worker(worker).crc_rejects += rejects;
+    count_crc_rejects(worker, rejects);
   }
   mark_dead(worker);
   reap(worker, true);

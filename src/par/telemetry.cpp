@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "par/wire.hpp"
+#include "util/bytes.hpp"
 
 namespace tme::par {
 
@@ -13,14 +13,14 @@ constexpr std::uint64_t kMaxTracks = 1ull << 16;
 constexpr std::uint64_t kMaxEvents = 1ull << 22;
 constexpr std::uint64_t kMaxStringBytes = 1ull << 20;
 
-void put_string(wire::Writer& w, const std::string& s) {
+void put_string(bytes::Writer& w, const std::string& s) {
   w.u64(s.size());
   w.raw(s.data(), s.size());
 }
 
-std::string get_string(wire::Reader& r) {
+std::string get_string(bytes::Reader& r) {
   const std::size_t n = r.count(kMaxStringBytes);
-  if (n > r.remaining()) throw wire::Error("telemetry: truncated string");
+  if (n > r.remaining()) throw bytes::Error("telemetry: truncated string");
   std::string s(n, '\0');
   r.raw(s.data(), n);
   return s;
@@ -29,7 +29,7 @@ std::string get_string(wire::Reader& r) {
 }  // namespace
 
 std::vector<std::uint8_t> encode_telemetry(const obs::WorkerTelemetry& t) {
-  wire::Writer w;
+  bytes::Writer w;
   w.u32(kTelemetryMagic);
   w.u32(t.rank);
   w.i64(t.pid);
@@ -57,10 +57,11 @@ std::vector<std::uint8_t> encode_telemetry(const obs::WorkerTelemetry& t) {
   return w.take();
 }
 
-obs::WorkerTelemetry decode_telemetry(const std::vector<std::uint8_t>& bytes) {
-  wire::Reader r(bytes);
+obs::WorkerTelemetry decode_telemetry(
+    const std::vector<std::uint8_t>& payload) {
+  bytes::Reader r(payload);
   if (r.u32() != kTelemetryMagic) {
-    throw wire::Error("telemetry: bad payload magic");
+    throw bytes::Error("telemetry: bad payload magic");
   }
   obs::WorkerTelemetry t;
   t.rank = r.u32();
@@ -83,7 +84,7 @@ obs::WorkerTelemetry decode_telemetry(const std::vector<std::uint8_t>& bytes) {
     std::uint8_t type = 0;
     r.raw(&type, 1);
     if (type > static_cast<std::uint8_t>(obs::TraceEventType::kFlowFinish)) {
-      throw wire::Error("telemetry: unknown event type");
+      throw bytes::Error("telemetry: unknown event type");
     }
     e.type = static_cast<obs::TraceEventType>(type);
     e.track = r.u32();
@@ -94,12 +95,12 @@ obs::WorkerTelemetry decode_telemetry(const std::vector<std::uint8_t>& bytes) {
     e.name = get_string(r);
     e.detail = get_string(r);
     if (e.track >= n_tracks) {
-      throw wire::Error("telemetry: event track out of range");
+      throw bytes::Error("telemetry: event track out of range");
     }
     t.chunk.events.push_back(std::move(e));
   }
   t.metrics_json = get_string(r);
-  if (!r.done()) throw wire::Error("telemetry: trailing bytes");
+  if (!r.done()) throw bytes::Error("telemetry: trailing bytes");
   return t;
 }
 

@@ -8,7 +8,7 @@
 //                       u64 flow | str name | str detail)
 //   str metrics_json                               ("" when metrics are off)
 // where `str` is u64 length + raw bytes.  Decoding rejects oversized
-// counts/strings loudly (wire::Error) instead of resizing into garbage.
+// counts/strings loudly (bytes::Error) instead of resizing into garbage.
 #pragma once
 
 #include <cstdint>

@@ -1,52 +1,44 @@
 #include "par/transport.hpp"
 
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <mutex>
 #include <thread>
 
-#include "util/crc32.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace tme::par {
 
 // --- Frame codec -------------------------------------------------------------
 
+static_assert(kFrameTrailerBytes == bytes::kSealBytes);
+
 std::vector<std::uint8_t> encode_frame(const Message& m, std::uint64_t seq) {
-  std::vector<std::uint8_t> out(kFrameHeaderBytes + m.payload.size() +
-                                kFrameTrailerBytes);
-  std::uint8_t* p = out.data();
-  const std::uint32_t magic = kFrameMagic;
-  const std::uint16_t type = static_cast<std::uint16_t>(m.type);
-  const std::uint16_t reserved = 0;
-  const std::uint64_t len = m.payload.size();
-  std::memcpy(p + 0, &magic, 4);
-  std::memcpy(p + 4, &type, 2);
-  std::memcpy(p + 6, &reserved, 2);
-  std::memcpy(p + 8, &seq, 8);
-  std::memcpy(p + 16, &len, 8);
-  // An empty payload's data() may be null, which memcpy must not receive.
-  if (!m.payload.empty()) {
-    std::memcpy(p + kFrameHeaderBytes, m.payload.data(), m.payload.size());
-  }
-  const std::uint32_t crc =
-      crc32(out.data(), kFrameHeaderBytes + m.payload.size());
-  std::memcpy(p + kFrameHeaderBytes + m.payload.size(), &crc, 4);
-  return out;
+  bytes::Writer w;
+  w.reserve(kFrameHeaderBytes + m.payload.size() + kFrameTrailerBytes);
+  w.u32(kFrameMagic);
+  w.u16(static_cast<std::uint16_t>(m.type));
+  w.u16(0);  // reserved
+  w.u64(seq);
+  w.u64(m.payload.size());
+  w.raw(m.payload.data(), m.payload.size());
+  bytes::seal(w);
+  return w.take();
 }
 
 DecodeStatus decode_frame(const std::uint8_t* data, std::size_t len,
                           Message& out, std::size_t& consumed) {
   consumed = 0;
   if (len < kFrameHeaderBytes) return DecodeStatus::kNeedMore;
-  std::uint32_t magic;
-  std::memcpy(&magic, data, 4);
-  if (magic != kFrameMagic) {
+  bytes::Reader header({data, kFrameHeaderBytes});
+  if (header.u32() != kFrameMagic) {
     throw TransportError("transport: bad frame magic (stream desynchronised)");
   }
-  std::uint64_t payload_len;
-  std::memcpy(&payload_len, data + 16, 8);
+  const std::uint16_t type = header.u16();
+  header.u16();  // reserved
+  const std::uint64_t seq = header.u64();
+  const std::uint64_t payload_len = header.u64();
   if (payload_len > kMaxPayloadBytes) {
     throw TransportError("transport: frame length exceeds limit");
   }
@@ -55,18 +47,61 @@ DecodeStatus decode_frame(const std::uint8_t* data, std::size_t len,
                             kFrameTrailerBytes;
   if (len < total) return DecodeStatus::kNeedMore;
   consumed = total;
-  std::uint32_t stored_crc;
-  std::memcpy(&stored_crc, data + total - kFrameTrailerBytes, 4);
-  if (crc32(data, total - kFrameTrailerBytes) != stored_crc) {
+  std::span<const std::uint8_t> body;
+  try {
+    body = bytes::unseal({data, total});
+  } catch (const bytes::Error&) {
     return DecodeStatus::kBadCrc;
   }
-  std::uint16_t type;
-  std::memcpy(&type, data + 4, 2);
   out.type = static_cast<MsgType>(type);
-  std::memcpy(&out.seq, data + 8, 8);
-  out.payload.assign(data + kFrameHeaderBytes,
-                     data + kFrameHeaderBytes + payload_len);
+  out.seq = seq;
+  out.payload.assign(body.begin() + kFrameHeaderBytes, body.end());
   return DecodeStatus::kOk;
+}
+
+// --- shared backend bookkeeping ----------------------------------------------
+
+bool Transport::mangle_outbound(std::size_t worker,
+                                const TransportFaultPolicy& fault, Rng& rng,
+                                std::vector<std::uint8_t>& frame) {
+  if (fault.delay_ms > 0) {
+    // Outbound leg only: asymmetric delay for the clock-offset drills.
+    std::this_thread::sleep_for(std::chrono::milliseconds(fault.delay_ms));
+  }
+  if (!fault.active()) return true;
+  if (fault.drop_rate > 0.0 && rng.uniform() < fault.drop_rate) {
+    ++stats_.frames_dropped;
+    ++per_worker(worker).frames_dropped;
+    return false;
+  }
+  if (fault.corrupt_rate > 0.0 && rng.uniform() < fault.corrupt_rate) {
+    const std::size_t bit = static_cast<std::size_t>(
+        rng.next_u64() % ((frame.size() - kFrameHeaderBytes) * 8));
+    frame[kFrameHeaderBytes + bit / 8] ^=
+        static_cast<std::uint8_t>(1u << (bit % 8));
+    ++stats_.frames_corrupted;
+    ++per_worker(worker).frames_corrupted;
+  }
+  return true;
+}
+
+void Transport::count_sent(std::size_t worker, std::size_t frame_bytes) {
+  for (TransportStats* s : {&stats_, &per_worker(worker)}) {
+    s->bytes_sent += frame_bytes;
+    ++s->messages_sent;
+  }
+}
+
+void Transport::count_received(std::size_t worker, std::size_t frame_bytes) {
+  for (TransportStats* s : {&stats_, &per_worker(worker)}) {
+    s->bytes_received += frame_bytes;
+    ++s->messages_received;
+  }
+}
+
+void Transport::count_crc_rejects(std::size_t worker, std::uint64_t n) {
+  stats_.crc_rejects += n;
+  per_worker(worker).crc_rejects += n;
 }
 
 // --- InProcTransport ---------------------------------------------------------
@@ -238,35 +273,8 @@ void InProcTransport::send(std::size_t worker, const Message& m) {
   }
   std::vector<std::uint8_t> frame =
       encode_frame(m, state_->tx_seq[worker]++);
-  if (fault_.delay_ms > 0) {
-    // Outbound leg only: asymmetric delay for the clock-offset drills.
-    std::this_thread::sleep_for(std::chrono::milliseconds(fault_.delay_ms));
-  }
-  if (fault_.active()) {
-    if (fault_.drop_rate > 0.0 &&
-        state_->fault_rng.uniform() < fault_.drop_rate) {
-      ++stats_.frames_dropped;
-      ++per_worker(worker).frames_dropped;
-      return;  // eaten by the network; the deadline layer retransmits
-    }
-    if (fault_.corrupt_rate > 0.0 &&
-        state_->fault_rng.uniform() < fault_.corrupt_rate) {
-      // Flip one payload bit (or the CRC itself for empty payloads): the
-      // receiver's CRC check rejects the frame without desynchronising.
-      const std::size_t bit =
-          static_cast<std::size_t>(state_->fault_rng.next_u64() %
-                                   ((frame.size() - kFrameHeaderBytes) * 8));
-      frame[kFrameHeaderBytes + bit / 8] ^=
-          static_cast<std::uint8_t>(1u << (bit % 8));
-      ++stats_.frames_corrupted;
-      ++per_worker(worker).frames_corrupted;
-    }
-  }
-  stats_.bytes_sent += frame.size();
-  ++stats_.messages_sent;
-  TransportStats& ws = per_worker(worker);
-  ws.bytes_sent += frame.size();
-  ++ws.messages_sent;
+  if (!mangle_outbound(worker, fault_, state_->fault_rng, frame)) return;
+  count_sent(worker, frame.size());
   state_->to_worker[worker]->push(std::move(frame));
 }
 
@@ -287,17 +295,12 @@ RecvStatus InProcTransport::recv(std::size_t worker, Message& out,
       state_->inbox[worker].pop_front();
     }
     std::size_t consumed = 0;
-    const DecodeStatus st = decode_frame(frame.data(), frame.size(), out, consumed);
-    if (st == DecodeStatus::kOk) {
-      ++stats_.messages_received;
-      stats_.bytes_received += frame.size();
-      TransportStats& ws = per_worker(worker);
-      ++ws.messages_received;
-      ws.bytes_received += frame.size();
+    if (decode_frame(frame.data(), frame.size(), out, consumed) ==
+        DecodeStatus::kOk) {
+      count_received(worker, frame.size());
       return RecvStatus::kOk;
     }
-    ++stats_.crc_rejects;
-    ++per_worker(worker).crc_rejects;
+    count_crc_rejects(worker, 1);
   }
 }
 
@@ -331,17 +334,12 @@ std::optional<Transport::AnyResult> InProcTransport::recv_any(
       state_->inbox[ready].pop_front();
     }
     std::size_t consumed = 0;
-    const DecodeStatus st = decode_frame(frame.data(), frame.size(), out, consumed);
-    if (st == DecodeStatus::kOk) {
-      ++stats_.messages_received;
-      stats_.bytes_received += frame.size();
-      TransportStats& ws = per_worker(ready);
-      ++ws.messages_received;
-      ws.bytes_received += frame.size();
+    if (decode_frame(frame.data(), frame.size(), out, consumed) ==
+        DecodeStatus::kOk) {
+      count_received(ready, frame.size());
       return AnyResult{ready, RecvStatus::kOk};
     }
-    ++stats_.crc_rejects;
-    ++per_worker(ready).crc_rejects;
+    count_crc_rejects(ready, 1);
   }
 }
 

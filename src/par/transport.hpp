@@ -28,6 +28,8 @@
 #include <string>
 #include <vector>
 
+#include "util/rng.hpp"
+
 namespace tme::par {
 
 enum class MsgType : std::uint16_t {
@@ -180,6 +182,19 @@ class Transport {
     if (worker >= worker_stats_.size()) worker_stats_.resize(worker + 1);
     return worker_stats_[worker];
   }
+
+  // The outbound fault policy on one encoded coordinator->worker frame,
+  // shared by both backends so a replayed schedule mangles bit-identical
+  // frames: the drill delay, then a seeded drop (returns false; the
+  // deadline layer retransmits) or one flipped payload-or-CRC bit, which the
+  // receiver's CRC check rejects without desynchronising.
+  bool mangle_outbound(std::size_t worker, const TransportFaultPolicy& fault,
+                       Rng& rng, std::vector<std::uint8_t>& frame);
+  // Book one sent or received frame, or `n` CRC rejects, on the aggregate
+  // and on the worker's row.
+  void count_sent(std::size_t worker, std::size_t frame_bytes);
+  void count_received(std::size_t worker, std::size_t frame_bytes);
+  void count_crc_rejects(std::size_t worker, std::uint64_t n);
 };
 
 // In-process backend: one thread per worker, lock-protected frame queues.

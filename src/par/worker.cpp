@@ -2,18 +2,13 @@
 
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "par/telemetry.hpp"
-#include "par/wire.hpp"
-#include "util/crc32.hpp"
+#include "util/bytes.hpp"
 #include "util/io_shim.hpp"
 
 namespace tme::par {
@@ -31,25 +26,25 @@ constexpr std::uint64_t kMaxTaps = 1ull << 16;
 constexpr std::uint64_t kMaxTerms = 1024;
 constexpr std::uint64_t kMaxLevels = 64;
 
-void put_dims(wire::Writer& w, const GridDims& d) {
+void put_dims(bytes::Writer& w, const GridDims& d) {
   w.u64(d.nx);
   w.u64(d.ny);
   w.u64(d.nz);
 }
 
-GridDims get_dims(wire::Reader& r) {
+GridDims get_dims(bytes::Reader& r) {
   GridDims d;
   d.nx = r.count(kMaxGridElems);
   d.ny = r.count(kMaxGridElems);
   d.nz = r.count(kMaxGridElems);
   if (d.nx != 0 && d.ny != 0 && d.total() / (d.nx * d.ny) != d.nz) {
-    throw wire::Error("wire: grid dims overflow");
+    throw bytes::Error("wire: grid dims overflow");
   }
-  if (d.total() > kMaxGridElems) throw wire::Error("wire: grid too large");
+  if (d.total() > kMaxGridElems) throw bytes::Error("wire: grid too large");
   return d;
 }
 
-void put_block(wire::Writer& w, const ExtendedBlock& b) {
+void put_block(bytes::Writer& w, const ExtendedBlock& b) {
   w.i64(b.x0);
   w.i64(b.y0);
   w.i64(b.z0);
@@ -59,7 +54,7 @@ void put_block(wire::Writer& w, const ExtendedBlock& b) {
   w.doubles(b.data);
 }
 
-ExtendedBlock get_block(wire::Reader& r) {
+ExtendedBlock get_block(bytes::Reader& r) {
   ExtendedBlock b;
   b.x0 = static_cast<long>(r.i64());
   b.y0 = static_cast<long>(r.i64());
@@ -69,21 +64,21 @@ ExtendedBlock get_block(wire::Reader& r) {
   b.nz = r.count(kMaxGridElems);
   b.data = r.doubles();
   if (b.data.size() != b.nx * b.ny * b.nz) {
-    throw wire::Error("wire: extended block size mismatch");
+    throw bytes::Error("wire: extended block size mismatch");
   }
   return b;
 }
 
-void put_kernel(wire::Writer& w, const Kernel1d& k) {
+void put_kernel(bytes::Writer& w, const Kernel1d& k) {
   w.i64(k.cutoff);
   w.doubles(k.taps);
 }
 
-Kernel1d get_kernel(wire::Reader& r) {
+Kernel1d get_kernel(bytes::Reader& r) {
   Kernel1d k;
   k.cutoff = static_cast<int>(r.i64());
   k.taps = r.doubles();
-  if (k.taps.size() > kMaxTaps) throw wire::Error("wire: kernel too wide");
+  if (k.taps.size() > kMaxTaps) throw bytes::Error("wire: kernel too wide");
   return k;
 }
 
@@ -92,7 +87,7 @@ Kernel1d get_kernel(wire::Reader& r) {
 // --- Context codec -----------------------------------------------------------
 
 std::vector<std::uint8_t> encode_context(const WorkerContext& ctx) {
-  wire::Writer w;
+  bytes::Writer w;
   w.u32(kContextMagic);
   w.u32(kContextVersion);
   const PipelineContext& p = ctx.pipeline;
@@ -123,8 +118,8 @@ std::vector<std::uint8_t> encode_context(const WorkerContext& ctx) {
   return w.take();
 }
 
-WorkerContext decode_context(const std::vector<std::uint8_t>& bytes) {
-  wire::Reader r(bytes);
+WorkerContext decode_context(const std::vector<std::uint8_t>& payload) {
+  bytes::Reader r(payload);
   if (r.u32() != kContextMagic) {
     throw TransportError("worker context: bad magic");
   }
@@ -167,97 +162,47 @@ WorkerContext decode_context(const std::vector<std::uint8_t>& bytes) {
 
 void write_context_file(const std::string& path,
                         const std::vector<std::uint8_t>& context_bytes) {
-  wire::Writer w;
+  // The context file is what a respawned worker re-inits from, so it is
+  // sealed and written as durably as a checkpoint: a torn or cached-only
+  // write here would turn a survivable crash into an unrecoverable one.
+  bytes::Writer w;
   w.u32(kContextFileMagic);
   w.u64(context_bytes.size());
   w.raw(context_bytes.data(), context_bytes.size());
-  // Seal body + trailing CRC into one buffer, then write it through the IO
-  // shim with the same durable discipline as md/checkpoint: write-all with
-  // EINTR retry, fsync the temp file, rename, fsync the directory.  The
-  // context file is what a respawned worker re-inits from, so a torn or
-  // cached-only write here turns a survivable crash into an unrecoverable
-  // one.
-  wire::Writer sealed;
-  sealed.raw(w.bytes().data(), w.bytes().size());
-  const std::uint32_t crc = crc32(w.bytes().data(), w.bytes().size());
-  sealed.raw(&crc, sizeof(crc));
-  const std::vector<std::uint8_t>& body = sealed.bytes();
-
-  auto& shim = io::IoShim::instance();
-  const std::string tmp = path + ".tmp";
-  const int fd = shim.open_for_write(tmp);
-  if (fd < 0) throw TransportError("context file: cannot open " + tmp);
-  auto fail = [&](const std::string& what) {
-    shim.close_fd(fd);
-    std::remove(tmp.c_str());
-    throw TransportError("context file: " + what + ": " + tmp);
-  };
-  const std::uint8_t* data = body.data();
-  std::size_t remaining = body.size();
-  while (remaining > 0) {
-    const ssize_t n = shim.write_some(fd, data, remaining, tmp);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail("write failed");
-    } else if (n == 0) {
-      fail("write made no progress");
-    } else {
-      data += n;
-      remaining -= static_cast<std::size_t>(n);
-    }
-  }
-  while (shim.fsync_fd(fd, tmp) != 0) {
-    if (errno == EINTR) continue;
-    fail("fsync failed");
-  }
-  if (shim.close_fd(fd) != 0) {
-    std::remove(tmp.c_str());
-    throw TransportError("context file: close failed: " + tmp);
-  }
-  if (shim.rename_file(tmp, path) != 0) {
-    std::remove(tmp.c_str());
-    throw TransportError("context file: rename failed: " + path);
-  }
-  if (shim.fsync_parent_dir(path) != 0) {
-    throw TransportError("context file: parent directory fsync failed: " +
-                         path);
+  bytes::seal(w);
+  try {
+    io::write_file_durable(path, w.bytes());
+  } catch (const io::IoError& e) {
+    throw TransportError(std::string("context file: ") + e.what());
   }
 }
 
 std::vector<std::uint8_t> read_context_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw TransportError("context file: cannot open " + path);
-  const std::streamsize size = in.tellg();
-  if (size < static_cast<std::streamsize>(4 + 8 + 4)) {
-    throw TransportError("context file: truncated: " + path);
+  try {
+    const std::vector<std::uint8_t> file = io::read_file(path);
+    bytes::Reader r(bytes::unseal(file));
+    if (r.u32() != kContextFileMagic) {
+      throw TransportError("context file: bad magic: " + path);
+    }
+    std::vector<std::uint8_t> payload(r.count(r.remaining()));
+    r.raw(payload.data(), payload.size());
+    if (!r.done()) {
+      throw TransportError("context file: length mismatch: " + path);
+    }
+    return payload;
+  } catch (const io::IoError& e) {
+    throw TransportError(std::string("context file: ") + e.what());
+  } catch (const bytes::Error& e) {
+    throw TransportError(std::string("context file: ") + e.what() + ": " +
+                         path);
   }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) throw TransportError("context file: short read: " + path);
-  std::uint32_t stored_crc;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - 4, 4);
-  if (crc32(bytes.data(), bytes.size() - 4) != stored_crc) {
-    throw TransportError("context file: CRC mismatch: " + path);
-  }
-  wire::Reader r(bytes.data(), bytes.size() - 4);
-  if (r.u32() != kContextFileMagic) {
-    throw TransportError("context file: bad magic: " + path);
-  }
-  const std::uint64_t len = r.u64();
-  if (len != r.remaining()) {
-    throw TransportError("context file: length mismatch: " + path);
-  }
-  std::vector<std::uint8_t> payload(static_cast<std::size_t>(len));
-  r.raw(payload.data(), payload.size());
-  return payload;
 }
 
 // --- Task codecs -------------------------------------------------------------
 
 namespace {
 
-void put_task_header(wire::Writer& w, std::uint64_t task_id, TaskClass cls,
+void put_task_header(bytes::Writer& w, std::uint64_t task_id, TaskClass cls,
                      std::uint64_t trace_id = 0,
                      std::uint64_t parent_span = 0) {
   w.u64(task_id);
@@ -272,7 +217,7 @@ std::vector<std::uint8_t> encode_grid_task(std::uint64_t task_id,
                                            const GridBlockTask& t,
                                            std::uint64_t trace_id,
                                            std::uint64_t parent_span) {
-  wire::Writer w;
+  bytes::Writer w;
   put_task_header(w, task_id, TaskClass::kGrid, trace_id, parent_span);
   w.u16(static_cast<std::uint16_t>(t.kind));
   w.u64(t.node);
@@ -293,7 +238,7 @@ std::vector<std::uint8_t> encode_ca_task(std::uint64_t task_id,
                                          const CaBlockTask& t,
                                          std::uint64_t trace_id,
                                          std::uint64_t parent_span) {
-  wire::Writer w;
+  bytes::Writer w;
   put_task_header(w, task_id, TaskClass::kCa, trace_id, parent_span);
   w.u64(t.node);
   w.vec3s(t.positions);
@@ -311,7 +256,7 @@ std::vector<std::uint8_t> encode_bi_task(std::uint64_t task_id,
                                          const BiBlockTask& t,
                                          std::uint64_t trace_id,
                                          std::uint64_t parent_span) {
-  wire::Writer w;
+  bytes::Writer w;
   put_task_header(w, task_id, TaskClass::kBi, trace_id, parent_span);
   w.u64(t.node);
   put_block(w, t.halo);
@@ -329,7 +274,7 @@ struct TaskHeader {
   std::uint64_t parent_span = 0;
 };
 
-TaskHeader get_task_header(wire::Reader& r) {
+TaskHeader get_task_header(bytes::Reader& r) {
   TaskHeader h;
   h.task_id = r.u64();
   const std::uint16_t cls = r.u16();
@@ -342,7 +287,7 @@ TaskHeader get_task_header(wire::Reader& r) {
   return h;
 }
 
-GridBlockTask get_grid_task(wire::Reader& r) {
+GridBlockTask get_grid_task(bytes::Reader& r) {
   GridBlockTask t;
   const std::uint16_t kind = r.u16();
   if (kind > static_cast<std::uint16_t>(GridBlockTask::Kind::kConvolve)) {
@@ -363,7 +308,7 @@ GridBlockTask get_grid_task(wire::Reader& r) {
   return t;
 }
 
-CaBlockTask get_ca_task(wire::Reader& r) {
+CaBlockTask get_ca_task(bytes::Reader& r) {
   CaBlockTask t;
   t.node = r.u64();
   t.positions = r.vec3s();
@@ -381,7 +326,7 @@ CaBlockTask get_ca_task(wire::Reader& r) {
   return t;
 }
 
-BiBlockTask get_bi_task(wire::Reader& r) {
+BiBlockTask get_bi_task(bytes::Reader& r) {
   BiBlockTask t;
   t.node = r.u64();
   t.halo = get_block(r);
@@ -396,7 +341,7 @@ BiBlockTask get_bi_task(wire::Reader& r) {
 
 std::vector<std::uint8_t> encode_grid_result(std::uint64_t task_id,
                                              const Grid3d& g) {
-  wire::Writer w;
+  bytes::Writer w;
   put_task_header(w, task_id, TaskClass::kGrid);
   put_dims(w, g.dims());
   w.doubles(g.values());
@@ -405,7 +350,7 @@ std::vector<std::uint8_t> encode_grid_result(std::uint64_t task_id,
 
 std::vector<std::uint8_t> encode_ca_result(std::uint64_t task_id,
                                            const ExtendedBlock& b) {
-  wire::Writer w;
+  bytes::Writer w;
   put_task_header(w, task_id, TaskClass::kCa);
   put_block(w, b);
   return w.take();
@@ -413,7 +358,7 @@ std::vector<std::uint8_t> encode_ca_result(std::uint64_t task_id,
 
 std::vector<std::uint8_t> encode_bi_result(std::uint64_t task_id,
                                            const BiBlockResult& res) {
-  wire::Writer w;
+  bytes::Writer w;
   put_task_header(w, task_id, TaskClass::kBi);
   w.vec3s(res.forces);
   w.f64(res.q_phi);
@@ -423,13 +368,13 @@ std::vector<std::uint8_t> encode_bi_result(std::uint64_t task_id,
 }  // namespace
 
 ResultHeader peek_result_header(const std::vector<std::uint8_t>& payload) {
-  wire::Reader r(payload);
+  bytes::Reader r(payload);
   const TaskHeader h = get_task_header(r);
   return ResultHeader{h.task_id, h.task_class};
 }
 
 Grid3d decode_grid_result(const std::vector<std::uint8_t>& payload) {
-  wire::Reader r(payload);
+  bytes::Reader r(payload);
   (void)get_task_header(r);
   const GridDims dims = get_dims(r);
   std::vector<double> values = r.doubles();
@@ -442,13 +387,13 @@ Grid3d decode_grid_result(const std::vector<std::uint8_t>& payload) {
 }
 
 ExtendedBlock decode_ca_result(const std::vector<std::uint8_t>& payload) {
-  wire::Reader r(payload);
+  bytes::Reader r(payload);
   (void)get_task_header(r);
   return get_block(r);
 }
 
 BiBlockResult decode_bi_result(const std::vector<std::uint8_t>& payload) {
-  wire::Reader r(payload);
+  bytes::Reader r(payload);
   (void)get_task_header(r);
   BiBlockResult res;
   res.forces = r.vec3s();
@@ -539,13 +484,13 @@ void worker_loop(Endpoint& ep, const WorkerLoopOptions& opts) {
           task_track =
               tracer.track("tasks", "rank " + std::to_string(ctx.rank));
         }
+        // InitAck: the context's CRC-32, the worker's os pid and a
+        // tracer-clock reading sampled mid-round-trip (the coordinator's
+        // first clock-offset estimate for this incarnation).
         Message ack;
         ack.type = MsgType::kInitAck;
-        wire::Writer w;
+        bytes::Writer w;
         w.u32(crc32(msg.payload.data(), msg.payload.size()));
-        // Trailing extension (readers ignore extra bytes): the worker's os
-        // pid and a tracer-clock reading, sampled mid-round-trip — the
-        // coordinator's first clock-offset estimate for this incarnation.
         w.i64(static_cast<std::int64_t>(::getpid()));
         w.f64(obs::Tracer::global().now_us());
         ack.payload = w.take();
@@ -554,17 +499,14 @@ void worker_loop(Endpoint& ep, const WorkerLoopOptions& opts) {
       }
       case MsgType::kPing: {
         if (hung) break;  // a hung worker misses heartbeats too
+        // Pong: the ping's nonce and a tracer-clock reading for the
+        // coordinator's offset estimator.
         Message pong;
         pong.type = MsgType::kPong;
-        pong.payload = msg.payload;
-        {
-          // Trailing extension (readers ignore extra bytes): a tracer-clock
-          // reading for the coordinator's offset estimator.
-          wire::Writer w;
-          w.raw(msg.payload.data(), msg.payload.size());
-          w.f64(obs::Tracer::global().now_us());
-          pong.payload = w.take();
-        }
+        bytes::Writer w;
+        w.raw(msg.payload.data(), msg.payload.size());
+        w.f64(obs::Tracer::global().now_us());
+        pong.payload = w.take();
         if (!ep.send(pong)) return;
         break;
       }
@@ -583,7 +525,7 @@ void worker_loop(Endpoint& ep, const WorkerLoopOptions& opts) {
           ep.crash();  // SIGKILL in a process worker; never returns there
           return;
         }
-        wire::Reader r(msg.payload);
+        bytes::Reader r(msg.payload);
         const TaskHeader header = get_task_header(r);
         obs::Tracer& tracer = obs::Tracer::global();
         const double span_start = telemetry_armed ? tracer.now_us() : 0.0;

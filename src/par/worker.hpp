@@ -2,8 +2,11 @@
 //
 // The coordinator sends one kInit carrying the full WorkerContext (pipeline
 // geometry + kernels + this worker's rank and fault-drill policy); the
-// worker replies kInitAck echoing the context's CRC-32 so a half-applied
-// init is detected before any task runs.  Tasks and results are keyed by a
+// worker replies kInitAck (u32 context CRC-32 | i64 os pid | f64 worker
+// clock) so a half-applied init is detected before any task runs; a kPong
+// is the ping's u64 nonce plus an f64 worker clock.  Coordinator and worker
+// are one build behind the versioned context, so both are parsed exactly:
+// a short or padded ack refuses the worker.  Tasks and results are keyed by a
 // u64 task id: retransmitted tasks are simply re-executed (every kernel is a
 // pure function) and duplicate results are deduplicated by id on the
 // coordinator, so at-least-once delivery still yields bitwise identical
@@ -43,13 +46,15 @@ struct WorkerContext {
   bool telemetry = false;
 };
 
-// Context payload codec.  decode throws wire::Error / TransportError on any
+// Context payload codec.  decode throws bytes::Error / TransportError on any
 // malformed byte stream.
 std::vector<std::uint8_t> encode_context(const WorkerContext& ctx);
 WorkerContext decode_context(const std::vector<std::uint8_t>& bytes);
 
-// CRC-sealed context file: magic + length + payload + CRC-32.  read throws
-// TransportError on truncation or seal mismatch.
+// CRC-sealed context file: magic + length + payload + CRC-32, written through
+// io::write_file_durable.  Both throw TransportError: write on any IO
+// failure (the temp file unlinked), read on a missing file, truncation or
+// seal mismatch.
 void write_context_file(const std::string& path,
                         const std::vector<std::uint8_t>& context_bytes);
 std::vector<std::uint8_t> read_context_file(const std::string& path);

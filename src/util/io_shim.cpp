@@ -1,10 +1,23 @@
 #include "util/io_shim.hpp"
 
 #include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <fcntl.h>
 #include <unistd.h>
 
 namespace tme::io {
+
+namespace {
+
+const char* to_string(IoStep step) {
+  constexpr const char* kNames[] = {"open",   "write",  "fsync",
+                                    "close",  "rename", "directory fsync",
+                                    "read"};
+  return kNames[static_cast<int>(step)];
+}
+
+}  // namespace
 
 IoShim& IoShim::instance() {
   static IoShim shim;
@@ -179,6 +192,90 @@ ScopedIoFaults::~ScopedIoFaults() {
   } else {
     shim.disarm();
   }
+}
+
+IoError::IoError(IoStep step, const std::string& path, int err)
+    : std::runtime_error(std::string(to_string(step)) + " of " + path +
+                         " failed: " + std::strerror(err)),
+      step_(step),
+      error_(err) {}
+
+void write_file_durable(const std::string& path,
+                        std::span<const std::uint8_t> bytes) {
+  IoShim& shim = IoShim::instance();
+  const std::string tmp = path + ".tmp";
+  const int fd = shim.open_for_write(tmp);
+  if (fd < 0) throw IoError(IoStep::kOpen, tmp, errno);
+  // fd is owned from here on: any failure unlinks the temp file so a full
+  // disk is not further polluted and the previous file stays in place.
+  const auto fail = [&](IoStep step, int err) {
+    shim.close_fd(fd);
+    std::remove(tmp.c_str());
+    throw IoError(step, tmp, err);
+  };
+
+  // A write that keeps returning 0 without an error is out-of-space, not a
+  // reason to spin forever.
+  const std::uint8_t* data = bytes.data();
+  std::size_t remaining = bytes.size();
+  int zero_progress = 0;
+  while (remaining > 0) {
+    const ssize_t n = shim.write_some(fd, data, remaining, tmp);
+    if (n < 0) {
+      if (errno != EINTR) fail(IoStep::kWrite, errno);
+    } else if (n == 0) {
+      if (++zero_progress >= 8) fail(IoStep::kWrite, ENOSPC);
+    } else {
+      zero_progress = 0;
+      data += n;
+      remaining -= static_cast<std::size_t>(n);
+    }
+  }
+  // The bytes must be on the device before the rename publishes them, or a
+  // crash can leave `path` pointing at a hole.  A failed fsync leaves the
+  // page cache in an undefined state, so the write is abandoned.
+  while (shim.fsync_fd(fd, tmp) != 0) {
+    if (errno != EINTR) fail(IoStep::kFsync, errno);
+  }
+  if (shim.close_fd(fd) != 0) {
+    const int err = errno;
+    std::remove(tmp.c_str());
+    throw IoError(IoStep::kClose, tmp, err);
+  }
+  if (shim.rename_file(tmp, path) != 0) {
+    const int err = errno;
+    std::remove(tmp.c_str());
+    throw IoError(IoStep::kRename, path, err);
+  }
+  // The rename itself lives in the directory: fsync it so the new name
+  // survives a power cut too.
+  if (shim.fsync_parent_dir(path) != 0) {
+    throw IoError(IoStep::kSyncDir, path, errno);
+  }
+}
+
+void write_file_durable(const std::string& path, const std::string& text) {
+  write_file_durable(
+      path, std::span(reinterpret_cast<const std::uint8_t*>(text.data()),
+                      text.size()));
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) throw IoError(IoStep::kOpen, path, errno);
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t buf[1 << 16];
+  for (ssize_t n; (n = ::read(fd, buf, sizeof(buf))) != 0;) {
+    if (n > 0) {
+      bytes.insert(bytes.end(), buf, buf + n);
+    } else if (errno != EINTR) {
+      const int err = errno;
+      ::close(fd);
+      throw IoError(IoStep::kRead, path, err);
+    }
+  }
+  ::close(fd);
+  return bytes;
 }
 
 }  // namespace tme::io

@@ -1,7 +1,10 @@
-// Injectable POSIX-IO fault shim for the storage path.
+// Injectable POSIX-IO fault shim for the storage path, and the one durable
+// whole-file writer that drives it.
 //
-// Durable writers (md/checkpoint, the fleet's sealed context file) route
-// every open/write/fsync/rename through this process-global shim.  Unarmed
+// write_file_durable() is the only write-all/fsync/rename/dir-fsync
+// sequence in the tree: checkpoints, the fleet's sealed context file, chaos
+// replay files and trace/telemetry timelines all go through it, so every
+// open/write/fsync/rename passes this process-global shim.  Unarmed
 // it is a transparent passthrough to the real syscalls; armed with an
 // IoFaultPlan it deterministically injects the resource-exhaustion faults a
 // week-long production run actually meets — ENOSPC part-way through a
@@ -23,8 +26,11 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <sys/types.h>
+#include <vector>
 
 namespace tme::io {
 
@@ -112,5 +118,35 @@ class ScopedIoFaults {
   bool was_armed_;
   IoFaultPlan previous_;
 };
+
+// The step of a whole-file write or read that failed.
+enum class IoStep { kOpen, kWrite, kFsync, kClose, kRename, kSyncDir, kRead };
+
+// A failed write_file_durable / read_file: which step failed, on which
+// path, with which errno.  A write that stops making progress reports
+// ENOSPC, like the device-full error it almost always is.
+class IoError : public std::runtime_error {
+ public:
+  IoError(IoStep step, const std::string& path, int err);
+  IoStep step() const { return step_; }
+  int error() const { return error_; }
+
+ private:
+  IoStep step_;
+  int error_;
+};
+
+// Writes `bytes` to `path` atomically and durably: stage <path>.tmp, write
+// all of it (retrying EINTR; eight zero-progress writes in a row count as
+// ENOSPC), fsync, close, rename over `path`, fsync the parent directory.
+// After a crash `path` holds either its previous contents or all of
+// `bytes`.  Any failure before the rename unlinks the temp file and throws
+// IoError, leaving `path` untouched.
+void write_file_durable(const std::string& path,
+                        std::span<const std::uint8_t> bytes);
+void write_file_durable(const std::string& path, const std::string& text);
+
+// Whole-file read; throws IoError (kOpen, kRead) on failure.
+std::vector<std::uint8_t> read_file(const std::string& path);
 
 }  // namespace tme::io

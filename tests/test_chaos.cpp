@@ -150,6 +150,23 @@ TEST(ChaosSpec, EnvOverridesApplyOnTopOfBase) {
   EXPECT_EQ(spec.events.size(), 2u);
 }
 
+TEST(ChaosSpecFile, MissingFileIsTypedErrorAndPresentFileParses) {
+  const ScratchDir dir;
+  try {
+    read_spec_file(dir.file("absent.json"));
+    ADD_FAILURE() << "a missing spec file was accepted";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(e.step(), io::IoStep::kOpen);
+  }
+  const std::string path = dir.file("spec.json");
+  io::write_file_durable(path, std::string(R"({"seed":5,"steps":3})"));
+  const ChaosSpec spec = read_spec_file(path);
+  EXPECT_EQ(spec.seed, 5u);
+  EXPECT_EQ(spec.steps, 3u);
+  io::write_file_durable(path, std::string(R"({"seed":)"));
+  EXPECT_THROW(read_spec_file(path), std::runtime_error);
+}
+
 // --- the runner --------------------------------------------------------------
 
 RunnerOptions test_options(const ScratchDir& dir) {

@@ -18,9 +18,9 @@
 #include "par/par_tme.hpp"
 #include "par/proc_transport.hpp"
 #include "par/transport.hpp"
-#include "par/wire.hpp"
 #include "par/worker.hpp"
 #include "scratch_dir.hpp"
+#include "util/bytes.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
 
@@ -176,22 +176,22 @@ TEST(FrameCodec, BadMagicAndOversizedLengthThrow) {
 }
 
 TEST(Wire, ReaderRejectsOverrunAndInsaneCounts) {
-  wire::Writer w;
+  bytes::Writer w;
   w.u64(3);
   w.f64(1.0);
   const std::vector<std::uint8_t> bytes = w.bytes();
-  wire::Reader r(bytes);
+  bytes::Reader r(bytes);
   EXPECT_EQ(r.u64(), 3u);
   EXPECT_EQ(r.f64(), 1.0);
   EXPECT_TRUE(r.done());
-  EXPECT_THROW(r.f64(), wire::Error);
+  EXPECT_THROW(r.f64(), bytes::Error);
 
   // A claimed element count far beyond the remaining bytes must fail before
   // any allocation is sized from it.
-  wire::Writer w2;
+  bytes::Writer w2;
   w2.u64(1ull << 60);
-  wire::Reader r2(w2.bytes());
-  EXPECT_THROW(r2.doubles(), wire::Error);
+  bytes::Reader r2(w2.bytes());
+  EXPECT_THROW(r2.doubles(), bytes::Error);
 }
 
 // --- worker context + sealed context file ------------------------------------
