@@ -13,11 +13,12 @@
 // that shrinks as M grows.
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "core/tme.hpp"
 #include "ewald/splitting.hpp"
-#include "md/integrator.hpp"
+#include "md/simulation.hpp"
 #include "md/water_box.hpp"
 #include "util/args.hpp"
 #include "util/timer.hpp"
@@ -73,18 +74,20 @@ int main(int argc, char** argv) {
     sp.grid = {grid_n, grid_n, grid_n};
     const ForceField ff(sr, make_spme_solver(box, sp));
     const VelocityVerlet integrator(wb.topology, wb.system, IntegratorParams{});
-    integrator.prime(wb.system, wb.topology, ff);
     const std::size_t dof = wb.degrees_of_freedom();
+    // The rescale does not conserve energy: only the drift check is off.
+    SimulationParams params;
+    params.guardrail.energy_drift_tol = std::numeric_limits<double>::infinity();
+    Simulation sim(wb.system, wb.topology, ff, integrator, params);
     Timer timer;
-    for (int s = 0; s < equil_steps; ++s) {
-      integrator.step(wb.system, wb.topology, ff);
-      if (s % 50 == 49) {
-        // Crude velocity rescale to 300 K during equilibration only.
-        const double t_now = wb.system.temperature(dof);
-        const double scale = std::sqrt(300.0 / std::max(t_now, 1.0));
-        for (auto& v : wb.system.velocities) v *= scale;
-      }
-    }
+    sim.run(equil_steps, [&](std::uint64_t step, const StepReport&,
+                             const ParticleSystem& system) {
+      if (step % 50 != 0) return;
+      // Crude velocity rescale to 300 K during equilibration only.
+      const double scale =
+          std::sqrt(300.0 / std::max(system.temperature(dof), 1.0));
+      for (auto& v : wb.system.velocities) v *= scale;
+    });
     std::printf("equilibrated %.1f ps (T = %.0f K) in %.1f s\n", equil_ps,
                 wb.system.temperature(dof), timer.seconds());
   }
@@ -97,15 +100,17 @@ int main(int argc, char** argv) {
     wb.system.velocities = snapshot_v;
     const ForceField ff(sr, std::move(solver));
     const VelocityVerlet integrator(wb.topology, wb.system, IntegratorParams{});
-    integrator.prime(wb.system, wb.topology, ff);
+    Simulation sim(wb.system, wb.topology, ff, integrator, SimulationParams{});
 
     Trace trace;
     trace.label = label;
     Timer timer;
-    for (int s = 0; s < steps; ++s) {
-      const StepReport report = integrator.step(wb.system, wb.topology, ff);
-      if (s % sample_every == 0) trace.total_energy.push_back(report.total());
-    }
+    sim.run(steps, [&](std::uint64_t step, const StepReport& report,
+                       const ParticleSystem&) {
+      if ((step - 1) % sample_every == 0) {
+        trace.total_energy.push_back(report.total());
+      }
+    });
     trace.e_first = trace.total_energy.front();
     // Least-squares drift in kJ/mol per ns.
     const std::size_t n = trace.total_energy.size();

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -19,6 +19,7 @@
 #include "obs/trace.hpp"
 #include "util/args.hpp"
 #include "util/constants.hpp"
+#include "util/io_shim.hpp"
 #include "util/simd.hpp"
 #include "util/vec3.hpp"
 
@@ -115,7 +116,9 @@ using ExtraJson = std::vector<std::pair<std::string, obs::JsonValue>>;
 
 // Emits the current metrics registry as a machine-readable per-stage
 // breakdown: printed to stdout under a marked header and written to
-// BENCH_<name>.json in the working directory (the perf-trajectory record).
+// BENCH_<name>.json in the working directory (the perf-trajectory record)
+// through the durable writer.  A failed export is reported on stderr and
+// exits the bench with a failure status, so a missing record never passes.
 // Every export carries a "manifest" block (git describe, build type, TME_*
 // environment, runtime facts) so a BENCH json is self-describing.
 // Callers that want a single clean breakdown should reset the registry
@@ -138,8 +141,12 @@ inline void emit_metrics(const std::string& bench_name,
   std::printf("%s\n", json.c_str());
 
   const std::string path = "BENCH_" + bench_name + ".json";
-  std::ofstream out(path);
-  out << json << "\n";
+  try {
+    io::write_file_durable(path, json + "\n");
+  } catch (const io::IoError& e) {
+    std::fprintf(stderr, "[export failed: %s]\n", e.what());
+    std::exit(EXIT_FAILURE);
+  }
   std::printf("[written: %s]\n", path.c_str());
 }
 

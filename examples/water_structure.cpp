@@ -5,11 +5,12 @@
 //
 //   ./examples/water_structure [--molecules 216] [--equil-ps 1] [--sample-ps 2]
 #include <cstdio>
+#include <limits>
 
 #include "core/tme.hpp"
 #include "ewald/splitting.hpp"
-#include "md/integrator.hpp"
 #include "md/observables.hpp"
+#include "md/simulation.hpp"
 #include "md/thermostat.hpp"
 #include "md/water_box.hpp"
 #include "util/args.hpp"
@@ -41,39 +42,42 @@ int main(int argc, char** argv) {
   tp.num_gaussians = 4;
   const ForceField ff(sr, make_tme_solver(box, tp));
   const VelocityVerlet integrator(wb.topology, wb.system, IntegratorParams{});
-  integrator.prime(wb.system, wb.topology, ff);
   const std::size_t dof = wb.degrees_of_freedom();
 
   std::printf("TIP3P water: %zu molecules, box %.3f nm, r_c = %.3f nm\n",
               wb.molecules, box.lengths.x, r_cut);
 
-  // Equilibrate with weak coupling.
+  // Equilibrate with weak coupling.  The thermostat does not conserve
+  // energy: only the guardrail's drift check is off.
   BerendsenParams thermostat;
   thermostat.dof = dof;
   thermostat.time_constant = 0.02;
+  SimulationParams params;
+  params.guardrail.energy_drift_tol = std::numeric_limits<double>::infinity();
+  Simulation sim(wb.system, wb.topology, ff, integrator, params);
   Timer timer;
-  const int equil_steps = static_cast<int>(equil_ps * 1000.0);
-  for (int s = 0; s < equil_steps; ++s) {
-    integrator.step(wb.system, wb.topology, ff);
+  const auto equil_steps = static_cast<std::uint64_t>(equil_ps * 1000.0);
+  sim.run(equil_steps, [&](std::uint64_t, const StepReport&,
+                           const ParticleSystem&) {
     apply_berendsen(wb.system, thermostat, 0.001);
-  }
+  });
   std::printf("equilibrated %.1f ps at T = %.0f K (%.0f s)\n", equil_ps,
               wb.system.temperature(dof), timer.seconds());
 
-  // Sample.
+  // Sample every 100 steps of the NVE continuation.
   std::vector<std::size_t> oxygens;
   for (std::size_t m = 0; m < wb.molecules; ++m) oxygens.push_back(3 * m);
   RdfAccumulator rdf(std::min(1.0, 0.45 * box.lengths.x), 60);
   MsdTracker msd(box, wb.system.positions, oxygens);
-  const int sample_steps = static_cast<int>(sample_ps * 1000.0);
+  const auto sample_steps = static_cast<std::uint64_t>(sample_ps * 1000.0);
   double final_msd = 0.0;
-  for (int s = 0; s < sample_steps; ++s) {
-    integrator.step(wb.system, wb.topology, ff);
-    if (s % 100 == 99) {
-      rdf.accumulate(box, wb.system.positions, oxygens, oxygens);
-      final_msd = msd.update(wb.system.positions);
-    }
-  }
+  const auto sample = [&](std::uint64_t step, const StepReport&,
+                          const ParticleSystem& system) {
+    if ((step - equil_steps) % 100 != 0) return;
+    rdf.accumulate(box, system.positions, oxygens, oxygens);
+    final_msd = msd.update(system.positions);
+  };
+  sim.run(equil_steps + sample_steps, sample);
 
   const RdfResult g = rdf.result();
   std::printf("\nO-O radial distribution function (%zu frames):\n", g.samples);

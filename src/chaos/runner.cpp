@@ -244,10 +244,15 @@ ChaosRunResult ChaosRunner::run() {
   sync_checkpoint_stats();
 
   // Live introspection: the fleet and the runner each contribute a section
-  // to SIGUSR1 / periodic status snapshots while this run is live.
+  // to SIGUSR1 / periodic status snapshots while this run is live.  The
+  // fleet's provider also refreshes its registry gauges; the reporter reads
+  // the registry after its providers, so the same snapshot carries them.
   obs::StatusReporter& status = obs::StatusReporter::global();
-  const int fleet_section = status.add_provider(
-      "fleet", [&fleet](obs::JsonValue& v) { fleet->status_json(v); });
+  const int fleet_section =
+      status.add_provider("fleet", [&fleet](obs::JsonValue& v) {
+        fleet->publish_metrics();
+        fleet->status_json(v);
+      });
   const int chaos_section = status.add_provider(
       "chaos", [&result, &sim, &spec = spec_](obs::JsonValue& v) {
         v = obs::JsonValue::make_object();
@@ -495,12 +500,6 @@ ChaosRunResult ChaosRunner::run() {
     }
 
     // ---- the step: the chaos side under the deadline, then the clean twin --
-    // Registry gauges are refreshed only when the step's status poll (inside
-    // the driver) will actually write a snapshot.
-    if (obs::StatusReporter::signal_pending() ||
-        (status.every() != 0 && (s + 1) % status.every() == 0)) {
-      fleet->publish_metrics();
-    }
     const std::uint64_t writes_before = sim.result().checkpoint_writes;
     const std::uint64_t refusals_before =
         sim.result().checkpoint_write_failures;

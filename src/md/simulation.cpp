@@ -66,8 +66,14 @@ std::uint64_t Simulation::restore() {
   return ckpt.step;
 }
 
-const SimulationResult& Simulation::run(std::uint64_t steps) {
-  while (result_.steps_completed < steps && advance()) {
+const SimulationResult& Simulation::run(std::uint64_t steps,
+                                        const StepObserver& observe) {
+  while (result_.steps_completed < steps) {
+    const std::uint64_t before = result_.steps_completed;
+    if (!advance()) break;
+    if (observe && result_.steps_completed == before + 1) {
+      observe(result_.steps_completed, result_.last_report, system_);
+    }
   }
   return result_;
 }

@@ -1,11 +1,12 @@
 // Simulation: the one guarded MD step driver.
 //
-// Every guarded step loop in the repo runs through this class — a plain NVE
-// run, the recovery-ladder tests, and both sides of the chaos harness.  It
-// primes the system once, then each advance() is one Velocity-Verlet step
-// (paper Sec. V.A: three integration phases around the force evaluation,
-// SETTLE on the constraint engine) under the guardrail, reacting per the
-// escalation ladder of md/guardrail:
+// Every MD run loop in the examples and benches runs through this class —
+// the NVE and thermostatted examples, both Fig. 4 loops, the recovery-ladder
+// tests, and both sides of the chaos harness.  It primes the system once,
+// then each advance() is one Velocity-Verlet step (paper Sec. V.A: three
+// integration phases around the force evaluation, SETTLE on the constraint
+// engine) under the guardrail, reacting per the escalation ladder of
+// md/guardrail:
 //
 //   warn       log the violation and keep going;
 //   recompute  restore the in-memory pre-step state and re-run just that
@@ -89,8 +90,18 @@ class Simulation {
   // Returns false once the run has aborted.
   bool advance();
 
-  // Advances until `steps` steps have completed or the run aborts.
-  const SimulationResult& run(std::uint64_t steps);
+  // Called once per completed step with its number, report and state.  A
+  // rollback is not a completed step: it moves steps_completed back without
+  // a call, and the re-run steps are observed again as they complete.
+  using StepObserver = std::function<void(
+      std::uint64_t step, const StepReport& report, const ParticleSystem&)>;
+
+  // Advances until `steps` steps have completed or the run aborts, calling
+  // `observe` (when set) after each completed step.  The system is the
+  // caller's, so an observer may also act on it between steps (a
+  // thermostat, a velocity rescale).
+  const SimulationResult& run(std::uint64_t steps,
+                              const StepObserver& observe = {});
 
   // Writes a rotating checkpoint of the current state.  A CheckpointError is
   // counted, logged and swallowed; returns whether the write landed.

@@ -1,7 +1,6 @@
 #include "obs/status.hpp"
 
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -10,6 +9,7 @@
 #include <unistd.h>
 
 #include "obs/metrics.hpp"
+#include "util/io_shim.hpp"
 
 namespace tme::obs {
 
@@ -125,6 +125,15 @@ bool StatusReporter::write_now(std::uint64_t step) {
           std::chrono::system_clock::now().time_since_epoch())
           .count()));
 
+  // Provider sections first: a provider may refresh registry gauges (the
+  // fleet publishes its per-worker view), and the registry section below
+  // must carry those values from this same snapshot.
+  for (const Provider& p : providers) {
+    JsonValue section = JsonValue::make_object();
+    p.fill(section);
+    obj[p.key] = std::move(section);
+  }
+
   // Global-registry section: counters + gauges verbatim, histograms as
   // count/percentile summaries (the full bins live in BENCH exports).
   const MetricsSnapshot snap = Registry::global().snapshot();
@@ -152,25 +161,10 @@ bool StatusReporter::write_now(std::uint64_t step) {
   mo["histograms"] = std::move(hists);
   obj["metrics"] = std::move(metrics);
 
-  for (const Provider& p : providers) {
-    JsonValue section = JsonValue::make_object();
-    p.fill(section);
-    obj[p.key] = std::move(section);
-  }
-
-  const std::string json = root.dump() + "\n";
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  if (written != json.size() || std::fclose(f) != 0) {
-    if (written != json.size()) std::fclose(f);
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
+  try {
+    io::write_file_durable(path, root.dump() + "\n");
+  } catch (const io::IoError&) {
+    return false;  // a status write must never end the run
   }
   return true;
 }

@@ -7,16 +7,17 @@
 //    signal context);
 //  - every N steps when set_every(N) / TME_STATUS_EVERY is configured.
 //
-// The snapshot is written atomically: the JSON lands in "<path>.tmp.<pid>"
-// and is renamed over <path>, so a reader never observes a torn file.  Its
-// schema ("tme-status-v1") is a flat object: step, pid, wall-clock stamp,
-// a "metrics" section (counters, gauges, histogram percentiles from the
-// global registry), plus one section per registered provider — the fleet
-// contributes per-worker health/offset/outstanding, the chaos runner its
-// event and oracle counters.
+// The snapshot is published through io::write_file_durable, the one staged
+// and fsynced whole-file writer that checkpoints and traces use, so a reader
+// never observes a torn file.  Its schema ("tme-status-v1") is a flat
+// object: step, pid, wall-clock stamp, one section per registered provider
+// — the fleet contributes per-worker health/offset/outstanding, the chaos
+// runner its event and oracle counters — and a "metrics" section (counters,
+// gauges, histogram percentiles from the global registry).  Providers run
+// first, so registry gauges a provider refreshes land in the same snapshot.
 //
-// obs sits below util in the link order, so file IO uses std::FILE +
-// std::rename directly and the two env knobs are parsed locally.
+// obs sits below util in the link order, so the two env knobs are parsed
+// locally.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +62,7 @@ class StatusReporter {
   bool poll(std::uint64_t step);
 
   // Unconditional snapshot write (still needs a path).  Returns false on
-  // IO failure.
+  // IO failure; never throws one, since a status write must not end a run.
   bool write_now(std::uint64_t step);
 
   // True when SIGUSR1 arrived and has not yet been consumed by poll().

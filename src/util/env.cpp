@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 
 #include "util/logging.hpp"
@@ -43,39 +42,11 @@ std::optional<long> parse_long(const std::string& text) {
   return v;
 }
 
-std::optional<double> parse_double(const std::string& text) {
-  if (text.empty() || leading_space(text)) return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') return std::nullopt;
-  return v;
-}
-
 std::uint64_t u64_or(const char* name, std::uint64_t fallback) {
   const auto text = raw(name);
   if (!text) return fallback;
   if (const auto v = parse_u64(*text)) return *v;
   log_warn(name, "='", *text, "' is not an unsigned integer; keeping ", fallback);
-  return fallback;
-}
-
-double probability_or(const char* name, double fallback) {
-  const auto text = raw(name);
-  if (!text) return fallback;
-  const auto v = parse_double(*text);
-  if (v && *v >= 0.0 && *v <= 1.0) return *v;
-  log_warn(name, "='", *text, "' is not a probability in [0, 1]; keeping ",
-           fallback);
-  return fallback;
-}
-
-double non_negative_or(const char* name, double fallback) {
-  const auto text = raw(name);
-  if (!text) return fallback;
-  const auto v = parse_double(*text);
-  if (v && std::isfinite(*v) && *v >= 0.0) return *v;
-  log_warn(name, "='", *text, "' is not a non-negative number; keeping ",
-           fallback);
   return fallback;
 }
 
@@ -86,16 +57,6 @@ long bounded_long_or(const char* name, long fallback, long lo, long hi) {
   if (v && *v >= lo && *v <= hi) return *v;
   log_warn(name, "='", *text, "' is not an integer in [", lo, ", ", hi,
            "]; keeping ", fallback);
-  return fallback;
-}
-
-bool flag_or(const char* name, bool fallback) {
-  const auto text = raw(name);
-  if (!text) return fallback;
-  if (*text == "1" || *text == "on" || *text == "true") return true;
-  if (*text == "0" || *text == "off" || *text == "false") return false;
-  log_warn(name, "='", *text, "' is not 0|1|on|off|true|false; keeping ",
-           fallback ? "on" : "off");
   return fallback;
 }
 

@@ -1,9 +1,11 @@
-// Environment-variable configuration parsing, shared by every TME_* knob.
+// Environment-variable configuration parsing for the TME_* knobs above obs.
 //
-// Every knob (TME_THREADS in util/parallel, TME_SIMD in util/simd, the
-// TME_CHAOS_* spec overrides in chaos/schedule) parses through this one
-// implementation: strict full-string parses that return nullopt on any
-// malformed input, and typed lookups that log one consistently-formatted warning
+// TME_THREADS (util/parallel), TME_SIMD (util/simd), TME_LOG_JSON
+// (util/logging) and the TME_CHAOS_* spec overrides (chaos/schedule) parse
+// through this one implementation.  obs sits below util, so TME_TRACE,
+// TME_TRACE_BUFFER and TME_STATUS_* parse locally in obs/.  The helpers are
+// strict full-string parses that return nullopt on any malformed input, and
+// typed lookups that log one consistently-formatted warning
 //   "<NAME>='<value>' is not <expectation>; keeping <fallback>"
 // and keep the caller's fallback.  Unset or empty variables are silently
 // the fallback — only a present-but-malformed value warns.
@@ -23,22 +25,12 @@ std::optional<std::string> raw(const char* name);
 // garbage.  Return nullopt on malformed input (never throw).
 std::optional<std::uint64_t> parse_u64(const std::string& text);
 std::optional<long> parse_long(const std::string& text);
-std::optional<double> parse_double(const std::string& text);
 
 // Typed lookups with the consistent warning described above.
 std::uint64_t u64_or(const char* name, std::uint64_t fallback);
 
-// Probability in [0, 1].
-double probability_or(const char* name, double fallback);
-
-// Finite value with value >= 0 (timeouts, rates in seconds).
-double non_negative_or(const char* name, double fallback);
-
 // Integer in [lo, hi].
 long bounded_long_or(const char* name, long fallback, long lo, long hi);
-
-// Boolean flag: "0"/"off"/"false" -> false, "1"/"on"/"true" -> true.
-bool flag_or(const char* name, bool fallback);
 
 // One of `choices` (exact match); returns the matching index, or
 // `fallback_index` with a warning listing the valid spellings.

@@ -28,23 +28,4 @@ void XyzWriter::write_frame(std::span<const std::string> elements,
   ++frames_;
 }
 
-CsvLogger::CsvLogger(const std::string& path, std::span<const std::string> columns)
-    : out_(path), columns_(columns.size()) {
-  if (!out_) throw std::runtime_error("CsvLogger: cannot open " + path);
-  if (columns.empty()) throw std::invalid_argument("CsvLogger: no columns");
-  for (std::size_t i = 0; i < columns.size(); ++i) {
-    out_ << columns[i] << (i + 1 < columns.size() ? ',' : '\n');
-  }
-}
-
-void CsvLogger::write_row(std::span<const double> values) {
-  if (values.size() != columns_) {
-    throw std::invalid_argument("CsvLogger: row width mismatch");
-  }
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out_ << values[i] << (i + 1 < values.size() ? ',' : '\n');
-  }
-  ++rows_;
-}
-
 }  // namespace tme

@@ -1,5 +1,5 @@
-// Plain-text output writers: XYZ trajectories (readable by VMD/OVITO) and
-// CSV energy logs — enough tooling to inspect the example simulations.
+// Plain-text trajectory output: XYZ frames (readable by VMD/OVITO), enough
+// tooling to inspect the example simulations.
 #pragma once
 
 #include <fstream>
@@ -27,20 +27,6 @@ class XyzWriter {
  private:
   std::ofstream out_;
   std::size_t frames_ = 0;
-};
-
-// One-line-per-record CSV with a fixed header.
-class CsvLogger {
- public:
-  CsvLogger(const std::string& path, std::span<const std::string> columns);
-
-  void write_row(std::span<const double> values);
-  std::size_t rows_written() const { return rows_; }
-
- private:
-  std::ofstream out_;
-  std::size_t columns_ = 0;
-  std::size_t rows_ = 0;
 };
 
 }  // namespace tme

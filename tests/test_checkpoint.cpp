@@ -789,6 +789,57 @@ TEST(GuardedRun, ZeroCheckpointIntervalWritesOnlyTheStepZeroGeneration) {
   EXPECT_FALSE(std::ifstream(params.checkpoint_path + ".1").good());
 }
 
+// run() calls its observer once per completed step, in step order, with the
+// driver's own report and the caller's system; a second run() continues.
+TEST(GuardedRun, RunObservesEachCompletedStepInOrder) {
+  MdSetup md = make_md();
+  Simulation sim(md.wb.system, md.wb.topology, md.ff, md.integrator,
+                 SimulationParams{});
+  std::vector<std::uint64_t> seen;
+  double last_total = 0.0;
+  const Simulation::StepObserver observe =
+      [&](std::uint64_t step, const StepReport& report,
+          const ParticleSystem& system) {
+        seen.push_back(step);
+        last_total = report.total();
+        EXPECT_EQ(&system, &md.wb.system);
+      };
+  sim.run(3, observe);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3}));
+  const SimulationResult& result = sim.run(5, observe);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(result.steps_completed, 5u);
+  EXPECT_EQ(last_total, result.last_report.total());
+}
+
+// A rollback is not a completed step: the failed step is never observed, and
+// the steps re-run after the restore are observed again as they complete.
+TEST(GuardedRun, RunDoesNotObserveARollback) {
+  MdSetup md = make_md();
+  SimulationParams params;
+  params.guardrail.policy = GuardrailPolicy::kRecover;
+  const ScratchDir dir;
+  params.checkpoint_path = dir.file("guarded-observe.ckpt");
+  params.checkpoint_interval = 3;
+  bool injected = false;
+  params.fault_hook = [&injected](std::uint64_t step, ParticleSystem& sys) {
+    if (step == 5 && !injected) {
+      injected = true;
+      sys.positions[2].z = std::numeric_limits<double>::quiet_NaN();
+    }
+  };
+  Simulation sim(md.wb.system, md.wb.topology, md.ff, md.integrator, params);
+  std::vector<std::uint64_t> seen;
+  const SimulationResult& result = sim.run(
+      7, [&seen](std::uint64_t step, const StepReport&, const ParticleSystem&) {
+        seen.push_back(step);
+      });
+  EXPECT_EQ(result.recoveries, 1);
+  EXPECT_EQ(result.steps_completed, 7u);
+  // Step 5 failed and rolled back to the step-3 generation; 4 re-ran.
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 4, 5, 6, 7}));
+}
+
 // A full disk refuses one cadence write; the run survives it, and a later
 // transient fault rolls back over the missing generation to the one before.
 TEST(GuardedRun, RefusedCheckpointWriteIsSurvivedAndRolledBackOver) {

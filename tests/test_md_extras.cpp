@@ -64,24 +64,5 @@ TEST(Io, XyzWriterProducesReadableFrames) {
   fs::remove(path);
 }
 
-TEST(Io, CsvLoggerWritesHeaderAndRows) {
-  const fs::path path = fs::temp_directory_path() / "tme_test_log.csv";
-  {
-    const std::vector<std::string> cols{"t", "energy"};
-    CsvLogger log(path.string(), cols);
-    log.write_row(std::vector<double>{0.0, -1.5});
-    log.write_row(std::vector<double>{0.1, -1.6});
-    EXPECT_EQ(log.rows_written(), 2u);
-    EXPECT_THROW(log.write_row(std::vector<double>{1.0}), std::invalid_argument);
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "t,energy");
-  std::getline(in, line);
-  EXPECT_EQ(line, "0,-1.5");
-  fs::remove(path);
-}
-
 }  // namespace
 }  // namespace tme

@@ -477,7 +477,7 @@ TEST_F(StatusReporterTest, WriteNowIsAtomicAndSchemaShaped) {
   });
   ASSERT_TRUE(status.write_now(17));
   // Atomic: the temp file is renamed away, only the target remains.
-  EXPECT_FALSE(file_exists(path + ".tmp." + std::to_string(::getpid())));
+  EXPECT_FALSE(file_exists(path + ".tmp"));
   const obs::JsonValue snap = obs::json_parse(read_file(path));
   EXPECT_EQ(snap.at("schema").as_string(), "tme-status-v1");
   EXPECT_EQ(snap.at("step").as_number(), 17.0);
@@ -492,6 +492,39 @@ TEST_F(StatusReporterTest, WriteNowIsAtomicAndSchemaShaped) {
   status.remove_provider(id);
   ASSERT_TRUE(status.write_now(18));
   EXPECT_FALSE(obs::json_parse(read_file(path)).contains("fleet"));
+  std::remove(path.c_str());
+}
+
+TEST_F(StatusReporterTest, WriteToMissingDirectoryFailsQuietly) {
+  obs::StatusReporter& status = obs::StatusReporter::global();
+  const std::string path = temp_path("no_such_dir") + "/status.json";
+  status.set_path(path);
+  bool written = true;
+  EXPECT_NO_THROW(written = status.write_now(1));
+  EXPECT_FALSE(written);
+  EXPECT_FALSE(file_exists(path + ".tmp"));
+  EXPECT_FALSE(file_exists(path));
+}
+
+TEST_F(StatusReporterTest, ProviderGaugesLandInTheSameSnapshot) {
+  // Registry::gauge_set is a direct call, live with metrics compiled out.
+  obs::StatusReporter& status = obs::StatusReporter::global();
+  const std::string path = temp_path("status_provider_gauge.json");
+  status.set_path(path);
+  double published = 0.0;
+  const int id = status.add_provider("probe", [&published](obs::JsonValue&) {
+    published += 1.0;
+    obs::Registry::global().gauge_set("status/test_provider_gauge", published);
+  });
+  ASSERT_TRUE(status.write_now(1));
+  ASSERT_TRUE(status.write_now(2));
+  const obs::JsonValue snap = obs::json_parse(read_file(path));
+  EXPECT_EQ(snap.at("metrics")
+                .at("gauges")
+                .at("status/test_provider_gauge")
+                .as_number(),
+            2.0);
+  status.remove_provider(id);
   std::remove(path.c_str());
 }
 

@@ -279,9 +279,7 @@ TEST(Env, StrictParsersRejectPartialInput) {
   EXPECT_FALSE(env::parse_u64("-1").has_value());
   EXPECT_EQ(env::parse_long("-7"), -7);
   EXPECT_FALSE(env::parse_long("7.5").has_value());
-  EXPECT_EQ(env::parse_double("2.5e-3"), 2.5e-3);
-  EXPECT_FALSE(env::parse_double("fast").has_value());
-  EXPECT_FALSE(env::parse_double("").has_value());
+  EXPECT_FALSE(env::parse_long("").has_value());
 }
 
 TEST(Env, UnsetAndEmptyFallBackSilently) {
@@ -296,36 +294,21 @@ TEST(Env, UnsetAndEmptyFallBackSilently) {
 TEST(Env, MalformedValuesKeepTheFallback) {
   ScopedEnv bad("TME_TEST_ENV_KNOB", "banana");
   EXPECT_EQ(env::u64_or("TME_TEST_ENV_KNOB", 3), 3u);
-  EXPECT_EQ(env::probability_or("TME_TEST_ENV_KNOB", 0.25), 0.25);
-  EXPECT_EQ(env::non_negative_or("TME_TEST_ENV_KNOB", 1.5), 1.5);
   EXPECT_EQ(env::bounded_long_or("TME_TEST_ENV_KNOB", 2, 0, 8), 2);
-  EXPECT_TRUE(env::flag_or("TME_TEST_ENV_KNOB", true));
 }
 
 TEST(Env, RangeViolationsKeepTheFallback) {
   {
-    ScopedEnv over("TME_TEST_ENV_KNOB", "1.5");
-    EXPECT_EQ(env::probability_or("TME_TEST_ENV_KNOB", 0.1), 0.1);
-  }
-  {
     ScopedEnv negative("TME_TEST_ENV_KNOB", "-2");
-    EXPECT_EQ(env::non_negative_or("TME_TEST_ENV_KNOB", 4.0), 4.0);
     EXPECT_EQ(env::bounded_long_or("TME_TEST_ENV_KNOB", 1, 0, 8), 1);
   }
   {
-    ScopedEnv good("TME_TEST_ENV_KNOB", "0.75");
-    EXPECT_EQ(env::probability_or("TME_TEST_ENV_KNOB", 0.1), 0.75);
+    ScopedEnv over("TME_TEST_ENV_KNOB", "9");
+    EXPECT_EQ(env::bounded_long_or("TME_TEST_ENV_KNOB", 1, 0, 8), 1);
   }
-}
-
-TEST(Env, FlagAcceptsConventionalSpellings) {
-  for (const char* spelling : {"1", "on", "true"}) {
-    ScopedEnv e("TME_TEST_ENV_KNOB", spelling);
-    EXPECT_TRUE(env::flag_or("TME_TEST_ENV_KNOB", false)) << spelling;
-  }
-  for (const char* spelling : {"0", "off", "false"}) {
-    ScopedEnv e("TME_TEST_ENV_KNOB", spelling);
-    EXPECT_FALSE(env::flag_or("TME_TEST_ENV_KNOB", true)) << spelling;
+  {
+    ScopedEnv good("TME_TEST_ENV_KNOB", "8");
+    EXPECT_EQ(env::bounded_long_or("TME_TEST_ENV_KNOB", 1, 0, 8), 8);
   }
 }
 
