@@ -83,14 +83,13 @@ int main(int argc, char** argv) {
   row("composed", composed);
   row("io-heavy", io_heavy);
 
-  // Telemetry overhead: the same composed schedule on the real-process
-  // backend, with fleet-wide tracing + worker telemetry disarmed vs armed.
+  // Telemetry overhead: the same composed schedule with fleet-wide tracing +
+  // worker telemetry disarmed vs armed.
   // The runner's force-parity oracle runs in both rows, so a "green" verdict
   // is the forces-bitwise-identical-on/off check; the acceptance bar for
   // the armed row is <= 5% ms/step over the disarmed one.
   if (obs::kTraceEnabled) {
     chaos::ChaosSpec fleet_spec = composed;
-    fleet_spec.backend = "proc";
     fleet_spec.timeout_ms = 2000;
     obs::Tracer::global().set_enabled(false);
     const double off_ms = row("telem-off", fleet_spec);

@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
 
   // --- E: real worker transport ----------------------------------------------
   bench::print_header(
-      "E: worker transport backends (invariant: worker-farm forces bitwise "
+      "E: worker processes (invariant: worker-farm forces bitwise "
       "equal to serial, including after a mid-run worker kill)");
   {
     auto fleet_forces_match = [&](const CoulombResult& r) {
@@ -319,35 +319,25 @@ int main(int argc, char** argv) {
       return seconds;
     };
 
-    std::printf("  %-10s %10s %12s %14s %8s %9s\n", "backend", "workers",
+    std::printf("  %-10s %10s %12s %14s %8s %9s\n", "fleet", "workers",
                 "time (ms)", "tasks/s", "deaths", "respawns");
     const std::size_t farm = 4;
-    for (const auto backend : {par::FleetConfig::Backend::kInProc,
-                               par::FleetConfig::Backend::kProc}) {
-      const bool proc = backend == par::FleetConfig::Backend::kProc;
-      par::FleetConfig fcfg;
-      fcfg.backend = backend;
-      fcfg.workers = farm;
-      par::FleetStats stats;
-      const double seconds =
-          timed_fleet_run(proc ? "proc" : "inproc", fcfg, &stats);
-      const double tasks_per_s =
-          static_cast<double>(stats.tasks_sent) / seconds;
-      std::printf("  %-10s %10zu %12.1f %14.0f %8llu %9llu\n",
-                  proc ? "proc" : "inproc", farm, seconds * 1e3, tasks_per_s,
-                  static_cast<unsigned long long>(stats.worker_deaths),
-                  static_cast<unsigned long long>(stats.respawns));
-      check(stats.worker_deaths == 0, "healthy fleet run lost a worker");
-      const std::string stem =
-          std::string("faults/transport/") + (proc ? "proc" : "inproc");
-      reg.gauge_set(stem + "/time_ms", seconds * 1e3);
-      reg.gauge_set(stem + "/tasks_per_s", tasks_per_s);
-    }
+    par::FleetConfig fcfg;
+    fcfg.workers = farm;
+    par::FleetStats stats;
+    const double seconds = timed_fleet_run("proc", fcfg, &stats);
+    const double tasks_per_s = static_cast<double>(stats.tasks_sent) / seconds;
+    std::printf("  %-10s %10zu %12.1f %14.0f %8llu %9llu\n", "proc", farm,
+                seconds * 1e3, tasks_per_s,
+                static_cast<unsigned long long>(stats.worker_deaths),
+                static_cast<unsigned long long>(stats.respawns));
+    check(stats.worker_deaths == 0, "healthy fleet run lost a worker");
+    reg.gauge_set("faults/transport/proc/time_ms", seconds * 1e3);
+    reg.gauge_set("faults/transport/proc/tasks_per_s", tasks_per_s);
 
     // Recovery drill: one real process worker SIGKILLs itself mid-run and is
     // restarted from the CRC-sealed context checkpoint.
     par::FleetConfig kill_cfg;
-    kill_cfg.backend = par::FleetConfig::Backend::kProc;
     kill_cfg.workers = farm;
     kill_cfg.context_path = "bench_faults_worker.ctx";
     kill_cfg.worker_faults.resize(farm);

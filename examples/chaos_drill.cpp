@@ -24,9 +24,9 @@
 //
 // Typical CI invocations:
 //   TME_CHAOS_SURFACES=node,packet,worker,io TME_CHAOS_SEED=7 ./chaos_drill
-//   ./chaos_drill --spec crash.json  # {"backend":"proc","workers":3,
-//                                    #  "events":[{"step":0,"a":1,"b":2,
-//                                    #  "surface":"worker","detail":"crash"}]}
+//   ./chaos_drill --spec crash.json  # {"workers":3,"events":[{"step":0,
+//                                    #  "a":1,"b":2,"surface":"worker",
+//                                    #  "detail":"crash"}]}
 //   ./chaos_drill --spec lethal.json --shrink --out repro.json
 //   ./chaos_drill --replay repro.json
 #include <cstdio>
@@ -114,11 +114,11 @@ int main(int argc, char** argv) {
     status.set_every(static_cast<std::uint64_t>(status_every));
   }
 
-  std::printf("chaos drill: seed %llu, %llu steps, %zu atoms, %zu %s workers, "
+  std::printf("chaos drill: seed %llu, %llu steps, %zu atoms, %zu workers, "
               "%zu event(s)\n",
               static_cast<unsigned long long>(spec.seed),
               static_cast<unsigned long long>(spec.steps), spec.atoms,
-              spec.workers, spec.backend.c_str(), spec.events.size());
+              spec.workers, spec.events.size());
 
   if (args.get_flag("shrink")) {
     chaos::ShrinkOptions sopts;

@@ -151,8 +151,7 @@ int main(int argc, char** argv) {
   const ForceField ff(sr, make_tme_solver(box, tp));
 
   const VelocityVerlet integrator(sys.topology, sys.system, IntegratorParams{});
-  const std::size_t dof =
-      3 * sys.system.size() - sys.topology.constraint_count() - 3;
+  const std::size_t dof = sys.topology.degrees_of_freedom(sys.system.size());
 
   std::unique_ptr<XyzWriter> traj;
   std::vector<std::string> elements;

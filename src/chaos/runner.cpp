@@ -183,8 +183,6 @@ ChaosRunResult ChaosRunner::run() {
                                   IntegratorParams{});
 
   par::FleetConfig fc;
-  fc.backend = spec_.backend == "proc" ? par::FleetConfig::Backend::kProc
-                                       : par::FleetConfig::Backend::kInProc;
   fc.workers = spec_.workers;
   fc.timeout_ms = spec_.timeout_ms;
   fc.term_grace_ms = 1000;

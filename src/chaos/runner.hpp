@@ -5,10 +5,10 @@
 // (spec.atoms / 3 molecules at liquid density), integrated by
 // VelocityVerlet through the Simulation step driver (md/simulation).  Its
 // long-range forces come from ParallelTme over a 2x2x1 node torus,
-// dispatched through a WorkerFleet (the spec picks the in-proc or the
-// real-process backend).  The driver checkpoints the evolving system on
-// rotation through the durable md/checkpoint path, and the scheduled fault
-// events are applied between steps.
+// dispatched through a WorkerFleet of worker processes.  The driver
+// checkpoints the evolving system on rotation through the durable
+// md/checkpoint path, and the scheduled fault events are applied between
+// steps.
 //
 // A *clean twin* — the same water through its own Simulation, with
 // ParallelTme on the inline SerialExecutor and no faults armed — runs in
@@ -50,7 +50,7 @@ namespace tme::chaos {
 
 struct RunnerOptions {
   std::string workdir = ".";  // checkpoint + context files land here
-  std::string worker_bin;     // proc backend: fork+exec this binary
+  std::string worker_bin;     // fork+exec this binary (empty = plain fork)
   bool verbose = false;       // narrate events and oracle results to stdout
   // Non-empty: after a successful run, write the merged fleet timeline
   // (coordinator tracks + one process per worker incarnation, chaos events

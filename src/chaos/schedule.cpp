@@ -78,7 +78,6 @@ obs::JsonValue spec_to_json(const ChaosSpec& spec) {
   obj["atoms"] = obs::JsonValue::make_number(static_cast<double>(spec.atoms));
   obj["workers"] =
       obs::JsonValue::make_number(static_cast<double>(spec.workers));
-  obj["backend"] = obs::JsonValue::make_string(spec.backend);
   obj["checkpoint_interval"] = obs::JsonValue::make_number(
       static_cast<double>(spec.checkpoint_interval));
   obj["checkpoint_keep"] =
@@ -122,11 +121,6 @@ ChaosSpec spec_from_json(const obs::JsonValue& json) {
   spec.workers = static_cast<std::size_t>(
       integer_or(json, "workers", static_cast<double>(spec.workers), 1,
                  static_cast<double>(kMaxWorkers)));
-  spec.backend = str_or(json, "backend", spec.backend);
-  if (spec.backend != "inproc" && spec.backend != "proc") {
-    throw std::runtime_error("chaos spec: 'backend' = '" + spec.backend +
-                             "' is not inproc or proc");
-  }
   spec.checkpoint_interval = static_cast<std::uint64_t>(
       integer_or(json, "checkpoint_interval",
                  static_cast<double>(spec.checkpoint_interval), 0, kSteps));
@@ -178,10 +172,6 @@ ChaosSpec spec_from_env(ChaosSpec base) {
   base.workers = static_cast<std::size_t>(env::bounded_long_or(
       "TME_CHAOS_WORKERS", static_cast<long>(base.workers), 1,
       static_cast<long>(kMaxWorkers)));
-  const std::size_t backend = env::choice_or("TME_CHAOS_BACKEND",
-                                             {"inproc", "proc"},
-                                             base.backend == "proc" ? 1 : 0);
-  base.backend = backend == 1 ? "proc" : "inproc";
   if (const auto list = env::raw("TME_CHAOS_SURFACES")) {
     std::vector<Surface> surfaces;
     std::stringstream ss(*list);

@@ -68,7 +68,6 @@ struct ChaosSpec {
   std::uint64_t steps = 8;
   std::size_t atoms = 96;                // water atoms: atoms / 3 molecules
   std::size_t workers = 2;
-  std::string backend = "inproc";        // "inproc" | "proc"
   std::uint64_t checkpoint_interval = 2; // steps between rotating writes
   int checkpoint_keep = 3;               // generations retained
   long timeout_ms = 4000;                // per-worker transport deadline
@@ -77,11 +76,12 @@ struct ChaosSpec {
 };
 
 // JSON round-trip.  spec_from_json / parse_spec throw std::runtime_error,
-// naming the field, on malformed input: an unknown surface or backend, a
+// naming the field, on malformed input: an unknown surface, a
 // non-integral or out-of-range count (atoms in [kMinAtoms, kMaxAtoms],
 // workers in [1, kMaxWorkers], steps >= 1, checkpoint_keep >= 1), or a rate
 // outside [0, 1].  Missing fields fall back to the defaults above, so
-// hand-written repro specs stay short.
+// hand-written repro specs stay short; keys the spec does not know (such as
+// the retired "backend") are ignored, so older replay files still parse.
 obs::JsonValue spec_to_json(const ChaosSpec& spec);
 ChaosSpec spec_from_json(const obs::JsonValue& json);
 std::string dump_spec(const ChaosSpec& spec);
@@ -93,7 +93,6 @@ ChaosSpec read_spec_file(const std::string& path);
 
 // Builds a spec from the environment on top of `base`:
 //   TME_CHAOS_SEED / TME_CHAOS_STEPS / TME_CHAOS_ATOMS / TME_CHAOS_WORKERS
-//   TME_CHAOS_BACKEND=inproc|proc
 //   TME_CHAOS_SURFACES=a,b,...  overwrite the event list with a seeded
 //                               random schedule over the named surfaces
 ChaosSpec spec_from_env(ChaosSpec base = {});

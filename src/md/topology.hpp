@@ -79,6 +79,11 @@ class Topology {
 
   // Number of constrained degrees of freedom (3 per rigid water).
   std::size_t constraint_count() const { return 3 * rigid_waters_.size(); }
+  // Unconstrained degrees of freedom of `n_atoms` atoms under this topology:
+  // 3N minus the constraints minus 3 for the centre of mass.
+  std::size_t degrees_of_freedom(std::size_t n_atoms) const {
+    return 3 * n_atoms - constraint_count() - 3;
+  }
 
  private:
   std::vector<Bond> bonds_;

@@ -51,10 +51,6 @@ struct Rotation {
 
 }  // namespace
 
-std::size_t WaterBox::degrees_of_freedom() const {
-  return 3 * system.size() - topology.constraint_count() - 3;
-}
-
 WaterBoxSpec paper_table1_spec() {
   WaterBoxSpec spec;
   spec.molecules = 32773;

@@ -25,7 +25,9 @@ struct WaterBox {
   std::size_t molecules = 0;
 
   // Unconstrained degrees of freedom: 3N - 3*molecules (SETTLE) - 3 (COM).
-  std::size_t degrees_of_freedom() const;
+  std::size_t degrees_of_freedom() const {
+    return topology.degrees_of_freedom(system.size());
+  }
 };
 
 WaterBox build_water_box(const WaterBoxSpec& spec);

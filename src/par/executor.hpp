@@ -6,7 +6,7 @@
 // blocks in fixed node order.  SerialExecutor runs each task inline — the
 // single-process behaviour the simulated machine always had.  WorkerFleet
 // (par/fleet.hpp) ships the same tasks to real worker processes over a
-// Transport.  Because every task is a pure function (par/node_kernels.hpp)
+// ProcTransport.  Because every task is a pure function (par/node_kernels.hpp)
 // and results are integrated in task order, the forces are bitwise
 // independent of which executor — and which process — ran them.
 #pragma once

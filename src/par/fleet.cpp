@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
-#include "par/proc_transport.hpp"
 #include "par/telemetry.hpp"
 #include "util/bytes.hpp"
 
@@ -35,15 +34,15 @@ WorkerFleet::WorkerFleet(const PipelineContext& ctx,
     throw std::invalid_argument("WorkerFleet: need at least one worker");
   }
   worker_dead_.assign(cfg_.workers, 0);
-  telemetry_on_ = cfg_.telemetry &&
-                  cfg_.backend == FleetConfig::Backend::kProc &&
-                  obs::tracing_active();
+  // Start the coordinator's trace clock before any worker forks, so a forked
+  // worker that arms no telemetry reads the same epoch.
+  obs::Tracer& tracer = obs::Tracer::global();
+  telemetry_on_ = cfg_.telemetry && obs::tracing_active();
   offsets_.assign(cfg_.workers, obs::ClockOffsetEstimator{});
   worker_os_pid_.assign(cfg_.workers, -1);
   outstanding_.assign(cfg_.workers, 0);
   trace_id_ = static_cast<std::uint64_t>(::getpid());
   if (telemetry_on_) {
-    obs::Tracer& tracer = obs::Tracer::global();
     dispatch_track_ = tracer.track("fleet", "dispatch");
     events_track_ = tracer.track("fleet", "events");
   }
@@ -191,20 +190,6 @@ void WorkerFleet::record_clock_sample(std::size_t w, double t0_us,
 }
 
 void WorkerFleet::spawn_transport() {
-  if (cfg_.backend == FleetConfig::Backend::kInProc) {
-    transport_ = std::make_unique<InProcTransport>(
-        cfg_.workers,
-        [](Endpoint& ep) {
-          try {
-            worker_loop(ep);
-          } catch (...) {
-            // A misbehaving in-proc worker closes its connection (below)
-            // exactly like a crashing process closes its socket.
-          }
-        },
-        cfg_.net_fault);
-    return;
-  }
   ProcTransport::Options opts;
   opts.worker_bin = cfg_.worker_bin;
   opts.fault = cfg_.net_fault;
@@ -274,8 +259,13 @@ bool WorkerFleet::init_worker(std::size_t w) {
 }
 
 std::size_t WorkerFleet::worker_of_node(std::size_t node) const {
-  const std::size_t host = plan_ ? plan_->host(node) : node;
-  return host % cfg_.workers;
+  const std::size_t home = node % cfg_.workers;
+  for (std::size_t k = 0; k < cfg_.workers; ++k) {
+    const std::size_t w = (home + k) % cfg_.workers;
+    if (!worker_dead_[w]) return w;
+  }
+  throw TransportError("fleet: no worker is alive to host node " +
+                       std::to_string(node));
 }
 
 std::size_t WorkerFleet::alive_workers() const {
@@ -287,46 +277,15 @@ std::size_t WorkerFleet::alive_workers() const {
 void WorkerFleet::kill_worker(std::size_t w) { transport_->kill(w); }
 
 void WorkerFleet::term_worker(std::size_t w, long grace_ms) {
-  if (auto* proc = dynamic_cast<ProcTransport*>(transport_.get())) {
-    proc->terminate(w, grace_ms);
-    return;
-  }
-  transport_->kill(w);  // inproc has no graceful path: tear the channel down
+  transport_->terminate(w, grace_ms);
 }
 
 bool WorkerFleet::worker_exited_cleanly(std::size_t w) const {
-  if (const auto* proc = dynamic_cast<const ProcTransport*>(transport_.get())) {
-    return proc->exited_cleanly(w);
-  }
-  return false;
+  return transport_->exited_cleanly(w);
 }
 
 pid_t WorkerFleet::worker_pid(std::size_t w) const {
-  if (const auto* proc = dynamic_cast<const ProcTransport*>(transport_.get())) {
-    return proc->pid(w);
-  }
-  return -1;
-}
-
-void WorkerFleet::rebuild_plan() {
-  auto faults = std::make_unique<hw::FaultInjector>();
-  bool any = false;
-  const std::size_t nodes = topo_->node_count();
-  for (std::size_t w = 0; w < cfg_.workers; ++w) {
-    if (!worker_dead_[w]) continue;
-    for (std::size_t n = w; n < nodes; n += cfg_.workers) {
-      faults->kill_node(n);
-      any = true;
-    }
-  }
-  if (any) {
-    // Throws when the dead set partitions the torus or leaves no survivor —
-    // the last-survivor refusal the recovery tests assert on.
-    plan_ = std::make_unique<RecoveryPlan>(*topo_, *faults);
-  } else {
-    plan_.reset();
-  }
-  faults_ = std::move(faults);
+  return transport_->pid(w);
 }
 
 void WorkerFleet::handle_worker_death(std::size_t w, const char* cause) {
@@ -353,7 +312,6 @@ void WorkerFleet::handle_worker_death(std::size_t w, const char* cause) {
                    w);
     }
   }
-  rebuild_plan();
 }
 
 void WorkerFleet::record_transfer(std::size_t node, std::size_t bytes) {
@@ -604,9 +562,7 @@ std::vector<ExtendedBlock> WorkerFleet::run_ca(std::vector<CaBlockTask> tasks) {
 }
 
 std::string WorkerFleet::name() const {
-  return std::string("fleet/") +
-         (cfg_.backend == FleetConfig::Backend::kProc ? "proc" : "inproc") +
-         " x" + std::to_string(cfg_.workers);
+  return "fleet/proc x" + std::to_string(cfg_.workers);
 }
 
 std::vector<BiBlockResult> WorkerFleet::run_bi(std::vector<BiBlockTask> tasks) {

@@ -1,5 +1,5 @@
-// WorkerFleet: a NodeExecutor that ships node tasks to real workers over a
-// Transport, with the fault machinery the ISSUE's drill demands:
+// WorkerFleet: a NodeExecutor that ships node tasks to worker processes over
+// a ProcTransport, with this fault machinery:
 //
 //   detection    a crashed worker surfaces as a closed connection (EOF on a
 //                SIGKILLed process's socket); a hung or starved worker is
@@ -11,12 +11,11 @@
 //                rejects on either side are absorbed the same way.  Tasks
 //                are pure and results dedup by task id, so at-least-once
 //                delivery cannot change the physics.
-//   re-homing    a worker declared dead gets its torus nodes killed in a
-//                fleet-owned FaultInjector and a RecoveryPlan re-homes each
-//                block onto a surviving node — whose worker is alive by
-//                construction (an alive node's worker has at least that node
-//                alive).  Killing the last worker makes RecoveryPlan throw:
-//                the last-survivor refusal.
+//   re-homing    workers talk only to the coordinator (a star, not the
+//                torus), so any survivor can host any node: a dead worker's
+//                nodes go to the next alive worker in rank order.  With no
+//                worker alive, dispatch throws TransportError: the
+//                last-survivor refusal.
 //   restart      with respawn enabled the dead worker is relaunched and
 //                re-initialised from the CRC-sealed context checkpoint, then
 //                rejoins the mapping for subsequent work.
@@ -32,30 +31,32 @@
 #include <vector>
 
 #include "hw/link_stats.hpp"
+#include "hw/torus.hpp"
 #include "obs/clock.hpp"
 #include "obs/json.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "par/executor.hpp"
 #include "par/health.hpp"
-#include "par/recovery.hpp"
-#include "par/transport.hpp"
+#include "par/proc_transport.hpp"
 #include "par/worker.hpp"
 
 namespace tme::par {
 
 struct FleetConfig {
-  enum class Backend { kInProc = 0, kProc = 1 };
-  Backend backend = Backend::kInProc;
+  // Workers are always processes; kProc is the only value, kept for callers
+  // that still name it.
+  enum class Backend { kProc = 1 };
+  Backend backend = Backend::kProc;
   std::size_t workers = 2;
   long timeout_ms = 2000;      // per-worker deadline on the oldest unanswered task
   int max_retries = 3;         // retransmission rounds before a worker is declared dead
   long backoff_base_ms = 10;   // first retransmission backoff; doubles per round
   bool respawn = true;         // relaunch dead workers from the sealed context
   // >0: kill_worker / quiesce escalation sends SIGTERM and waits this long
-  // for a voluntary drain before SIGKILL (proc backend only).
+  // for a voluntary drain before SIGKILL.
   long term_grace_ms = 0;
-  std::string worker_bin;      // proc backend: fork+exec this binary (empty = fork)
+  std::string worker_bin;      // fork+exec this binary (empty = plain fork)
   std::string context_path;    // CRC-sealed context checkpoint (empty = in-memory)
   TransportFaultPolicy net_fault;
   // Per-rank misbehaviour drills; shorter than `workers` means default
@@ -64,9 +65,8 @@ struct FleetConfig {
   // Arm fleet-wide telemetry: workers run their own tracer + registry and
   // ship sealed chunks back, the coordinator estimates per-worker clock
   // offsets from the init/ping round trips and merges everything into one
-  // timeline.  Effective only on the proc backend (an in-proc worker shares
-  // the coordinator's process-global tracer and would double-count) and only
-  // when tracing is compiled in and runtime-enabled on the coordinator.
+  // timeline.  Effective only when tracing is compiled in and
+  // runtime-enabled on the coordinator.
   bool telemetry = true;
 };
 
@@ -86,8 +86,8 @@ struct FleetStats {
 class WorkerFleet : public NodeExecutor {
  public:
   // `topo` is the logical node torus the tasks' node ids index into (the one
-  // ParallelTme was built with); worker w hosts nodes {n : n % workers == w}.
-  // Both references must outlive the fleet.
+  // ParallelTme was built with); worker w hosts nodes {n : n % workers == w}
+  // while it is alive.  Both references must outlive the fleet.
   WorkerFleet(const PipelineContext& ctx, const hw::TorusTopology& topo,
               FleetConfig cfg);
   ~WorkerFleet() override;
@@ -95,7 +95,7 @@ class WorkerFleet : public NodeExecutor {
   std::vector<Grid3d> run_grid(std::vector<GridBlockTask> tasks) override;
   std::vector<ExtendedBlock> run_ca(std::vector<CaBlockTask> tasks) override;
   std::vector<BiBlockResult> run_bi(std::vector<BiBlockTask> tasks) override;
-  // "fleet/<backend> x<workers>", e.g. "fleet/proc x2".
+  // "fleet/proc x<workers>", e.g. "fleet/proc x2".
   std::string name() const override;
 
   // Pings every live worker and waits for the pongs; a miss counts against
@@ -115,16 +115,18 @@ class WorkerFleet : public NodeExecutor {
   void set_net_fault(const TransportFaultPolicy& fault);
 
   // Drill triggers / introspection.
-  void kill_worker(std::size_t w);  // SIGKILL (proc) / channel teardown (inproc)
-  // SIGTERM-with-deadline, falling back to SIGKILL (proc backend; the
-  // in-proc backend has no graceful path and tears the channel down).
+  void kill_worker(std::size_t w);  // SIGKILL
+  // SIGTERM-with-deadline, falling back to SIGKILL.
   void term_worker(std::size_t w, long grace_ms);
   // True when the worker's last process exited voluntarily with status 0 —
-  // "asked to stop" rather than "crashed".  Always false on inproc.
+  // "asked to stop" rather than "crashed".
   bool worker_exited_cleanly(std::size_t w) const;
-  pid_t worker_pid(std::size_t w) const;  // -1 on the in-proc backend
+  pid_t worker_pid(std::size_t w) const;
   bool worker_alive(std::size_t w) const { return !worker_dead_[w]; }
   std::size_t alive_workers() const;
+  // Worker that runs node `node`'s tasks: node % workers while that worker is
+  // alive, else the next alive worker in rank order.  Throws TransportError
+  // when no worker is alive.
   std::size_t worker_of_node(std::size_t node) const;
 
   // Heartbeat misses and deaths are attributed to the worker's first torus
@@ -136,14 +138,11 @@ class WorkerFleet : public NodeExecutor {
 
   const FleetStats& stats() const { return stats_; }
   const TransportStats& transport_stats() const { return transport_->stats(); }
-  const Transport& transport() const { return *transport_; }
   const FleetConfig& config() const { return cfg_; }
-  // Null while every worker is alive.
-  const RecoveryPlan* plan() const { return plan_.get(); }
 
   // --- fleet telemetry ------------------------------------------------------
   // True when workers were armed to ship trace chunks + metric snapshots
-  // (cfg.telemetry on the proc backend with tracing compiled in and enabled).
+  // (cfg.telemetry with tracing compiled in and enabled).
   bool telemetry_enabled() const { return telemetry_on_; }
   // Redirects ingested worker telemetry into an aggregator that outlives
   // this fleet (the chaos runner threads one through restarts); null
@@ -177,10 +176,9 @@ class WorkerFleet : public NodeExecutor {
   bool shutdown_workers();
   std::vector<std::uint8_t> context_bytes_for(std::size_t rank) const;
   bool init_worker(std::size_t w);
-  // Declares w dead: kills its nodes in a fresh injector, rebuilds the
-  // recovery plan (throws on last survivor), optionally respawns.
+  // Declares w dead and, with respawn on, relaunches it from the sealed
+  // context; a worker that fails its re-init stays dead.
   void handle_worker_death(std::size_t w, const char* cause);
-  void rebuild_plan();
   void record_transfer(std::size_t node, std::size_t bytes);
 
   // The shared dispatch loop; encode/decode close over the task vectors.
@@ -201,11 +199,9 @@ class WorkerFleet : public NodeExecutor {
   const PipelineContext* ctx_;
   const hw::TorusTopology* topo_;
   FleetConfig cfg_;
-  std::unique_ptr<Transport> transport_;
+  std::unique_ptr<ProcTransport> transport_;
   std::vector<std::uint8_t> base_context_;  // rank-0 encoding, the sealed bytes
   std::vector<char> worker_dead_;
-  std::unique_ptr<hw::FaultInjector> faults_;
-  std::unique_ptr<RecoveryPlan> plan_;
   HealthMonitor* health_ = nullptr;
   hw::LinkTelemetry* links_ = nullptr;
   FleetStats stats_;

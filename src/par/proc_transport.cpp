@@ -287,7 +287,7 @@ void ProcTransport::send(std::size_t worker, const Message& m) {
                                " is gone");
   }
   std::vector<std::uint8_t> frame = encode_frame(m, p.tx_seq++);
-  if (!mangle_outbound(worker, opts_.fault, fault_rng_, frame)) return;
+  if (!mangle_outbound(worker, frame)) return;
   std::size_t off = 0;
   while (off < frame.size()) {
     const ssize_t n = ::send(p.fd, frame.data() + off, frame.size() - off,
@@ -334,7 +334,7 @@ RecvStatus ProcTransport::recv(std::size_t worker, Message& out,
   }
 }
 
-std::optional<Transport::AnyResult> ProcTransport::recv_any(
+std::optional<ProcTransport::AnyResult> ProcTransport::recv_any(
     const std::vector<char>& want, Message& out,
     std::chrono::milliseconds deadline) {
   const auto until = std::chrono::steady_clock::now() + deadline;
@@ -394,16 +394,54 @@ void ProcTransport::set_fault_policy(const TransportFaultPolicy& fault) {
   fault_rng_ = Rng(fault.seed);
 }
 
-std::optional<int> ProcTransport::exit_status(std::size_t worker) const {
-  const Peer& p = peers_[worker];
-  if (!p.have_status) return std::nullopt;
-  return p.exit_status;
-}
-
 bool ProcTransport::exited_cleanly(std::size_t worker) const {
   const Peer& p = peers_[worker];
   return p.have_status && WIFEXITED(p.exit_status) &&
          WEXITSTATUS(p.exit_status) == 0;
+}
+
+bool ProcTransport::mangle_outbound(std::size_t worker,
+                                    std::vector<std::uint8_t>& frame) {
+  const TransportFaultPolicy& fault = opts_.fault;
+  if (fault.delay_ms > 0) {
+    // Outbound leg only: asymmetric delay for the clock-offset drills.
+    std::this_thread::sleep_for(std::chrono::milliseconds(fault.delay_ms));
+  }
+  if (!fault.active()) return true;
+  if (fault.drop_rate > 0.0 && fault_rng_.uniform() < fault.drop_rate) {
+    ++stats_.frames_dropped;
+    ++worker_stats_[worker].frames_dropped;
+    return false;
+  }
+  if (fault.corrupt_rate > 0.0 && fault_rng_.uniform() < fault.corrupt_rate) {
+    const std::size_t bit = static_cast<std::size_t>(
+        fault_rng_.next_u64() % ((frame.size() - kFrameHeaderBytes) * 8));
+    frame[kFrameHeaderBytes + bit / 8] ^=
+        static_cast<std::uint8_t>(1u << (bit % 8));
+    ++stats_.frames_corrupted;
+    ++worker_stats_[worker].frames_corrupted;
+  }
+  return true;
+}
+
+void ProcTransport::count_sent(std::size_t worker, std::size_t frame_bytes) {
+  for (TransportStats* s : {&stats_, &worker_stats_[worker]}) {
+    s->bytes_sent += frame_bytes;
+    ++s->messages_sent;
+  }
+}
+
+void ProcTransport::count_received(std::size_t worker,
+                                   std::size_t frame_bytes) {
+  for (TransportStats* s : {&stats_, &worker_stats_[worker]}) {
+    s->bytes_received += frame_bytes;
+    ++s->messages_received;
+  }
+}
+
+void ProcTransport::count_crc_rejects(std::size_t worker, std::uint64_t n) {
+  stats_.crc_rejects += n;
+  worker_stats_[worker].crc_rejects += n;
 }
 
 void ProcTransport::respawn(std::size_t worker) {

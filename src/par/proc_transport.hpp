@@ -1,5 +1,6 @@
-// Multi-process transport backend: real worker processes over Unix-domain
-// socketpairs.
+// Worker processes and their connections: the coordinator side of one
+// Unix-domain socketpair per worker (ProcTransport) and the worker side
+// (FdEndpoint).
 //
 // Workers are spawned either by fork() (the worker loop runs in the child —
 // the default for tests, no binary needed) or by fork()+exec() of the
@@ -15,25 +16,32 @@
 
 #include <sys/types.h>
 
+#include <chrono>
 #include <deque>
+#include <functional>
 #include <optional>
+#include <string>
 
 #include "par/transport.hpp"
 #include "util/rng.hpp"
 
 namespace tme::par {
 
-// Worker side of one fd-backed connection; also used by the tme_worker
-// binary (exec mode), which finds its socket on an inherited fd.
-class FdEndpoint : public Endpoint {
+// Worker side of one fd-backed connection: the forked child's end of its
+// socketpair, or the tme_worker binary's inherited fd (exec mode).
+class FdEndpoint {
  public:
   explicit FdEndpoint(int fd) : fd_(fd) {}
-  ~FdEndpoint() override;
+  ~FdEndpoint();
+  FdEndpoint(const FdEndpoint&) = delete;
+  FdEndpoint& operator=(const FdEndpoint&) = delete;
 
-  RecvStatus recv(Message& out, std::chrono::milliseconds deadline) override;
-  bool send(const Message& m) override;
-  // Real abrupt death: SIGKILL to self.  The coordinator sees EOF.
-  void crash() override;
+  RecvStatus recv(Message& out, std::chrono::milliseconds deadline);
+  // Returns false when the peer is gone (no exception: a dying coordinator
+  // just means the worker exits).
+  bool send(const Message& m);
+  // Real abrupt death for drills: SIGKILL to self.  The coordinator sees EOF.
+  void crash();
 
  private:
   int fd_;
@@ -41,7 +49,9 @@ class FdEndpoint : public Endpoint {
   std::uint64_t tx_seq_ = 0;
 };
 
-class ProcTransport : public Transport {
+// Coordinator side: one worker process and connection per rank,
+// deadline-driven receives.
+class ProcTransport {
  public:
   struct Options {
     // Non-empty: fork+exec this binary with `--fd N`.  Empty: plain fork,
@@ -59,35 +69,57 @@ class ProcTransport : public Transport {
   };
 
   ProcTransport(std::size_t workers, Options opts);
-  ~ProcTransport() override;
+  ~ProcTransport();
+  ProcTransport(const ProcTransport&) = delete;
+  ProcTransport& operator=(const ProcTransport&) = delete;
 
-  const char* name() const override { return "proc"; }
-  std::size_t worker_count() const override { return peers_.size(); }
-  bool alive(std::size_t worker) const override;
-  void send(std::size_t worker, const Message& m) override;
+  bool alive(std::size_t worker) const;
+  // Throws PeerDead if the worker's connection is (or becomes) closed.
+  void send(std::size_t worker, const Message& m);
   RecvStatus recv(std::size_t worker, Message& out,
-                  std::chrono::milliseconds deadline) override;
+                  std::chrono::milliseconds deadline);
+
+  struct AnyResult {
+    std::size_t worker = 0;
+    RecvStatus status = RecvStatus::kOk;  // kOk (out valid) or kClosed
+  };
+  // Waits for a message from any worker with want[w] != 0.  Reports a closed
+  // wanted connection (queue drained) as kClosed — the caller must clear
+  // want[w] after handling it or the same report repeats.  nullopt on
+  // deadline expiry.
   std::optional<AnyResult> recv_any(const std::vector<char>& want, Message& out,
-                                    std::chrono::milliseconds deadline) override;
+                                    std::chrono::milliseconds deadline);
+
   // With term_grace_ms == 0: SIGKILL + reap, the real thing, usable as a
   // drill trigger from tests.  With a grace period: SIGTERM, wait for a
   // voluntary exit up to the deadline (draining sockets meanwhile, so the
   // final result and kBye still land), then SIGKILL whatever remains.
-  void kill(std::size_t worker) override;
+  // Queued inbound messages remain readable either way.
+  void kill(std::size_t worker);
   // kill() with an explicit grace period, overriding Options::term_grace_ms
   // for this one call.
   void terminate(std::size_t worker, long grace_ms);
-  void respawn(std::size_t worker) override;
-  void set_fault_policy(const TransportFaultPolicy& fault) override;
+  // Replaces a dead worker with a fresh process on a fresh connection (the
+  // new worker is blank: the caller must re-send Init).
+  void respawn(std::size_t worker);
+
+  // Swaps the coordinator->worker frame-mangling policy mid-run and reseeds
+  // its RNG, so the chaos harness can open and close packet-fault windows at
+  // scheduled steps and a replay mangles the same frames.
+  void set_fault_policy(const TransportFaultPolicy& fault);
 
   pid_t pid(std::size_t worker) const;
-
-  // Raw waitpid status of the worker's most recently reaped process, when
-  // one has been collected.  `exited_cleanly` distinguishes "asked to stop"
-  // (voluntary exit 0 after a SIGTERM drain) from "crashed" (signal death
-  // or a nonzero exit).
-  std::optional<int> exit_status(std::size_t worker) const;
+  // True when the worker's most recently reaped process exited voluntarily
+  // with status 0 ("asked to stop", after a SIGTERM drain) rather than
+  // crashing (signal death or a nonzero exit).
   bool exited_cleanly(std::size_t worker) const;
+
+  const TransportStats& stats() const { return stats_; }
+  // The same counters split per worker connection, so the fleet can export
+  // per-worker traffic/corruption gauges into the metrics registry.
+  const TransportStats& worker_stats(std::size_t worker) const {
+    return worker_stats_[worker];
+  }
 
  private:
   struct Peer {
@@ -109,10 +141,23 @@ class ProcTransport : public Transport {
   // up to `timeout_ms` for readiness, watching `want_writable_fd` for
   // writability (sets *writable).
   void pump(int timeout_ms, int want_writable_fd = -1, bool* writable = nullptr);
+  // The outbound fault policy on one encoded coordinator->worker frame, so a
+  // replayed schedule mangles bit-identical frames: the drill delay, then a
+  // seeded drop (returns false; the deadline layer retransmits) or one
+  // flipped payload-or-CRC bit, which the receiver's CRC check rejects
+  // without desynchronising.
+  bool mangle_outbound(std::size_t worker, std::vector<std::uint8_t>& frame);
+  // Book one sent or received frame, or `n` CRC rejects, on the aggregate
+  // and on the worker's row.
+  void count_sent(std::size_t worker, std::size_t frame_bytes);
+  void count_received(std::size_t worker, std::size_t frame_bytes);
+  void count_crc_rejects(std::size_t worker, std::uint64_t n);
 
   std::vector<Peer> peers_;
   Options opts_;
   Rng fault_rng_{2021};
+  TransportStats stats_;
+  std::vector<TransportStats> worker_stats_;
 };
 
 }  // namespace tme::par

@@ -1,34 +1,17 @@
-// Message transport between the TME coordinator and its workers.
+// Wire format between the TME coordinator and its worker processes.
 //
 // Every message travels in a CRC-32-framed envelope with a per-connection
 // sequence number — the same detect-and-retransmit discipline the
 // hw/network_model gives the simulated torus links, now applied to real
-// inter-process traffic.  Two backends implement the interface:
-//
-//   InProcTransport   workers are threads, channels are in-memory byte
-//                     queues.  The frames still go through the full
-//                     encode/CRC/decode path, and a seeded fault policy can
-//                     drop or corrupt coordinator->worker frames to exercise
-//                     the retransmission machinery deterministically.
-//   ProcTransport     workers are real processes (fork, or fork+exec of the
-//                     tme_worker binary) over Unix-domain socketpairs.
-//                     Deadlines run on poll(); a SIGKILLed worker surfaces
-//                     as EOF/POLLHUP within one poll interval.
-//
-// The coordinator-side Transport owns one connection per worker; the
-// worker-side Endpoint is the other end of exactly one connection.
+// inter-process traffic.  The connections themselves live in
+// par/proc_transport.hpp: ProcTransport owns the coordinator side of one
+// Unix-domain socketpair per worker process, FdEndpoint is the worker side.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
-
-#include "util/rng.hpp"
 
 namespace tme::par {
 
@@ -97,21 +80,8 @@ struct TransportStats {
 
 enum class RecvStatus { kOk, kTimeout, kClosed };
 
-// Worker side of one coordinator<->worker connection.
-class Endpoint {
- public:
-  virtual ~Endpoint() = default;
-  virtual RecvStatus recv(Message& out, std::chrono::milliseconds deadline) = 0;
-  // Returns false when the peer is gone (no exception: a dying coordinator
-  // just means the worker exits).
-  virtual bool send(const Message& m) = 0;
-  // Abrupt self-inflicted death for drills: SIGKILL in a process worker,
-  // hard channel teardown in an in-proc worker.
-  virtual void crash() = 0;
-};
-
 // Seeded coordinator->worker frame mangling, for deterministic
-// retransmission drills on either backend.
+// retransmission drills.
 struct TransportFaultPolicy {
   std::uint64_t seed = 2021;
   double drop_rate = 0.0;     // frame silently discarded before delivery
@@ -122,109 +92,6 @@ struct TransportFaultPolicy {
   // tested against.
   long delay_ms = 0;
   bool active() const { return drop_rate > 0.0 || corrupt_rate > 0.0; }
-};
-
-// Coordinator side: one connection per worker, deadline-driven receives.
-class Transport {
- public:
-  virtual ~Transport() = default;
-  virtual const char* name() const = 0;
-  virtual std::size_t worker_count() const = 0;
-  virtual bool alive(std::size_t worker) const = 0;
-  // Throws PeerDead if the worker's connection is (or becomes) closed.
-  virtual void send(std::size_t worker, const Message& m) = 0;
-  virtual RecvStatus recv(std::size_t worker, Message& out,
-                          std::chrono::milliseconds deadline) = 0;
-
-  struct AnyResult {
-    std::size_t worker = 0;
-    RecvStatus status = RecvStatus::kOk;  // kOk (out valid) or kClosed
-  };
-  // Waits for a message from any worker with want[w] != 0.  Reports a closed
-  // wanted connection (queue drained) as kClosed — the caller must clear
-  // want[w] after handling it or the same report repeats.  nullopt on
-  // deadline expiry.
-  virtual std::optional<AnyResult> recv_any(const std::vector<char>& want,
-                                            Message& out,
-                                            std::chrono::milliseconds deadline) = 0;
-
-  // Hard-kills the worker (SIGKILL / channel teardown).  Queued inbound
-  // messages remain readable.
-  virtual void kill(std::size_t worker) = 0;
-  // Replaces a dead worker with a fresh one on a fresh connection (the new
-  // worker is blank: the caller must re-send Init).
-  virtual void respawn(std::size_t worker) = 0;
-
-  // Swaps the coordinator->worker frame-mangling policy mid-run and reseeds
-  // its RNG, so the chaos harness can open and close packet-fault windows at
-  // scheduled steps and a replay mangles the same frames.  Must be called
-  // from the coordinator thread (the same thread that calls send).
-  virtual void set_fault_policy(const TransportFaultPolicy& fault) {
-    (void)fault;
-  }
-
-  const TransportStats& stats() const { return stats_; }
-
-  // The same counters split per worker connection, so the fleet can export
-  // per-worker traffic/corruption gauges into the metrics registry.  A
-  // worker index the backend never initialised reads as all-zero.
-  const TransportStats& worker_stats(std::size_t worker) const {
-    static const TransportStats kZero{};
-    return worker < worker_stats_.size() ? worker_stats_[worker] : kZero;
-  }
-
- protected:
-  TransportStats stats_;
-  std::vector<TransportStats> worker_stats_;
-
-  // Bumps both the aggregate and the per-worker row (growing it on demand).
-  TransportStats& per_worker(std::size_t worker) {
-    if (worker >= worker_stats_.size()) worker_stats_.resize(worker + 1);
-    return worker_stats_[worker];
-  }
-
-  // The outbound fault policy on one encoded coordinator->worker frame,
-  // shared by both backends so a replayed schedule mangles bit-identical
-  // frames: the drill delay, then a seeded drop (returns false; the
-  // deadline layer retransmits) or one flipped payload-or-CRC bit, which the
-  // receiver's CRC check rejects without desynchronising.
-  bool mangle_outbound(std::size_t worker, const TransportFaultPolicy& fault,
-                       Rng& rng, std::vector<std::uint8_t>& frame);
-  // Book one sent or received frame, or `n` CRC rejects, on the aggregate
-  // and on the worker's row.
-  void count_sent(std::size_t worker, std::size_t frame_bytes);
-  void count_received(std::size_t worker, std::size_t frame_bytes);
-  void count_crc_rejects(std::size_t worker, std::uint64_t n);
-};
-
-// In-process backend: one thread per worker, lock-protected frame queues.
-class InProcTransport : public Transport {
- public:
-  using WorkerMain = std::function<void(Endpoint&)>;
-
-  InProcTransport(std::size_t workers, WorkerMain worker_main,
-                  TransportFaultPolicy fault = {});
-  ~InProcTransport() override;
-
-  const char* name() const override { return "inproc"; }
-  std::size_t worker_count() const override;
-  bool alive(std::size_t worker) const override;
-  void send(std::size_t worker, const Message& m) override;
-  RecvStatus recv(std::size_t worker, Message& out,
-                  std::chrono::milliseconds deadline) override;
-  std::optional<AnyResult> recv_any(const std::vector<char>& want, Message& out,
-                                    std::chrono::milliseconds deadline) override;
-  void kill(std::size_t worker) override;
-  void respawn(std::size_t worker) override;
-  void set_fault_policy(const TransportFaultPolicy& fault) override;
-
-  struct State;  // shared with the worker-side endpoints
-
- private:
-  void spawn(std::size_t worker);
-  std::shared_ptr<State> state_;
-  WorkerMain worker_main_;
-  TransportFaultPolicy fault_;
 };
 
 }  // namespace tme::par

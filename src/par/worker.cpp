@@ -7,6 +7,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "par/proc_transport.hpp"
 #include "par/telemetry.hpp"
 #include "util/bytes.hpp"
 #include "util/io_shim.hpp"
@@ -403,9 +404,9 @@ BiBlockResult decode_bi_result(const std::vector<std::uint8_t>& payload) {
 
 // --- Worker loop -------------------------------------------------------------
 
-void worker_loop(Endpoint& ep) { worker_loop(ep, WorkerLoopOptions{}); }
+void worker_loop(FdEndpoint& ep) { worker_loop(ep, WorkerLoopOptions{}); }
 
-void worker_loop(Endpoint& ep, const WorkerLoopOptions& opts) {
+void worker_loop(FdEndpoint& ep, const WorkerLoopOptions& opts) {
   WorkerContext ctx;
   std::vector<std::uint8_t> ctx_bytes;
   bool inited = false;
@@ -522,7 +523,7 @@ void worker_loop(Endpoint& ep, const WorkerLoopOptions& opts) {
         }
         if (ctx.fault.crash_after_tasks >= 0 &&
             tasks_done >= ctx.fault.crash_after_tasks) {
-          ep.crash();  // SIGKILL in a process worker; never returns there
+          ep.crash();  // SIGKILL: never returns
           return;
         }
         bytes::Reader r(msg.payload);

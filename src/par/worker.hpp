@@ -27,9 +27,11 @@
 
 namespace tme::par {
 
+class FdEndpoint;  // par/proc_transport.hpp
+
 // Deterministic misbehaviour drills, applied inside the worker loop.
 struct WorkerFaultPolicy {
-  long crash_after_tasks = -1;  // >=0: SIGKILL/teardown after N completed tasks
+  long crash_after_tasks = -1;  // >=0: SIGKILL itself after N completed tasks
   long hang_after_tasks = -1;   // >=0: stop answering after N completed tasks
   long delay_ms = 0;            // slow worker: sleep before each result
 };
@@ -39,10 +41,8 @@ struct WorkerContext {
   std::uint32_t rank = 0;
   std::uint32_t workers = 1;
   WorkerFaultPolicy fault;
-  // Arm worker-side tracing + metrics: the worker runs its own tracer ring
-  // and registry and ships sealed chunks back as kTelemetry messages.  Only
-  // meaningful for process workers — an in-proc worker shares the
-  // coordinator's process-global tracer, so arming it would double-count.
+  // Arm worker-side tracing + metrics: the worker restarts its own tracer
+  // ring and registry and ships sealed chunks back as kTelemetry messages.
   bool telemetry = false;
 };
 
@@ -105,7 +105,7 @@ struct WorkerLoopOptions {
 // kShutdown (answers kBye), a drain request via opts.stop_requested, or the
 // coordinator's connection closes.  All compute goes through
 // execute_*_task — the exact code path SerialExecutor uses in-process.
-void worker_loop(Endpoint& ep);
-void worker_loop(Endpoint& ep, const WorkerLoopOptions& opts);
+void worker_loop(FdEndpoint& ep);
+void worker_loop(FdEndpoint& ep, const WorkerLoopOptions& opts);
 
 }  // namespace tme::par

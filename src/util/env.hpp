@@ -1,8 +1,9 @@
 // Environment-variable configuration parsing for the TME_* knobs above obs.
 //
 // TME_THREADS (util/parallel), TME_SIMD (util/simd), TME_LOG_JSON
-// (util/logging) and the TME_CHAOS_* spec overrides (chaos/schedule) parse
-// through this one implementation.  obs sits below util, so TME_TRACE,
+// (util/logging) and the spec overrides TME_CHAOS_SEED, _STEPS, _ATOMS,
+// _WORKERS and _SURFACES (chaos/schedule) parse through this one
+// implementation.  obs sits below util, so TME_TRACE,
 // TME_TRACE_BUFFER and TME_STATUS_* parse locally in obs/.  The helpers are
 // strict full-string parses that return nullopt on any malformed input, and
 // typed lookups that log one consistently-formatted warning

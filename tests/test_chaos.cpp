@@ -51,7 +51,6 @@ TEST(ChaosSpec, JsonRoundTripPreservesEveryField) {
   spec.steps = 12;
   spec.atoms = 128;
   spec.workers = 3;
-  spec.backend = "proc";
   spec.checkpoint_interval = 3;
   spec.checkpoint_keep = 4;
   spec.timeout_ms = 1234;
@@ -72,7 +71,6 @@ TEST(ChaosSpec, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(back.steps, spec.steps);
   EXPECT_EQ(back.atoms, spec.atoms);
   EXPECT_EQ(back.workers, spec.workers);
-  EXPECT_EQ(back.backend, spec.backend);
   EXPECT_EQ(back.checkpoint_interval, spec.checkpoint_interval);
   EXPECT_EQ(back.checkpoint_keep, spec.checkpoint_keep);
   EXPECT_EQ(back.timeout_ms, spec.timeout_ms);
@@ -102,7 +100,6 @@ TEST(ChaosSpec, RejectsMalformedFields) {
       {"{\"workers\":0}", "workers"},
       {"{\"steps\":1e300}", "steps"},
       {"{\"checkpoint_keep\":-5}", "checkpoint_keep"},
-      {"{\"backend\":\"tcp\"}", "backend"},
       {"{\"atoms\":96.5}", "atoms"},
       {"{\"events\":[{\"surface\":\"packet\",\"rate\":1.5}]}", "rate"},
   };
@@ -135,18 +132,15 @@ TEST(ChaosSpec, EnvOverridesApplyOnTopOfBase) {
   setenv("TME_CHAOS_SEED", "99", 1);
   setenv("TME_CHAOS_STEPS", "5", 1);
   setenv("TME_CHAOS_WORKERS", "3", 1);
-  setenv("TME_CHAOS_BACKEND", "proc", 1);
   setenv("TME_CHAOS_SURFACES", "packet,io", 1);
   const ChaosSpec spec = spec_from_env();
   unsetenv("TME_CHAOS_SEED");
   unsetenv("TME_CHAOS_STEPS");
   unsetenv("TME_CHAOS_WORKERS");
-  unsetenv("TME_CHAOS_BACKEND");
   unsetenv("TME_CHAOS_SURFACES");
   EXPECT_EQ(spec.seed, 99u);
   EXPECT_EQ(spec.steps, 5u);
   EXPECT_EQ(spec.workers, 3u);
-  EXPECT_EQ(spec.backend, "proc");
   EXPECT_EQ(spec.events.size(), 2u);
 }
 
@@ -165,6 +159,28 @@ TEST(ChaosSpecFile, MissingFileIsTypedErrorAndPresentFileParses) {
   EXPECT_EQ(spec.steps, 3u);
   io::write_file_durable(path, std::string(R"({"seed":)"));
   EXPECT_THROW(read_spec_file(path), std::runtime_error);
+}
+
+// Older spec and replay files carry a "backend" key that picked thread or
+// process workers.  Workers are always processes now and the key is ignored
+// whatever its value, so those files parse to the same spec and old replays
+// keep replaying.
+TEST(ChaosSpecFile, RetiredBackendKeyParsesToTheSameSpec) {
+  const std::string fields =
+      R"("seed":9,"steps":4,"workers":3,"events":[{"step":1,)"
+      R"("surface":"worker","a":1,"b":2,"detail":"crash"}])";
+  const std::string want = dump_spec(parse_spec("{" + fields + "}"));
+  const ScratchDir dir;
+  for (const char* backend : {"proc", "tcp"}) {
+    const std::string spec_text =
+        std::string(R"({"backend":")") + backend + "\"," + fields + "}";
+    const std::string spec_path = dir.file("old_spec.json");
+    io::write_file_durable(spec_path, spec_text);
+    EXPECT_EQ(dump_spec(read_spec_file(spec_path)), want) << backend;
+    const std::string replay_path = dir.file("old_replay.json");
+    io::write_file_durable(replay_path, R"({"spec":)" + spec_text + "}");
+    EXPECT_EQ(dump_spec(read_replay_spec(replay_path)), want) << backend;
+  }
 }
 
 // --- the runner --------------------------------------------------------------

@@ -162,17 +162,17 @@ TEST(ClockOffset, ErrorBoundedByHalfRttUnderAsymmetricDelay) {
   }
 }
 
-// Fleet-level: an in-proc fleet shares the coordinator's tracer epoch, so
-// the true offset is zero — any estimate the init/ping round trips produce
-// must sit inside the RTT/2 bound even with a 20ms asymmetric (outbound
-// only) delay injected on the transport.
+// Fleet-level: a forked worker without telemetry keeps the tracer epoch it
+// inherited from the coordinator, so the true offset is zero — any estimate
+// the init/ping round trips produce must sit inside the RTT/2 bound even
+// with a 20ms asymmetric (outbound only) delay injected on the transport.
 TEST(ClockOffset, FleetEstimateWithinHalfRttUnderInjectedAsymmetry) {
   const TestSystem sys = random_system(32, 3.2, 11);
   const hw::TorusTopology topo(2, 2, 1);
   ParallelTme par(sys.box, small_params(), topo);
   FleetConfig cfg;
-  cfg.backend = FleetConfig::Backend::kInProc;
   cfg.workers = 2;
+  cfg.telemetry = false;  // armed telemetry restarts the worker's epoch
   cfg.net_fault.delay_ms = 20;  // coordinator->worker leg only
   WorkerFleet fleet(par.context(), par.topology(), cfg);
   EXPECT_EQ(fleet.heartbeat(std::chrono::milliseconds(2000)), 2u);
@@ -610,7 +610,6 @@ TEST(FleetTelemetryE2E, KillDrillProducesMergedTimelineWithRespawnTrack) {
       reference.compute(sys.positions, sys.charges, &ref_log);
 
   FleetConfig cfg;
-  cfg.backend = FleetConfig::Backend::kProc;
   cfg.workers = 2;
   cfg.respawn = true;
   cfg.context_path = dir.file("telemetry_e2e.ctx");

@@ -1,7 +1,7 @@
 // Transport, worker protocol and WorkerFleet tests: frame codec integrity
 // and — the heart of this tier — bitwise force parity between the inline
-// SerialExecutor and real workers behind both transport backends, under
-// packet loss, frame corruption, crashes, hangs and SIGKILL-mid-run drills.
+// SerialExecutor and worker processes (forked or exec'd), under packet loss,
+// frame corruption, crashes, hangs and SIGKILL-mid-run drills.
 #include <unistd.h>
 
 #include <cstdio>
@@ -271,25 +271,6 @@ TEST(WorkerProtocol, ContextFileSealCatchesTornWrites) {
 
 // --- fleet parity ------------------------------------------------------------
 
-TEST(FleetParity, InProcWorkersMatchSerialBitwise) {
-  const hw::TorusTopology topo(2, 2, 1);
-  const TestSystem sys = random_system(150, 3.2, 11);
-  const CoulombResult want = serial_reference(sys, topo);
-
-  FleetConfig cfg;
-  cfg.backend = FleetConfig::Backend::kInProc;
-  cfg.workers = 2;
-  FleetStats stats;
-  TransportStats tstats;
-  const CoulombResult got = fleet_run(sys, topo, cfg, &stats, &tstats);
-  expect_bitwise(want, got);
-  EXPECT_GT(stats.tasks_sent, 0u);
-  EXPECT_EQ(stats.results_received, stats.tasks_sent);
-  EXPECT_EQ(stats.worker_deaths, 0u);
-  EXPECT_GT(tstats.messages_sent, 0u);
-  EXPECT_GT(tstats.bytes_received, 0u);
-}
-
 TEST(FleetParity, UnevenWorkerCountStillBitwise) {
   const hw::TorusTopology topo(2, 2, 1);  // 4 nodes over 3 workers
   const TestSystem sys = random_system(120, 3.2, 13);
@@ -304,12 +285,16 @@ TEST(FleetParity, ForkedProcessWorkersMatchSerialBitwise) {
   const TestSystem sys = random_system(150, 3.2, 11);
   const CoulombResult want = serial_reference(sys, topo);
   FleetConfig cfg;
-  cfg.backend = FleetConfig::Backend::kProc;
   cfg.workers = 2;
   FleetStats stats;
-  const CoulombResult got = fleet_run(sys, topo, cfg, &stats);
+  TransportStats tstats;
+  const CoulombResult got = fleet_run(sys, topo, cfg, &stats, &tstats);
   expect_bitwise(want, got);
+  EXPECT_GT(stats.tasks_sent, 0u);
+  EXPECT_EQ(stats.results_received, stats.tasks_sent);
   EXPECT_EQ(stats.worker_deaths, 0u);
+  EXPECT_GT(tstats.messages_sent, 0u);
+  EXPECT_GT(tstats.bytes_received, 0u);
 }
 
 TEST(FleetParity, ExecModeWorkerBinaryMatchesSerialBitwise) {
@@ -317,7 +302,6 @@ TEST(FleetParity, ExecModeWorkerBinaryMatchesSerialBitwise) {
   const TestSystem sys = random_system(100, 3.2, 17);
   const CoulombResult want = serial_reference(sys, topo);
   FleetConfig cfg;
-  cfg.backend = FleetConfig::Backend::kProc;
   cfg.workers = 2;
   cfg.worker_bin = TME_WORKER_BIN;
   expect_bitwise(want, fleet_run(sys, topo, cfg));
@@ -422,14 +406,13 @@ TEST(FleetFaults, SlowWorkerOnlyStretchesWallClock) {
 // The acceptance drill: a real process worker SIGKILLs itself mid-step; the
 // coordinator detects the EOF, restarts the worker from the CRC-sealed
 // context checkpoint, re-homes/retransmits the lost tasks, and the final
-// forces are bitwise identical to the fault-free in-process run.
+// forces are bitwise identical to the fault-free serial run.
 TEST(FleetFaults, ProcWorkerSigkillMidRunRecoversBitwise) {
   const ScratchDir dir;
   const hw::TorusTopology topo(2, 2, 1);
   const TestSystem sys = random_system(120, 3.2, 41);
   const CoulombResult want = serial_reference(sys, topo);
   FleetConfig cfg;
-  cfg.backend = FleetConfig::Backend::kProc;
   cfg.workers = 2;
   cfg.context_path = dir.file("sigkill_drill.ctx");
   cfg.worker_faults.resize(2);
@@ -463,10 +446,30 @@ TEST(FleetFaults, KillingEveryWorkerIsRefused) {
   WorkerFleet fleet(par.context(), par.topology(), cfg);
   par.set_executor(&fleet);
   TrafficLog log;
-  // Both workers die on their first task: the RecoveryPlan refuses a machine
-  // with no survivors.
+  // Both workers die on their first task: with no survivor left to host
+  // their nodes, dispatch refuses to go on.
   EXPECT_THROW(par.compute(sys.positions, sys.charges, &log),
                std::runtime_error);
+}
+
+// Worker 0 hosts nodes 0 and 3 of the 2x2x1 torus.  When it dies for good,
+// both nodes move to the two survivors over the coordinator star; the
+// simulated torus's connectivity plays no part in who can host them.
+TEST(FleetFaults, ThreeWorkersSurviveLosingAMultiNodeWorker) {
+  const hw::TorusTopology topo(2, 2, 1);
+  const TestSystem sys = random_system(100, 3.2, 71);
+  const CoulombResult want = serial_reference(sys, topo);
+  FleetConfig cfg;
+  cfg.workers = 3;
+  cfg.respawn = false;
+  cfg.worker_faults.resize(3);
+  cfg.worker_faults[0].crash_after_tasks = 0;
+  FleetStats stats;
+  const CoulombResult got = fleet_run(sys, topo, cfg, &stats);
+  expect_bitwise(want, got);
+  EXPECT_EQ(stats.worker_deaths, 1u);
+  EXPECT_EQ(stats.respawns, 0u);
+  EXPECT_GT(stats.rehomed_tasks, 0u);
 }
 
 // --- heartbeats + health wiring ---------------------------------------------
@@ -520,7 +523,6 @@ TEST(FleetShutdown, SigtermDrainsExecWorkerWhichExitsCleanly) {
   const TestSystem sys = random_system(100, 3.2, 59);
   const CoulombResult want = serial_reference(sys, topo);
   FleetConfig cfg;
-  cfg.backend = FleetConfig::Backend::kProc;
   cfg.workers = 2;
   cfg.worker_bin = TME_WORKER_BIN;  // exec mode: the SIGTERM handler is live
   cfg.term_grace_ms = 3000;
@@ -550,7 +552,6 @@ TEST(FleetShutdown, QuiesceHandshakesEveryWorkerAndIsIdempotent) {
   const TestSystem sys = random_system(100, 3.2, 61);
   const CoulombResult want = serial_reference(sys, topo);
   FleetConfig cfg;
-  cfg.backend = FleetConfig::Backend::kProc;
   cfg.workers = 2;
   cfg.worker_bin = TME_WORKER_BIN;
   cfg.term_grace_ms = 3000;
@@ -584,7 +585,6 @@ TEST(FleetShutdown, TermGraceZeroStillKillsForkModeWorkers) {
   const hw::TorusTopology topo(2, 2, 1);
   const TestSystem sys = random_system(80, 3.2, 67);
   FleetConfig cfg;
-  cfg.backend = FleetConfig::Backend::kProc;
   cfg.workers = 2;  // fork mode: no exec, no SIGTERM handler installed
   cfg.respawn = false;
   ParallelTme par(sys.box, small_params(), topo);
