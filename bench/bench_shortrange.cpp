@@ -19,8 +19,8 @@
 //    contract, md/short_range_engine.hpp).
 // CI runs this as a correctness smoke, never asserting on raw timing.
 //
-// A final "isolated kernel micro" block times the batched pair kernel and
-// the separable axis convolution without the scalar enumeration overhead,
+// A final "isolated kernel micro" block times the row kernel on a synthetic
+// list and the separable axis convolution without the list build,
 // exporting shortrange/kernel_micro/<path>/speedup_vs_scalar — the
 // headline scalar-vs-native numbers for the SIMD layer.
 #include <cmath>
@@ -33,7 +33,6 @@
 #include "ewald/splitting.hpp"
 #include "grid/separable_conv.hpp"
 #include "md/short_range_engine.hpp"
-#include "md/short_range_kernels.hpp"
 #include "md/water_box.hpp"
 #include "util/args.hpp"
 #include "util/parallel.hpp"
@@ -234,12 +233,12 @@ int main(int argc, char** argv) {
   }
 
   // --- isolated vectorized-kernel micro (single thread) --------------------
-  // The engine sweep above folds scalar pair enumeration (cell walk,
-  // minimum image, cutoff/exclusion filter) into every timing, which dilutes
-  // the kernel-level SIMD gain.  These rows time the vectorized kernels by
-  // themselves: the batched pair kernel on a synthetic batch matching the
-  // water-box distance distribution, and the separable axis convolution that
-  // the TME long-range pass runs on the same step.  The speedup_vs_scalar
+  // The engine sweep above folds the list build, the position copy and the
+  // thread reduction into every timing.  These rows time the vectorized
+  // kernels by themselves: the short-range row kernel (filter, pair math and
+  // force scatter) on a synthetic list with the water box's cutoff and
+  // buffer, and the separable axis convolution that the TME long-range pass
+  // runs on the same step.  The speedup_vs_scalar
   // gauges here are the headline scalar-vs-native kernel numbers.
   bench::print_header("isolated kernel micro: scalar vs native");
   std::printf("%-28s %10s %10s %9s\n", "path", "scalar ms", "native ms",
@@ -248,17 +247,8 @@ int main(int argc, char** argv) {
     const double micro_cutoff = params.cutoff;
     const ForceTable micro_table(params.alpha, 0.1, micro_cutoff, 4096);
     Rng rng(20210817);
-    PairBatch proto;
-    const std::size_t micro_pairs = 200000;
-    proto.reserve(micro_pairs);
-    for (std::size_t i = 0; i < micro_pairs; ++i) {
-      const double r = rng.uniform(0.05, micro_cutoff);
-      const double qq = i % 5 == 0 ? 0.0 : rng.uniform(-140.0, 140.0);
-      const double c6 = i % 3 == 0 ? 0.0 : rng.uniform(0.0, 3e-3);
-      proto.push(r, 0.0, 0.0, r * r, qq, c6, c6 * rng.uniform(0.0, 1e-5), 0.0,
-                 static_cast<std::uint32_t>(i),
-                 static_cast<std::uint32_t>(i + 1));
-    }
+    const bench::SyntheticRows micro_rows(200000, 100,
+                                          micro_cutoff + ShortRangeEngine::kListBuffer, rng);
     struct MicroRow {
       std::string path;
       double scalar_s = 0.0;
@@ -283,34 +273,9 @@ int main(int argc, char** argv) {
                                            {params.alpha, nullptr}};
     const char* micro_names[] = {"pair_tabulated", "pair_analytic"};
     for (int c = 0; c < 2; ++c) {
-      MicroRow row;
-      row.path = micro_names[c];
-      std::vector<double> out_scalar;
-      for (int m = 0; m < 2; ++m) {
-        const simd::Mode mode =
-            m == 0 ? simd::Mode::kScalar : simd::Mode::kNative;
-        PairBatch batch = proto;
-        batch.finalize(simd::lanes(mode));
-        const double best = bench::time_best(
-            reps, [&] { evaluate_pair_batch(batch, micro_cfgs[c], mode); });
-        const long real = static_cast<long>(batch.size());
-        std::vector<double> out;
-        out.insert(out.end(), batch.e_coul.begin(), batch.e_coul.begin() + real);
-        out.insert(out.end(), batch.e_lj.begin(), batch.e_lj.begin() + real);
-        out.insert(out.end(), batch.f_over_r.begin(),
-                   batch.f_over_r.begin() + real);
-        if (m == 0) {
-          row.scalar_s = best;
-          out_scalar = std::move(out);
-        } else {
-          row.native_s = best;
-          row.parity_ok =
-              out.size() == out_scalar.size() &&
-              std::memcmp(out.data(), out_scalar.data(),
-                          out.size() * sizeof(double)) == 0;
-        }
-      }
-      emit_micro(row);
+      const bench::RowKernelTiming t =
+          bench::time_row_kernel(micro_rows, micro_cfgs[c], micro_cutoff, reps);
+      emit_micro({micro_names[c], t.scalar_s, t.native_s, t.parity_ok});
     }
 
     // Gaussian axis convolution on a 64³ grid (the TME per-axis pass).

@@ -1,7 +1,7 @@
-// SIMD kernel micro-sweep: every vectorized hot path (batched pair kernel,
+// SIMD kernel micro-sweep: every vectorized hot path (short-range row kernel,
 // B-spline spreading and gathering, per-axis separable convolution) timed in
 // both TME_SIMD modes from one process, with the parity contract asserted on
-// every element: pair kernel, spreading, gathering (back interpolation) and
+// every element: row kernel (forces and energies), spreading, gathering (back interpolation) and
 // axis convolutions must be BITWISE identical between the scalar twin and the
 // native-width kernel.
 // Exits non-zero on any parity violation; timing gauges are volatile
@@ -15,7 +15,6 @@
 
 #include "ewald/charge_assignment.hpp"
 #include "grid/separable_conv.hpp"
-#include "md/short_range_kernels.hpp"
 #include "util/args.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -88,21 +87,11 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   Rng rng(20210817);  // fixed seed: counters must be deterministic
 
-  // --- batched pair kernel (tabulated and analytic Coulomb) ----------------
+  // --- short-range row kernel (tabulated and analytic Coulomb) ------------
   {
     const double cutoff = 1.2, alpha = 3.0;
     const ForceTable table(alpha, 0.1, cutoff, 4096);
-    PairBatch proto;
-    proto.reserve(pairs);
-    for (std::size_t i = 0; i < pairs; ++i) {
-      const double r = rng.uniform(0.05, cutoff);  // some below table r_min
-      const double qq = i % 5 == 0 ? 0.0 : rng.uniform(-140.0, 140.0);
-      const double c6 = i % 3 == 0 ? 0.0 : rng.uniform(0.0, 3e-3);
-      const double c12 = c6 * rng.uniform(0.0, 1e-5);
-      proto.push(r, 0.0, 0.0, r * r, qq, c6, c12, 0.0,
-                 static_cast<std::uint32_t>(i),
-                 static_cast<std::uint32_t>(i + 1));
-    }
+    const bench::SyntheticRows rows(pairs, 100, cutoff + 0.1, rng);
     struct KernelCase {
       const char* name;
       PairKernelConfig cfg;
@@ -110,33 +99,13 @@ int main(int argc, char** argv) {
     const KernelCase cases[] = {{"pair_tabulated", {alpha, &table}},
                                 {"pair_analytic", {alpha, nullptr}}};
     for (const KernelCase& kc : cases) {
+      const bench::RowKernelTiming t = bench::time_row_kernel(rows, kc.cfg, cutoff, reps);
       Row row;
       row.path = kc.name;
       row.elements = static_cast<double>(pairs);
-      std::vector<double> out_scalar;
-      for (int m = 0; m < 2; ++m) {
-        const simd::Mode mode = m == 0 ? simd::Mode::kScalar : simd::Mode::kNative;
-        PairBatch batch = proto;
-        batch.finalize(simd::lanes(mode));
-        const double best = bench::time_best(
-            reps, [&] { evaluate_pair_batch(batch, kc.cfg, mode); });
-        // Compare only the real (unpadded) outputs; the two modes pad to
-        // different multiples.
-        const long real = static_cast<long>(batch.size());
-        std::vector<double> out;
-        out.reserve(3 * batch.size());
-        out.insert(out.end(), batch.e_coul.begin(), batch.e_coul.begin() + real);
-        out.insert(out.end(), batch.e_lj.begin(), batch.e_lj.begin() + real);
-        out.insert(out.end(), batch.f_over_r.begin(),
-                   batch.f_over_r.begin() + real);
-        if (m == 0) {
-          row.scalar_s = best;
-          out_scalar = out;
-        } else {
-          row.native_s = best;
-          row.parity_ok = bitwise_equal(out, out_scalar);
-        }
-      }
+      row.scalar_s = t.scalar_s;
+      row.native_s = t.native_s;
+      row.parity_ok = t.parity_ok;
       report(row);
       all_ok = all_ok && row.parity_ok;
     }

@@ -3,14 +3,17 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "ewald/reference_ewald.hpp"
 #include "ewald/splitting.hpp"
 #include "md/short_range.hpp"
+#include "md/short_range_kernels.hpp"
 #include "md/system.hpp"
 #include "md/topology.hpp"
 #include "obs/json.hpp"
@@ -20,6 +23,7 @@
 #include "util/args.hpp"
 #include "util/constants.hpp"
 #include "util/io_shim.hpp"
+#include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/vec3.hpp"
 
@@ -108,6 +112,120 @@ double time_best(int reps, Fn&& fn) {
     if (r == 0 || s < best) best = s;
   }
   return best;
+}
+
+// A synthetic half list for timing the short-range row kernel alone:
+// `entries` columns, `per_row` to a row, each column its own atom at a
+// distance uniform in [0.05 nm, reach) from its row atom (some below the
+// force table, some beyond the cutoff).  Every fifth column is uncharged and
+// LJ type 0 mixes to zero, so both kernels meet zero terms too.  The box is
+// large enough that every minimum image is the plain difference.
+struct SyntheticRows {
+  std::vector<std::size_t> row_start;
+  std::vector<std::uint32_t> cols;
+  std::vector<double> x, y, z, charge;
+  std::vector<std::uint32_t> type_of;
+  std::vector<double> c6, c12, e_shift;  // 3 x 3 mixing table
+
+  SyntheticRows(std::size_t entries, std::size_t per_row, double reach, Rng& rng) {
+    const std::size_t rows = (entries + per_row - 1) / per_row;
+    const double box = 100.0;
+    row_start.push_back(0);
+    auto add_atom = [&](double px, double py, double pz, double q, std::uint32_t t) {
+      x.push_back(px);
+      y.push_back(py);
+      z.push_back(pz);
+      charge.push_back(q);
+      type_of.push_back(t);
+    };
+    // Row atoms first, then their columns.
+    for (std::size_t r = 0; r < rows; ++r) {
+      add_atom(rng.uniform(10.0, box - 10.0), rng.uniform(10.0, box - 10.0),
+               rng.uniform(10.0, box - 10.0), rng.uniform(-1.0, 1.0),
+               static_cast<std::uint32_t>(r % 3));
+    }
+    for (std::size_t e = 0; e < entries; ++e) {
+      const std::size_t r = e / per_row;
+      const double dist = rng.uniform(0.05, reach);
+      Vec3 dir{rng.normal(), rng.normal(), rng.normal()};
+      dir *= dist / norm(dir);
+      cols.push_back(static_cast<std::uint32_t>(x.size()));
+      add_atom(x[r] + dir.x, y[r] + dir.y, z[r] + dir.z,
+               e % 5 == 0 ? 0.0 : rng.uniform(-1.0, 1.0),
+               static_cast<std::uint32_t>(e % 3));
+      if ((e + 1) % per_row == 0 || e + 1 == entries) row_start.push_back(cols.size());
+    }
+    // Column atoms have empty rows.
+    row_start.resize(x.size() + 1, cols.size());
+    cols.resize(cols.size() + simd::kNativeWidth, 0);
+    c6.assign(9, 0.0);
+    c12.assign(9, 0.0);
+    e_shift.assign(9, 0.0);
+    for (std::size_t a = 1; a < 3; ++a) {
+      for (std::size_t b = a; b < 3; ++b) {
+        c6[3 * a + b] = c6[3 * b + a] = rng.uniform(0.0, 3e-3);
+        c12[3 * a + b] = c12[3 * b + a] = c6[3 * a + b] * rng.uniform(0.0, 1e-5);
+      }
+    }
+  }
+
+  std::size_t atoms() const { return x.size(); }
+
+  PairRows view(const PairKernelConfig& kernel, double cutoff) const {
+    PairRows v;
+    v.row_start = row_start.data();
+    v.cols = cols.data();
+    v.x = x.data();
+    v.y = y.data();
+    v.z = z.data();
+    v.charge = charge.data();
+    v.type_of = type_of.data();
+    v.c6 = c6.data();
+    v.c12 = c12.data();
+    v.e_shift = e_shift.data();
+    v.ntypes = 3;
+    v.box = {100.0, 100.0, 100.0};
+    v.cutoff2 = cutoff * cutoff;
+    v.kernel = kernel;
+    return v;
+  }
+};
+
+// The row kernel over every row of `rows` on one thread, timed in both
+// SIMD modes; parity_ok says the two modes' sums are bitwise equal.
+struct RowKernelTiming {
+  double scalar_s = 0.0;
+  double native_s = 0.0;
+  bool parity_ok = true;
+};
+
+inline RowKernelTiming time_row_kernel(const SyntheticRows& rows,
+                                       const PairKernelConfig& kernel, double cutoff,
+                                       int reps) {
+  const PairRows view = rows.view(kernel, cutoff);
+  const std::size_t n = rows.atoms();
+  RowKernelTiming out;
+  PairSums sums[2];
+  for (int m = 0; m < 2; ++m) {
+    const simd::Mode mode = m == 0 ? simd::Mode::kScalar : simd::Mode::kNative;
+    PairSums& s = sums[m];
+    s.reset(n);
+    (m == 0 ? out.scalar_s : out.native_s) =
+        time_best(reps, [&] { sweep_rows(view, 0, n, s, mode); });
+    s.reset(n);
+    sweep_rows(view, 0, n, s, mode);
+  }
+  auto same = [](const std::vector<double>& a, const std::vector<double>& b) {
+    return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  out.parity_ok = same(sums[0].fx, sums[1].fx) && same(sums[0].fy, sums[1].fy) &&
+                  same(sums[0].fz, sums[1].fz) &&
+                  std::memcmp(&sums[0].energy_coulomb, &sums[1].energy_coulomb,
+                              sizeof(double)) == 0 &&
+                  std::memcmp(&sums[0].energy_lj, &sums[1].energy_lj,
+                              sizeof(double)) == 0 &&
+                  sums[0].pairs == sums[1].pairs;
+  return out;
 }
 
 // Extra top-level JSON blocks a bench can attach to its export (e.g. the

@@ -72,7 +72,8 @@ bool bitwise_equal(const StepReport& a, const StepReport& b) {
 }
 
 std::uint64_t io_faults_total(const io::IoStats& s) {
-  return s.injected_enospc + s.injected_short_writes + s.injected_eintr +
+  return s.injected_enospc + s.injected_short_writes + s.injected_zero_writes +
+         s.injected_eintr +
          s.injected_fsync_failures + s.injected_rename_failures +
          s.injected_open_failures + s.injected_alloc_failures;
 }

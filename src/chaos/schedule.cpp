@@ -1,8 +1,11 @@
 #include "chaos/schedule.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/env.hpp"
 #include "util/io_shim.hpp"
@@ -45,6 +48,19 @@ double rate_or(const obs::JsonValue& obj, const char* key) {
     throw std::runtime_error(msg.str());
   }
   return v;
+}
+
+// Refuses a key outside `known`, so a misspelled field cannot silently
+// fall back to its default.
+void require_known_keys(const obs::JsonValue& obj,
+                        std::initializer_list<std::string_view> known,
+                        const char* where) {
+  for (const auto& [key, value] : obj.as_object()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw std::runtime_error(std::string("chaos spec: unknown ") + where + " key '" +
+                               key + "'");
+    }
+  }
 }
 
 std::string str_or(const obs::JsonValue& obj, const char* key,
@@ -110,6 +126,13 @@ obs::JsonValue spec_to_json(const ChaosSpec& spec) {
 ChaosSpec spec_from_json(const obs::JsonValue& json) {
   constexpr double kU64Max = 18446744073709549568.0;  // largest double < 2^64
   constexpr double kSteps = 1e9;
+  // "backend" is retired (fleets are always processes) and still accepted,
+  // so older replay files parse.
+  require_known_keys(json,
+                     {"seed", "steps", "atoms", "workers", "checkpoint_interval",
+                      "checkpoint_keep", "timeout_ms", "step_deadline_ms", "events",
+                      "backend"},
+                     "top-level");
   ChaosSpec spec;
   spec.seed = static_cast<std::uint64_t>(
       integer_or(json, "seed", static_cast<double>(spec.seed), 0, kU64Max));
@@ -133,6 +156,9 @@ ChaosSpec spec_from_json(const obs::JsonValue& json) {
                  static_cast<double>(spec.step_deadline_ms), 1, 8.64e7));
   if (json.contains("events")) {
     for (const obs::JsonValue& ev : json.at("events").as_array()) {
+      require_known_keys(
+          ev, {"step", "surface", "rate", "rate2", "a", "b", "until_step", "detail"},
+          "event");
       ChaosEvent e;
       e.step = static_cast<std::uint64_t>(integer_or(ev, "step", 0, 0, kSteps));
       const std::string name = str_or(ev, "surface", "packet");

@@ -78,10 +78,12 @@ struct ChaosSpec {
 // JSON round-trip.  spec_from_json / parse_spec throw std::runtime_error,
 // naming the field, on malformed input: an unknown surface, a
 // non-integral or out-of-range count (atoms in [kMinAtoms, kMaxAtoms],
-// workers in [1, kMaxWorkers], steps >= 1, checkpoint_keep >= 1), or a rate
-// outside [0, 1].  Missing fields fall back to the defaults above, so
-// hand-written repro specs stay short; keys the spec does not know (such as
-// the retired "backend") are ignored, so older replay files still parse.
+// workers in [1, kMaxWorkers], steps >= 1, checkpoint_keep >= 1), a rate
+// outside [0, 1], or a top-level or event key the spec does not know (so a
+// misspelled field never silently runs its default).  Missing fields fall
+// back to the defaults above, so hand-written repro specs stay short; the
+// retired top-level "backend" key is accepted and ignored, so older replay
+// files still parse.
 obs::JsonValue spec_to_json(const ChaosSpec& spec);
 ChaosSpec spec_from_json(const obs::JsonValue& json);
 std::string dump_spec(const ChaosSpec& spec);

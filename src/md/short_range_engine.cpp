@@ -1,12 +1,13 @@
 #include "md/short_range_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/abft.hpp"
@@ -14,7 +15,6 @@
 #include "md/short_range_kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/constants.hpp"
 #include "util/parallel.hpp"
 #include "util/simd.hpp"
 
@@ -22,35 +22,12 @@ namespace tme {
 
 namespace {
 
-// Precombined Lorentz–Berthelot pair parameters: E = (c12/r⁶ - c6)/r⁶ -
-// e_shift and f·r = (12 c12/r⁶ - 6 c6)/r⁶ / r².
-struct MixedLj {
-  double c6 = 0.0;       // 4 ε σ⁶
-  double c12 = 0.0;      // 4 ε σ¹²
-  double e_shift = 0.0;  // energy at the cutoff (0 when shift_lj is off)
-};
-
-// Per-batch private accumulators, merged in batch order after the sweep.
-struct Partial {
-  std::vector<Vec3> forces;  // indexed by atom
-  double energy_coulomb = 0.0;
-  double energy_lj = 0.0;
-  std::size_t pairs = 0;
-};
-
 // One build block: the rows of the pairs its home cells' atoms contribute
 // as columns, then (for the scatter) per-row counts over an atom range.
 struct BuildBlock {
   std::vector<std::uint32_t> rows;
   std::vector<std::size_t> count;  // per row; becomes the scatter cursor
 };
-
-// Pairs buffered between kernel evaluations.  The flush boundary is bitwise
-// transparent: every pair's outputs depend only on its own lanes, and the
-// scalar accumulation that follows runs in enumeration order regardless of
-// where the batch was cut.  512 pairs keep the SoA working set (~14
-// doubles/pair) inside L1/L2 and the per-thread batch small.
-constexpr std::size_t kFlushPairs = 512;
 
 // The build measures distances between wrapped coordinates, the evaluation
 // between minimum images of the raw ones, and the two can differ in the last
@@ -74,6 +51,12 @@ struct Axis {
   long first(long c) const { return whole() ? 0 : c - 2; }
   long last(long c) const { return whole() ? cells - 1 : c + 2; }
   long wrap(long u) const { return (u + cells) % cells; }
+  // What takes a coordinate in cell wrap(u) to unwrapped cell u (0 when the
+  // axis is scanned whole).
+  double shift(long u) const {
+    if (whole() || (u >= 0 && u < cells)) return 0.0;
+    return u < 0 ? -length : length;
+  }
   // Smallest distance between a point of cell c and one of unwrapped cell u.
   double gap(long c, long u) const {
     if (whole()) return 0.0;
@@ -119,7 +102,13 @@ struct ScanScratch {
     ScanVec x, y, z, id;
     unsigned odd = 0;  // all ones for an odd atom index
   };
-  std::vector<std::pair<std::size_t, std::size_t>> runs;  // slices of the cell order
+  // A slice [k0, k1) of the cell order, and the shift that takes its
+  // candidates to the image next to the home cell.
+  struct Run {
+    std::size_t k0, k1;
+    double sx, sy, sz;
+  };
+  std::vector<Run> runs;
   std::vector<Home> home;
   std::vector<std::uint32_t> kept;  // per home atom, `cap` slots
   std::vector<std::size_t> nkept;
@@ -138,10 +127,10 @@ struct ShortRangeEngine::PairListCache {
   std::vector<std::pair<std::size_t, std::size_t>> exclusions;
 
   // The topology's LJ parameters as per-atom types, and the flat mixing
-  // table of the types.
+  // table of the types (see PairRows).
   std::vector<LjParams> types;
   std::vector<std::uint32_t> type_of;
-  std::vector<MixedLj> mix;
+  std::vector<double> c6, c12, e_shift;
   std::size_t ntypes = 0;
 
   // The half list: row i holds columns row_start[i] .. row_start[i + 1] of
@@ -153,7 +142,7 @@ struct ShortRangeEngine::PairListCache {
 
   // Scratch kept across calls.
   std::vector<double> px, py, pz;  // positions by coordinate, for gathers
-  std::vector<Partial> partials;
+  std::vector<PairSums> partials;  // one per row range
 
   bool same_topology(const Topology& topology) const {
     const std::vector<LjParams>& lj = topology.lj();
@@ -216,7 +205,9 @@ void ShortRangeEngine::PairListCache::set_topology(const Topology& topology,
   const double cutoff2 = params.cutoff * params.cutoff;
   double inv_rc6 = 0.0;
   if (params.shift_lj) inv_rc6 = 1.0 / (cutoff2 * cutoff2 * cutoff2);
-  mix.assign(ntypes * ntypes, MixedLj{});
+  c6.assign(ntypes * ntypes, 0.0);
+  c12.assign(ntypes * ntypes, 0.0);
+  e_shift.assign(ntypes * ntypes, 0.0);
   for (std::size_t a = 0; a < ntypes; ++a) {
     for (std::size_t c = 0; c < ntypes; ++c) {
       const double eps = std::sqrt(types[a].epsilon * types[c].epsilon);
@@ -224,10 +215,10 @@ void ShortRangeEngine::PairListCache::set_topology(const Topology& topology,
       const double sigma = 0.5 * (types[a].sigma + types[c].sigma);
       const double sig2 = sigma * sigma;
       const double sig6 = sig2 * sig2 * sig2;
-      MixedLj& m = mix[a * ntypes + c];
-      m.c6 = 4.0 * eps * sig6;
-      m.c12 = m.c6 * sig6;
-      m.e_shift = (m.c12 * inv_rc6 - m.c6) * inv_rc6;
+      const std::size_t m = a * ntypes + c;
+      c6[m] = 4.0 * eps * sig6;
+      c12[m] = c6[m] * sig6;
+      e_shift[m] = (c12[m] * inv_rc6 - c6[m]) * inv_rc6;
     }
   }
 }
@@ -260,8 +251,12 @@ void ShortRangeEngine::PairListCache::build(const Box& b, std::span<const Vec3> 
   const V neg_half[3] = {V::broadcast(-0.5 * b.lengths.x),
                          V::broadcast(-0.5 * b.lengths.y),
                          V::broadcast(-0.5 * b.lengths.z)};
-  // Minimum image of a difference of two wrapped coordinates.
+  // Along an axis scanned whole, the minimum image of a difference of two
+  // wrapped coordinates.  Along the others the run's shift has placed every
+  // candidate next to the home cell already.
+  const bool whole[3] = {ax.whole(), ay.whole(), az.whole()};
   auto image = [&](V d, int axis) {
+    if (!whole[axis]) return d;
     d = V::blend(V::cmp_lt(half[axis], d), d - len[axis], d);
     return V::blend(V::cmp_lt(d, neg_half[axis]), d + len[axis], d);
   };
@@ -295,36 +290,39 @@ void ShortRangeEngine::PairListCache::build(const Box& b, std::span<const Vec3> 
       // The x-runs of neighbour cells within r_l of this cell.
       s.runs.clear();
       std::size_t total = 0;
-      auto run = [&](std::size_t base, long c0, long c1) {
+      double sy = 0.0, sz = 0.0;
+      auto run = [&](std::size_t base, long c0, long c1, double sx) {
         const std::size_t k0 = grid.start[base + static_cast<std::size_t>(c0)];
         const std::size_t k1 = grid.start[base + static_cast<std::size_t>(c1) + 1];
         if (k0 == k1) return;
-        s.runs.emplace_back(k0, k1);
+        s.runs.push_back({k0, k1, sx, sy, sz});
         total += k1 - k0;
       };
       for (long uz = az.first(cz); uz <= az.last(cz); ++uz) {
         const double gz = az.gap(cz, uz);
+        sz = az.shift(uz);
         for (long uy = ay.first(cy); uy <= ay.last(cy); ++uy) {
           const double gy = ay.gap(cy, uy);
           const double g2 = gz * gz + gy * gy;
           if (g2 >= rl2) continue;
+          sy = ay.shift(uy);
           const auto base = static_cast<std::size_t>(
               (az.wrap(uz) * ay.cells + ay.wrap(uy)) * ax.cells);
           if (ax.whole()) {
-            run(base, 0, ax.cells - 1);
+            run(base, 0, ax.cells - 1, 0.0);
             continue;
           }
           // Cells two away in x are in reach only if an edge fits.
           const long span = ax.edge * ax.edge + g2 < rl2 ? 2 : 1;
           const long u0 = cx - span, u1 = cx + span;
           if (u0 < 0) {
-            run(base, u0 + ax.cells, ax.cells - 1);
-            run(base, 0, u1);
+            run(base, u0 + ax.cells, ax.cells - 1, -ax.length);
+            run(base, 0, u1, 0.0);
           } else if (u1 >= ax.cells) {
-            run(base, u0, ax.cells - 1);
-            run(base, 0, u1 - ax.cells);
+            run(base, u0, ax.cells - 1, 0.0);
+            run(base, 0, u1 - ax.cells, ax.length);
           } else {
-            run(base, u0, u1);
+            run(base, u0, u1, 0.0);
           }
         }
       }
@@ -340,11 +338,13 @@ void ShortRangeEngine::PairListCache::build(const Box& b, std::span<const Vec3> 
       const std::size_t cap = total + kScanWidth;
       s.kept.resize(nh * cap);
       s.nkept.assign(nh, 0);
-      for (const auto& [k0, k1] : s.runs) {
-        for (std::size_t k = k0; k < k1; k += kScanWidth) {
-          const V x = V::load(grid.x.data() + k);
-          const V y = V::load(grid.y.data() + k);
-          const V z = V::load(grid.z.data() + k);
+      for (const ScanScratch::Run& r : s.runs) {
+        const V sx = V::broadcast(r.sx), sy = V::broadcast(r.sy), sz = V::broadcast(r.sz);
+        const std::size_t k1 = r.k1;
+        for (std::size_t k = r.k0; k < k1; k += kScanWidth) {
+          const V x = V::load(grid.x.data() + k) + sx;
+          const V y = V::load(grid.y.data() + k) + sy;
+          const V z = V::load(grid.z.data() + k) + sz;
           const V id = V::load(grid.id.data() + k);
           const V parity = id - two * V::floor(half_one * id);
           const unsigned odd = V::mask_bits(V::cmp_ge(parity, half_one));
@@ -366,13 +366,9 @@ void ShortRangeEngine::PairListCache::build(const Box& b, std::span<const Vec3> 
             const unsigned far = V::mask_bits(V::cmp_ge(r2, rl2v));
             const unsigned keep =
                 ~far & ((odd_sum & lower) | (~odd_sum & higher)) & lanes;
-            std::uint32_t* const out = s.kept.data() + h * cap;
-            std::size_t m = s.nkept[h];
-            for (int l = 0; l < kScanWidth; ++l) {
-              out[m] = grid.atom[k + static_cast<std::size_t>(l)];
-              m += (keep >> l) & 1u;
-            }
-            s.nkept[h] = m;
+            simd::compress_index<kScanWidth>(grid.atom.data() + k, keep,
+                                             s.kept.data() + h * cap + s.nkept[h]);
+            s.nkept[h] += static_cast<std::size_t>(std::popcount(keep));
           }
         }
       }
@@ -474,6 +470,13 @@ ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
                                            ThreadPool* pool_ptr) const {
   TME_PHASE("short_range");
   TME_COUNTER_ADD("short_range/calls", 1);
+  // The sweep's minimum image (md/short_range_kernels.cpp) needs the cutoff
+  // below half of every box length, with room for rounding.
+  const Vec3& len = system.box.lengths;
+  if (!(params_.cutoff < 0.5 * std::min({len.x, len.y, len.z}) - kRoundingSlack)) {
+    throw std::invalid_argument(
+        "ShortRangeEngine: the cutoff must stay below half of every box length");
+  }
   ShortRangeResult out;
   const std::size_t n = system.size();
   if (n == 0) return out;
@@ -494,9 +497,6 @@ ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
   // --- parallel sweep over fixed contiguous row ranges ---------------------
   const std::size_t chunk = (n + nb - 1) / nb;
   list.partials.resize(nb);
-  const double cutoff2 = params_.cutoff * params_.cutoff;
-  const Box box = system.box;
-  const std::vector<double>& charge = system.charges;
   list.px.resize(n);
   list.py.resize(n);
   list.pz.resize(n);
@@ -505,99 +505,26 @@ ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
     list.py[i] = system.positions[i].y;
     list.pz[i] = system.positions[i].z;
   }
-  const PairKernelConfig kernel_cfg{params_.alpha, table_.get()};
-  const simd::Mode mode = mode_;
-  const int width = simd::lanes(mode);
+  PairRows rows;
+  rows.row_start = list.row_start.data();
+  rows.cols = list.cols.data();
+  rows.x = list.px.data();
+  rows.y = list.py.data();
+  rows.z = list.pz.data();
+  rows.charge = system.charges.data();
+  rows.type_of = list.type_of.data();
+  rows.c6 = list.c6.data();
+  rows.c12 = list.c12.data();
+  rows.e_shift = list.e_shift.data();
+  rows.ntypes = list.ntypes;
+  rows.box = system.box.lengths;
+  rows.cutoff2 = params_.cutoff * params_.cutoff;
+  rows.kernel = {params_.alpha, table_.get()};
   parallel_for(pool, 0, nb, [&](std::size_t b) {
     TME_TRACE_SPAN("short_range/batch");
-    Partial& part = list.partials[b];
-    part.forces.assign(n, Vec3{});
-    part.energy_coulomb = 0.0;
-    part.energy_lj = 0.0;
-    part.pairs = 0;
-
-    // The sweep filters list entries into an SoA batch; the vectorized
-    // kernel (md/short_range_kernels.hpp) evaluates them, and the flush
-    // scatters the results serially in list order, so energies and forces
-    // stay bitwise reproducible per pool size and identical between
-    // TME_SIMD=scalar and native.
-    PairBatch batch;
-    batch.reserve(kFlushPairs + 64);
-    auto flush = [&] {
-      if (batch.size() == 0) return;
-      batch.finalize(width);
-      evaluate_pair_batch(batch, kernel_cfg, mode);
-      const std::size_t np = batch.size();
-      for (std::size_t i = 0; i < np; ++i) {
-        part.energy_coulomb += batch.e_coul[i];
-        part.energy_lj += batch.e_lj[i];
-        const double f_over_r = batch.f_over_r[i];
-        const Vec3 fij{f_over_r * batch.dx[i], f_over_r * batch.dy[i],
-                       f_over_r * batch.dz[i]};
-        part.forces[batch.ia[i]] += fij;
-        part.forces[batch.ib[i]] -= fij;
-      }
-      part.pairs += np;
-      batch.clear();
-    };
-
-    // Each row's columns are filtered W at a time; lanes are independent,
-    // so a pair's bits do not depend on which other columns share its
-    // vector, and the kept pairs are pushed in column order.
-    using V = ScanVec;
-    alignas(64) std::int64_t idx[kScanWidth];
-    alignas(64) double ddx[kScanWidth], ddy[kScanWidth], ddz[kScanWidth],
-        dr2[kScanWidth];
-    const V len[3] = {V::broadcast(box.lengths.x), V::broadcast(box.lengths.y),
-                      V::broadcast(box.lengths.z)};
-    const V neg_len[3] = {V::broadcast(-box.lengths.x), V::broadcast(-box.lengths.y),
-                          V::broadcast(-box.lengths.z)};
-    // min_image(d, L) = d - L * nearbyint(d / L), as one fused step.
-    auto image = [&](V d, int axis) {
-      return V::fma(neg_len[axis], V::nearbyint(d / len[axis]), d);
-    };
-    const V cutoff2v = V::broadcast(cutoff2);
-    const V tiny = V::broadcast(std::numeric_limits<double>::denorm_min());
-    const std::uint32_t* const cols = list.cols.data();
-    const std::size_t r_end = std::min(n, (b + 1) * chunk);
-    for (std::size_t i = b * chunk; i < r_end; ++i) {
-      const V xi = V::broadcast(list.px[i]);
-      const V yi = V::broadcast(list.py[i]);
-      const V zi = V::broadcast(list.pz[i]);
-      const double qi = constants::kCoulomb * charge[i];
-      const MixedLj* mix_i = list.mix.data() + list.type_of[i] * list.ntypes;
-      const std::size_t e_end = list.row_start[i + 1];
-      for (std::size_t e = list.row_start[i]; e < e_end; e += kScanWidth) {
-        for (int l = 0; l < kScanWidth; ++l) {
-          idx[l] = cols[e + static_cast<std::size_t>(l)];
-        }
-        const V dx = image(xi - V::gather(list.px.data(), idx), 0);
-        const V dy = image(yi - V::gather(list.py.data(), idx), 1);
-        const V dz = image(zi - V::gather(list.pz.data(), idx), 2);
-        const V r2 = V::fma(dz, dz, V::fma(dy, dy, dx * dx));
-        // Skip r2 >= cutoff² and r2 == 0; a NaN r2 is kept, so a non-finite
-        // position shows up in the forces.
-        const std::size_t left = e_end - e;
-        unsigned keep = left >= kScanWidth ? (1u << kScanWidth) - 1u : (1u << left) - 1u;
-        keep &= ~V::mask_bits(V::cmp_ge(r2, cutoff2v));
-        keep &= ~V::mask_bits(V::cmp_lt(r2, tiny));
-        if (keep == 0) continue;
-        dx.store(ddx);
-        dy.store(ddy);
-        dz.store(ddz);
-        r2.store(dr2);
-        while (keep != 0) {
-          const int l = __builtin_ctz(keep);
-          keep &= keep - 1;
-          const std::uint32_t j = cols[e + static_cast<std::size_t>(l)];
-          const MixedLj& m = mix_i[list.type_of[j]];
-          batch.push(ddx[l], ddy[l], ddz[l], dr2[l], qi * charge[j], m.c6, m.c12,
-                     m.e_shift, static_cast<std::uint32_t>(i), j);
-          if (batch.size() >= kFlushPairs) flush();
-        }
-      }
-    }
-    flush();
+    PairSums& part = list.partials[b];
+    part.reset(n);
+    sweep_rows(rows, b * chunk, std::min(n, (b + 1) * chunk), part, mode_);
   });
 
   // --- deterministic reduction (fixed batch order) -------------------------
@@ -605,14 +532,16 @@ ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
     TME_PHASE("reduce");
     parallel_for(pool, 0, n, [&](std::size_t k) {
       Vec3 acc{};
-      for (std::size_t b = 0; b < nb; ++b) acc += list.partials[b].forces[k];
+      for (const PairSums& part : list.partials) {
+        acc += Vec3{part.fx[k], part.fy[k], part.fz[k]};
+      }
       system.forces[k] += acc;
     });
   }
-  for (std::size_t b = 0; b < nb; ++b) {
-    out.energy_coulomb += list.partials[b].energy_coulomb;
-    out.energy_lj += list.partials[b].energy_lj;
-    out.pair_count += list.partials[b].pairs;
+  for (const PairSums& part : list.partials) {
+    out.energy_coulomb += part.energy_coulomb;
+    out.energy_lj += part.energy_lj;
+    out.pair_count += part.pairs;
   }
 
   // Newton's-third-law ABFT check: the pair kernel writes +fij/-fij, so the
@@ -621,9 +550,9 @@ ShortRangeResult ShortRangeEngine::compute(ParticleSystem& system,
   // residual must stay inside that chain's rounding envelope.
   {
     double fmax = 0.0;
-    for (std::size_t b = 0; b < nb; ++b) {
+    for (const PairSums& part : list.partials) {
       for (std::size_t k = 0; k < n; ++k) {
-        const Vec3& f = list.partials[b].forces[k];
+        const Vec3 f{part.fx[k], part.fy[k], part.fz[k]};
         out.net_force += f;
         fmax = std::max({fmax, std::abs(f.x), std::abs(f.y), std::abs(f.z)});
       }

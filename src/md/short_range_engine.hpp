@@ -18,19 +18,23 @@
 //    the pairs evenly across rows;
 //  - the build bins atoms into cells of edge >= r_l / 2 and tests each
 //    cell's atoms, W candidates at a time, against the contiguous x-runs of
-//    neighbour cells within r_l.  Each atom keeps the pairs whose row is the
+//    neighbour cells within r_l, each run shifted to the image next to the
+//    home cell.  Each atom keeps the pairs whose row is the
 //    other atom, and a stable counting scatter in atom order fills the rows
 //    with ascending columns, with no sort;
 //  - per-type Lennard-Jones parameters are precombined into a flat mixing
 //    table (4εσ⁶, 4εσ¹², cutoff shift), refreshed only when the topology
 //    changes;
-//  - each compute() filters the list against the cutoff, W entries at a
-//    time, into SoA batches evaluated by the portable SIMD kernel
-//    (md/short_range_kernels.hpp); the W = 1 scalar twin (TME_SIMD=scalar)
-//    is bitwise identical.  The erfc Coulomb kernel runs analytically or
-//    through a segmented-polynomial table in r² (ewald/force_table.hpp), the
+//  - each compute() sweeps the rows with one vector row kernel
+//    (md/short_range_kernels.hpp): W columns at a time it takes minimum
+//    images, left-packs the pairs inside the cutoff, evaluates them, scatters
+//    their forces onto the column atoms and adds them to the row atom in
+//    column order; the W = 1 scalar twin (TME_SIMD=scalar) is bitwise
+//    identical.  The erfc Coulomb kernel runs analytically or through a
+//    segmented-polynomial table in r² (ewald/force_table.hpp), the
 //    pipelines' table-lookup function evaluator (CoulombKernel in the
-//    params);
+//    params).  The cutoff must stay below half of every box length
+//    (compute() throws std::invalid_argument otherwise);
 //  - rows are evaluated in fixed contiguous row ranges, one per pool
 //    thread, with thread-private force/energy accumulators reduced in range
 //    order.

@@ -94,6 +94,10 @@ ssize_t IoShim::write_some(int fd, const void* buf, std::size_t len,
         errno = ENOSPC;
         return -1;
       }
+      if (plan_.zero_progress_writes) {
+        ++stats_.injected_zero_writes;
+        return 0;
+      }
       if (plan_.enospc_after_bytes >= 0) {
         const long budget = plan_.enospc_after_bytes - bytes_written_;
         if (static_cast<long>(allowed) > budget) {

@@ -41,6 +41,7 @@ struct IoFaultPlan {
   bool fail_open = false;         // open() fails with EACCES
   long enospc_after_bytes = -1;   // >=0: bytes beyond this fail with ENOSPC
   bool short_writes = false;      // every write() accepts at most half
+  bool zero_progress_writes = false;  // every write() accepts nothing, returns 0
   int eintr_every = 0;            // >0: every Nth write()/fsync() EINTRs once
   bool fail_fsync = false;        // fsync() fails with EIO
   bool fail_rename = false;       // rename() fails with EIO
@@ -49,13 +50,14 @@ struct IoFaultPlan {
 
   bool any() const {
     return fail_open || enospc_after_bytes >= 0 || short_writes ||
-           eintr_every > 0 || fail_fsync || fail_rename || fail_allocs > 0;
+           zero_progress_writes || eintr_every > 0 || fail_fsync || fail_rename || fail_allocs > 0;
   }
 };
 
 struct IoStats {
   std::uint64_t injected_enospc = 0;
   std::uint64_t injected_short_writes = 0;
+  std::uint64_t injected_zero_writes = 0;
   std::uint64_t injected_eintr = 0;
   std::uint64_t injected_fsync_failures = 0;
   std::uint64_t injected_rename_failures = 0;

@@ -11,12 +11,13 @@
 // same function signatures.
 //
 // Determinism contract (asserted by tests/test_simd.cpp):
-//  - every lane op (add/sub/mul/div/sqrt/round/fma) is the IEEE-754 double
-//    operation, so per-lane results are bitwise identical to the scalar
-//    instantiation executing the same op sequence;
-//  - fma() is *fused* exactly when kFmaFused is true (hardware-FMA backends),
-//    and the W = 1 twin then routes through std::fma, so scalar and native
-//    kernels stay bitwise identical per build;
+//  - every lane op (add/sub/mul/div/sqrt/round/fma/fnma) is the IEEE-754
+//    double operation, so per-lane results are bitwise identical to the
+//    scalar instantiation executing the same op sequence;
+//  - fma() and fnma() are *fused* exactly when kFmaFused is true
+//    (hardware-FMA backends), and the W = 1 twin then routes through
+//    std::fma, so scalar and native kernels stay bitwise identical per build;
+//  - gathers, scatter and left-pack (compress) move bits without arithmetic;
 //  - kernels that only combine lane ops with a shared (scalar) accumulation
 //    order are therefore bitwise invariant under TME_SIMD.  Horizontal
 //    reduce_add uses a fixed pairwise tree — deterministic per W, but a
@@ -109,10 +110,16 @@ struct vec<double, W> {
     for (int i = 0; i < W; ++i) v.lane[i] = i < n ? p[i] : 0.0;
     return v;
   }
-  // Gather-ish helper: lane i reads base[idx[i]].
-  static vec gather(const double* base, const std::int64_t* idx) {
+  // Lane i reads base[idx[i]].
+  static vec gather(const double* base, const std::uint32_t* idx) {
     vec v;
     for (int i = 0; i < W; ++i) v.lane[i] = base[idx[i]];
+    return v;
+  }
+  // Lane i reads base[k[i]]; the lanes of k hold integers in [0, 2^31).
+  static vec gather_at(const double* base, vec k) {
+    vec v;
+    for (int i = 0; i < W; ++i) v.lane[i] = base[static_cast<std::int64_t>(k.lane[i])];
     return v;
   }
   void store(double* p) const {
@@ -148,6 +155,18 @@ struct vec<double, W> {
         r.lane[i] = std::fma(a.lane[i], b.lane[i], c.lane[i]);
       } else {
         r.lane[i] = a.lane[i] * b.lane[i] + c.lane[i];
+      }
+    }
+    return r;
+  }
+  // c - a*b, fused exactly when fma() is.
+  static vec fnma(vec a, vec b, vec c) {
+    vec r;
+    for (int i = 0; i < W; ++i) {
+      if constexpr (kFmaFused) {
+        r.lane[i] = std::fma(-a.lane[i], b.lane[i], c.lane[i]);
+      } else {
+        r.lane[i] = c.lane[i] - a.lane[i] * b.lane[i];
       }
     }
     return r;
@@ -233,9 +252,16 @@ struct vec<double, 4> {
     const __m256i lane_mask = partial_mask(n);
     return {_mm256_maskload_pd(p, lane_mask)};
   }
-  static vec gather(const double* base, const std::int64_t* idx) {
-    const __m256i vindex = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return {_mm256_i64gather_pd(base, vindex, 8)};
+  // Masked gathers with an explicit zero source: the plain
+  // _mm256_i32gather_pd seeds from _mm256_undefined_pd, which GCC flags
+  // -Wmaybe-uninitialized.
+  static vec gather(const double* base, const std::uint32_t* idx) {
+    const __m128i vindex = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
+    return {_mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, vindex, all_lanes(), 8)};
+  }
+  static vec gather_at(const double* base, vec k) {
+    return {_mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, _mm256_cvttpd_epi32(k.v),
+                                     all_lanes(), 8)};
   }
   void store(double* p) const { _mm256_storeu_pd(p, v); }
   void store_partial(double* p, int n) const {
@@ -253,6 +279,7 @@ struct vec<double, 4> {
   friend vec operator/(vec a, vec b) { return {_mm256_div_pd(a.v, b.v)}; }
 
   static vec fma(vec a, vec b, vec c) { return {_mm256_fmadd_pd(a.v, b.v, c.v)}; }
+  static vec fnma(vec a, vec b, vec c) { return {_mm256_fnmadd_pd(a.v, b.v, c.v)}; }
   static vec sqrt(vec a) { return {_mm256_sqrt_pd(a.v)}; }
   static vec nearbyint(vec a) {
     return {_mm256_round_pd(a.v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC)};
@@ -283,6 +310,7 @@ struct vec<double, 4> {
     const __m256i iota = _mm256_setr_epi64x(0, 1, 2, 3);
     return _mm256_cmpgt_epi64(_mm256_set1_epi64x(n), iota);
   }
+  static __m256d all_lanes() { return _mm256_castsi256_pd(_mm256_set1_epi64x(-1)); }
 };
 
 #endif  // TME_SIMD_ISA_AVX2
@@ -308,11 +336,15 @@ struct vec<double, 8> {
     const __mmask8 k = static_cast<__mmask8>((1u << n) - 1u);
     return {_mm512_maskz_loadu_pd(k, p)};
   }
-  static vec gather(const double* base, const std::int64_t* idx) {
-    // Masked form with an explicit zero source: the plain _mm512_i64gather_pd
+  static vec gather(const double* base, const std::uint32_t* idx) {
+    // Masked form with an explicit zero source: the plain _mm512_i32gather_pd
     // seeds from _mm512_undefined_pd, which GCC flags -Wmaybe-uninitialized.
-    const __m512i vindex = _mm512_loadu_si512(idx);
-    return {_mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xFF, vindex, base, 8)};
+    const __m256i vindex = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
+    return {_mm512_mask_i32gather_pd(_mm512_setzero_pd(), 0xFF, vindex, base, 8)};
+  }
+  static vec gather_at(const double* base, vec k) {
+    const __m256i vindex = _mm512_maskz_cvttpd_epi32(0xFF, k.v);
+    return {_mm512_mask_i32gather_pd(_mm512_setzero_pd(), 0xFF, vindex, base, 8)};
   }
   void store(double* p) const { _mm512_storeu_pd(p, v); }
   void store_partial(double* p, int n) const {
@@ -333,6 +365,7 @@ struct vec<double, 8> {
   // sqrt/roundscale/min/max expand through _mm512_undefined_pd and trip
   // -Wmaybe-uninitialized (same story as the reduce_add shuffles below).
   static vec fma(vec a, vec b, vec c) { return {_mm512_fmadd_pd(a.v, b.v, c.v)}; }
+  static vec fnma(vec a, vec b, vec c) { return {_mm512_fnmadd_pd(a.v, b.v, c.v)}; }
   static vec sqrt(vec a) { return {_mm512_maskz_sqrt_pd(0xFF, a.v)}; }
   static vec nearbyint(vec a) {
     return {_mm512_maskz_roundscale_pd(
@@ -392,10 +425,17 @@ struct vec<double, 2> {
   static vec load_partial(const double* p, int n) {
     return n >= 2 ? load(p) : vec{vsetq_lane_f64(n == 1 ? p[0] : 0.0, vdupq_n_f64(0.0), 0)};
   }
-  static vec gather(const double* base, const std::int64_t* idx) {
+  static vec gather(const double* base, const std::uint32_t* idx) {
     float64x2_t r = vdupq_n_f64(0.0);
     r = vsetq_lane_f64(base[idx[0]], r, 0);
     r = vsetq_lane_f64(base[idx[1]], r, 1);
+    return {r};
+  }
+  static vec gather_at(const double* base, vec k) {
+    const int64x2_t i = vcvtq_s64_f64(k.v);
+    float64x2_t r = vdupq_n_f64(0.0);
+    r = vsetq_lane_f64(base[vgetq_lane_s64(i, 0)], r, 0);
+    r = vsetq_lane_f64(base[vgetq_lane_s64(i, 1)], r, 1);
     return {r};
   }
   void store(double* p) const { vst1q_f64(p, v); }
@@ -416,6 +456,7 @@ struct vec<double, 2> {
   friend vec operator/(vec a, vec b) { return {vdivq_f64(a.v, b.v)}; }
 
   static vec fma(vec a, vec b, vec c) { return {vfmaq_f64(c.v, a.v, b.v)}; }
+  static vec fnma(vec a, vec b, vec c) { return {vfmsq_f64(c.v, a.v, b.v)}; }
   static vec sqrt(vec a) { return {vsqrtq_f64(a.v)}; }
   static vec nearbyint(vec a) { return {vrndnq_f64(a.v)}; }  // round-to-even
   static vec floor(vec a) { return {vrndmq_f64(a.v)}; }
@@ -434,6 +475,85 @@ struct vec<double, 2> {
 };
 
 #endif  // TME_SIMD_ISA_NEON
+
+// ---------------------------------------------------------------------------
+// Data movement by lane mask: left-pack (compress) and scatter of doubles,
+// and the 32-bit index twins for index lists.  `bits` is a mask_bits()-style
+// lane mask; bits at or above W are ignored.  These ops move bits and do no
+// arithmetic, so the AVX-512 instructions and the lane-by-lane loops every
+// other backend runs give identical results.
+
+// Writes the lanes of v whose bit is set, in lane order, to
+// out[0, popcount(bits)).  May write all W slots of out.
+template <int W>
+void compress(const vec<double, W>& v, unsigned bits, double* out) {
+#if defined(TME_SIMD_ISA_AVX512)
+  if constexpr (W == 8) {
+    _mm512_storeu_pd(out, _mm512_maskz_compress_pd(static_cast<__mmask8>(bits), v.v));
+    return;
+  }
+#endif
+  alignas(64) double lane[W];
+  v.store(lane);
+  int m = 0;
+  for (int l = 0; l < W; ++l) {
+    out[m] = lane[l];
+    m += static_cast<int>((bits >> l) & 1u);
+  }
+}
+
+// compress() for W 32-bit indices: out[0, popcount(bits)) receives the
+// idx[l] whose bit is set, in order.  May write all W slots of out.
+template <int W>
+void compress_index(const std::uint32_t* idx, unsigned bits, std::uint32_t* out) {
+#if defined(TME_SIMD_ISA_AVX512)
+  if constexpr (W == 8) {
+    const __m512i x = _mm512_maskz_loadu_epi32(0xFF, idx);
+    _mm512_mask_storeu_epi32(
+        out, 0xFF, _mm512_maskz_compress_epi32(static_cast<__mmask16>(bits & 0xFFu), x));
+    return;
+  }
+#endif
+  int m = 0;
+  for (int l = 0; l < W; ++l) {
+    out[m] = idx[l];
+    m += static_cast<int>((bits >> l) & 1u);
+  }
+}
+
+// out[l] = base[idx[l]] for all W lanes (32-bit values by 32-bit indices;
+// both below 2^31).
+template <int W>
+void gather_index(const std::uint32_t* base, const std::uint32_t* idx, std::uint32_t* out) {
+#if defined(TME_SIMD_ISA_AVX512) || defined(TME_SIMD_ISA_AVX2)
+  if constexpr (W == 8) {
+    const __m256i i = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                        _mm256_i32gather_epi32(reinterpret_cast<const int*>(base), i, 4));
+    return;
+  }
+#endif
+  for (int l = 0; l < W; ++l) out[l] = base[idx[l]];
+}
+
+// base[idx[l]] = lane l of v for each set bit.  The written lanes' indices
+// must be distinct.
+template <int W>
+void scatter(const vec<double, W>& v, double* base, const std::uint32_t* idx,
+             unsigned bits) {
+#if defined(TME_SIMD_ISA_AVX512)
+  if constexpr (W == 8) {
+    const __m256i vindex = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
+    _mm512_mask_i32scatter_pd(base, static_cast<__mmask8>(bits), vindex, v.v, 8);
+    return;
+  }
+#endif
+  alignas(64) double lane[W];
+  v.store(lane);
+  for (int l = 0; l < W; ++l) {
+    if ((bits >> l) & 1u) base[idx[l]] = lane[l];
+  }
+}
 
 using vecd = vec<double, kNativeWidth>;
 using vec1d = vec<double, 1>;

@@ -169,6 +169,33 @@ TEST(DurableFile, EnospcMidWriteIsTypedAndKeepsThePreviousFile) {
   EXPECT_EQ(io::read_file(path), old_bytes);
 }
 
+// A write() that keeps accepting nothing without an error: after eight such
+// calls the writer gives up with ENOSPC instead of spinning.
+TEST(DurableFile, ZeroProgressWritesAreTypedEnospcAndKeepThePreviousFile) {
+  const ScratchDir dir;
+  const std::string path = dir.file("stuck.bin");
+  const std::vector<std::uint8_t> old_bytes = {4, 5, 6};
+  io::write_file_durable(path, old_bytes);
+
+  io::IoFaultPlan plan;
+  plan.path_substring = "stuck.bin";
+  plan.zero_progress_writes = true;
+  io::IoShim::instance().reset_stats();
+  {
+    io::ScopedIoFaults armed(plan);
+    try {
+      io::write_file_durable(path, std::vector<std::uint8_t>(64, 7));
+      ADD_FAILURE() << "zero-progress write succeeded";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(e.step(), io::IoStep::kWrite);
+      EXPECT_EQ(e.error(), ENOSPC);
+    }
+  }
+  EXPECT_EQ(io::IoShim::instance().stats().injected_zero_writes, 8u);
+  EXPECT_FALSE(exists(path + ".tmp"));
+  EXPECT_EQ(io::read_file(path), old_bytes);
+}
+
 TEST(DurableFile, FsyncAndRenameFailuresNameTheirStep) {
   const ScratchDir dir;
   const std::string path = dir.file("step.bin");

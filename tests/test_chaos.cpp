@@ -102,6 +102,9 @@ TEST(ChaosSpec, RejectsMalformedFields) {
       {"{\"checkpoint_keep\":-5}", "checkpoint_keep"},
       {"{\"atoms\":96.5}", "atoms"},
       {"{\"events\":[{\"surface\":\"packet\",\"rate\":1.5}]}", "rate"},
+      {"{\"woker\":3}", "woker"},
+      {"{\"events\":[{\"surface\":\"io\",\"untill_step\":4}]}", "untill_step"},
+      {"{\"events\":[{\"surface\":\"io\",\"backend\":\"proc\"}]}", "backend"},
   };
   for (const auto& [json, field] : bad) {
     try {

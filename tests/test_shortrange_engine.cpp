@@ -5,8 +5,10 @@
 // topology is honoured), force-table accuracy against analytic erfc, and
 // determinism of the threaded exclusion corrections.
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "md/water_box.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace tme {
 namespace {
@@ -484,6 +487,105 @@ TEST(ShortRangeEngine, NanPositionGivesNonFiniteForceWithoutCrashing) {
 
   // Back on the clean frame, the NaN-built list is stale and the bits return.
   expect_same_bits(evaluate(engine, wb.system, wb.topology), clean);
+}
+
+// The sweep's minimum image needs the cutoff below half of every box length.
+TEST(ShortRangeEngine, RejectsACutoffOfHalfABoxLength) {
+  WaterBox wb = test_box();
+  ShortRangeParams params = test_params(wb);
+  params.cutoff = 0.5 * wb.system.box.lengths.x;
+  EXPECT_THROW(evaluate(ShortRangeEngine(params), wb.system, wb.topology),
+               std::invalid_argument);
+  ParticleSystem flat = wb.system;
+  flat.box.lengths.z = 1.9 * test_params(wb).cutoff;
+  EXPECT_THROW(evaluate(ShortRangeEngine(test_params(wb)), flat, wb.topology),
+               std::invalid_argument);
+}
+
+// FNV-1a-64 over the force bits, then energy_coulomb and energy_lj.
+std::uint64_t hash_bits(const Evaluation& e) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto feed = [&h](const void* p, std::size_t n) {
+    const auto* c = static_cast<const unsigned char*>(p);
+    for (std::size_t k = 0; k < n; ++k) {
+      h ^= c[k];
+      h *= 0x100000001b3ull;
+    }
+  };
+  feed(e.forces.data(), e.forces.size() * sizeof(Vec3));
+  feed(&e.result.energy_coulomb, sizeof(double));
+  feed(&e.result.energy_lj, sizeof(double));
+  return h;
+}
+
+// Random atoms (some outside the box) of two LJ types, with exclusions, in a
+// small skewed box.
+struct Frame {
+  ParticleSystem system;
+  Topology topology;
+};
+
+Frame random_small_box_frame() {
+  Frame f;
+  f.system.box.lengths = {1.3, 2.9, 1.9};
+  f.system.resize(300);
+  Rng rng(61);
+  for (std::size_t i = 0; i < f.system.size(); ++i) {
+    f.system.positions[i] = {rng.uniform(-0.5, 1.5) * 1.3, rng.uniform(0.0, 2.9),
+                             rng.uniform(0.0, 1.9)};
+    f.system.charges[i] = rng.uniform(-1.0, 1.0);
+  }
+  f.topology.lj().resize(f.system.size());
+  for (std::size_t i = 0; i < f.system.size(); ++i) {
+    f.topology.lj()[i] = i % 3 == 0 ? LjParams{0.32, 0.65} : LjParams{0.2, 0.5};
+    if (i % 2 == 1) f.topology.add_exclusion(i - 1, i);
+  }
+  f.topology.finalize(f.system.size());
+  return f;
+}
+
+// The force and energy bits of both Coulomb kernels at pool sizes 1, 2 and 3
+// on two frames, pinned as hashes.  They hold for every build whose simd::fma
+// is fused, under TME_SIMD=scalar and native alike.
+TEST(ShortRangeEngine, ForcesKeepTheParentBits) {
+  if (!simd::kFmaFused) GTEST_SKIP() << "hashes are for builds with fused fma";
+  const WaterBox wb = test_box();
+  const Frame small = random_small_box_frame();
+  ShortRangeParams water_params = test_params(wb);
+  ShortRangeParams small_params;
+  small_params.cutoff = 0.6;
+  small_params.alpha = 3.0;
+  small_params.shift_lj = true;
+  struct Case {
+    const char* name;
+    const ParticleSystem* system;
+    const Topology* topology;
+    ShortRangeParams* params;
+    CoulombKernel kernel;
+    std::uint64_t hash[3];  // pool sizes 1, 2, 3
+  };
+  const Case cases[] = {
+      {"water/analytic", &wb.system, &wb.topology, &water_params, CoulombKernel::kAnalytic,
+       {0x8b9350a691e0b719ull, 0xf364419f833d3fbeull, 0x6cc344471c2860bfull}},
+      {"water/tabulated", &wb.system, &wb.topology, &water_params, CoulombKernel::kTabulated,
+       {0x52a261f43a90fd85ull, 0x7db86dc0e68d2990ull, 0xde3a1b50980b9ea3ull}},
+      {"small/analytic", &small.system, &small.topology, &small_params, CoulombKernel::kAnalytic,
+       {0x7f54b0fb5e56cd64ull, 0x7c900d217ac109d7ull, 0xb691cf8abec24ccbull}},
+      {"small/tabulated", &small.system, &small.topology, &small_params,
+       CoulombKernel::kTabulated,
+       {0x02a552c576287757ull, 0xce39c84bb5f3ad3cull, 0xe74d4fa4a8e60cc6ull}},
+  };
+  for (const Case& c : cases) {
+    c.params->kernel = c.kernel;
+    const ShortRangeEngine engine(*c.params);
+    for (unsigned threads = 1; threads <= 3; ++threads) {
+      ThreadPool pool(threads - 1);
+      const std::uint64_t h =
+          hash_bits(evaluate(engine, *c.system, *c.topology, &pool));
+      EXPECT_EQ(h, c.hash[threads - 1])
+          << c.name << " threads=" << threads << std::hex << " hash=0x" << h;
+    }
+  }
 }
 
 // --- threaded charge spreading -----------------------------------------------

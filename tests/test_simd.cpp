@@ -11,8 +11,11 @@
 // This translation unit is compiled with -ffp-contract=off (see
 // tests/CMakeLists.txt) so reference expressions written as a*b+c are not
 // silently fused into something the unfused vec ops can't match.
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,7 +68,7 @@ void check_primitives() {
 
   // gather.
   double base[4 * W];
-  std::int64_t idx[W];
+  std::uint32_t idx[W];
   for (int i = 0; i < 4 * W; ++i) base[i] = 100.0 + i;
   for (int i = 0; i < W; ++i) idx[i] = (7 * i + 3) % (4 * W);
   const V g = V::gather(base, idx);
@@ -125,6 +128,100 @@ void check_primitives() {
 TEST(SimdVec, PrimitivesScalarTwin) { check_primitives<1>(); }
 TEST(SimdVec, PrimitivesNativeWidth) { check_primitives<simd::kNativeWidth>(); }
 TEST(SimdVec, PrimitivesGenericOddWidth) { check_primitives<3>(); }
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+// The 32-bit index gathers, gather_at, fnma, compress, compress_index and
+// scatter at width W, lane for lane against the W = 1 twin, under every lane
+// mask (the empty and the partial ones included), with NaN and -0 lanes.
+template <int W>
+void check_against_scalar_twin() {
+  using V = simd::vec<double, W>;
+  using V1 = simd::vec1d;
+  SCOPED_TRACE("W=" + std::to_string(W));
+  Rng rng(7 + W);
+  double a[W], b[W], c[W];
+  for (int i = 0; i < W; ++i) {
+    a[i] = rng.uniform(-8.0, 8.0);
+    b[i] = rng.uniform(-4.0, 4.0);
+    c[i] = rng.uniform(-2.0, 2.0);
+  }
+  a[0] = std::numeric_limits<double>::quiet_NaN();
+  if (W > 1) a[W - 1] = -0.0;
+  const V va = V::load(a), vb = V::load(b), vc = V::load(c);
+
+  // fnma: c - a*b, fused like fma.
+  const V m = V::fnma(va, vb, vc);
+  for (int l = 0; l < W; ++l) {
+    EXPECT_TRUE(same_bits(m.extract(l), V1::fnma(V1::broadcast(a[l]), V1::broadcast(b[l]),
+                                                 V1::broadcast(c[l]))
+                                            .extract(0)))
+        << "fnma lane " << l;
+  }
+
+  // Gathers by 32-bit index, and by an index held in a vec.
+  const int nbase = 4 * W + 1;
+  std::vector<double> base(static_cast<std::size_t>(nbase));
+  std::vector<std::uint32_t> ubase(static_cast<std::size_t>(nbase));
+  for (int i = 0; i < nbase; ++i) {
+    base[static_cast<std::size_t>(i)] = 100.0 + i;
+    ubase[static_cast<std::size_t>(i)] = static_cast<std::uint32_t>(1000 + 3 * i);
+  }
+  base[1] = std::numeric_limits<double>::quiet_NaN();
+  std::uint32_t idx[W];  // distinct
+  double idx_as_double[W];
+  for (int l = 0; l < W; ++l) {
+    idx[l] = static_cast<std::uint32_t>((3 * l + 1) % nbase);
+    idx_as_double[l] = static_cast<double>(idx[l]);
+  }
+  const V g = V::gather(base.data(), idx);
+  const V ga = V::gather_at(base.data(), V::load(idx_as_double));
+  std::uint32_t gi[W];
+  simd::gather_index<W>(ubase.data(), idx, gi);
+  for (int l = 0; l < W; ++l) {
+    const double one = V1::gather(base.data(), idx + l).extract(0);
+    EXPECT_TRUE(same_bits(g.extract(l), one)) << "gather lane " << l;
+    EXPECT_TRUE(same_bits(ga.extract(l), one)) << "gather_at lane " << l;
+    std::uint32_t gi1 = 0;
+    simd::gather_index<1>(ubase.data(), idx + l, &gi1);
+    EXPECT_EQ(gi[l], gi1) << "gather_index lane " << l;
+  }
+
+  for (unsigned bits = 0; bits < (1u << W); ++bits) {
+    SCOPED_TRACE("bits=" + std::to_string(bits));
+    // compress / compress_index against one W = 1 call per set lane.
+    double packed[W], packed1[W];
+    std::uint32_t ipacked[W], ipacked1[W];
+    simd::compress(va, bits, packed);
+    simd::compress_index<W>(idx, bits, ipacked);
+    int count = 0;
+    for (int l = 0; l < W; ++l) {
+      if (((bits >> l) & 1u) == 0) continue;
+      simd::compress(V1::broadcast(a[l]), 1u, packed1 + count);
+      simd::compress_index<1>(idx + l, 1u, ipacked1 + count);
+      ++count;
+    }
+    EXPECT_EQ(count, std::popcount(bits));
+    for (int k = 0; k < count; ++k) {
+      EXPECT_TRUE(same_bits(packed[k], packed1[k])) << "compress slot " << k;
+      EXPECT_EQ(ipacked[k], ipacked1[k]) << "compress_index slot " << k;
+    }
+
+    // scatter: the masked lanes land, every other slot keeps its value.
+    std::vector<double> out(base), out1(base);
+    simd::scatter(va, out.data(), idx, bits);
+    for (int l = 0; l < W; ++l) {
+      simd::scatter(V1::broadcast(a[l]), out1.data(), idx + l, (bits >> l) & 1u);
+    }
+    EXPECT_EQ(std::memcmp(out.data(), out1.data(), out.size() * sizeof(double)), 0);
+  }
+}
+
+TEST(SimdVec, MaskMovesMatchTheScalarTwin) {
+  check_against_scalar_twin<1>();
+  check_against_scalar_twin<simd::kNativeWidth>();
+  check_against_scalar_twin<3>();
+}
 
 TEST(SimdVec, RuntimeFacts) {
   EXPECT_STREQ(simd::mode_name(simd::Mode::kScalar), "scalar");
