@@ -7,6 +7,11 @@
 //
 // The same operator pair is used by SPME, B-spline MSM, and the TME; the
 // hardware fixes p = 6 but the software supports any even p >= 2.
+//
+// The per-atom stencil is written once, in spread_atom / interpolate_atom
+// below: ChargeAssigner runs it on the periodic grid, and the fleet's node
+// kernels (par/node_kernels.hpp) on a node's sleeved block, so the two
+// produce the same bits.
 #pragma once
 
 #include <span>
@@ -19,6 +24,28 @@
 namespace tme {
 
 class ThreadPool;
+
+// One atom's p×p×p stencil on a row-major grid of extents `dims` (x
+// fastest).  (ix0, iy0, iz0) is the stencil corner, already wrapped into the
+// grid; the stencil wraps periodically past each far edge, so a block whose
+// sleeves cover the support never wraps.  wx/wy/wz are the p B-spline
+// weights per axis (dx/dy/dz their derivatives) and 2 <= p <=
+// kMaxBsplineOrder.  Both are bitwise invariant under `mode`.
+//
+// Spreads charge q:  grid[corner + k] = fma(q wz[kz] wy[ky], wx[kx], grid[...]).
+void spread_atom(double* grid, const GridDims& dims, std::size_t ix0,
+                 std::size_t iy0, std::size_t iz0, int p, double q,
+                 const double* wx, const double* wy, const double* wz,
+                 simd::Mode mode);
+
+// Interpolates the potential phi = sum_m grid_m M_p(u - m) and its gradient
+// d phi / d u in grid units: the stencil's x-rows are accumulated
+// element-wise, then dotted against wx/dx in a fixed order.
+void interpolate_atom(const double* grid, const GridDims& dims, std::size_t ix0,
+                      std::size_t iy0, std::size_t iz0, int p, const double* wx,
+                      const double* dx, const double* wy, const double* dy,
+                      const double* wz, const double* dz, simd::Mode mode,
+                      double& phi, Vec3& grad);
 
 class ChargeAssigner {
  public:

@@ -5,6 +5,8 @@
 #include <complex>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "ewald/splitting.hpp"
 #include "util/constants.hpp"
@@ -26,16 +28,40 @@ double CoulombResult::relative_force_error_against(const CoulombResult& referenc
 
 namespace {
 
+// One range's share of a pair or mode sum.  The ranges finish in any order,
+// so their partials are kept and added in range order: the result is then
+// the same on every run at a given pool size.
+struct RangePartial {
+  std::size_t begin = 0;
+  std::vector<Vec3> forces;
+  double energy = 0.0;
+  double virial = 0.0;
+};
+
+void add_in_range_order(std::vector<RangePartial>& partials, double& energy,
+                        CoulombResult& out) {
+  std::sort(partials.begin(), partials.end(),
+            [](const RangePartial& a, const RangePartial& b) {
+              return a.begin < b.begin;
+            });
+  for (const RangePartial& part : partials) {
+    energy += part.energy;
+    out.virial += part.virial;
+    for (std::size_t i = 0; i < out.forces.size(); ++i) out.forces[i] += part.forces[i];
+  }
+}
+
 // Real-space part: erfc-screened pair sum under the minimum-image convention.
 // O(N^2) by design — the reference uses r_c up to L/2 where cell lists cannot
 // reduce the pair count.
 void add_real_space(const Box& box, std::span<const Vec3> pos,
                     std::span<const double> q, double alpha, double r_cut,
-                    CoulombResult& out) {
+                    ThreadPool& pool, CoulombResult& out) {
   const std::size_t n = pos.size();
   const double r_cut2 = r_cut * r_cut;
   std::mutex merge_mutex;
-  parallel_for_ranges(0, n, [&](std::size_t begin, std::size_t end) {
+  std::vector<RangePartial> partials;
+  parallel_for_ranges(pool, 0, n, [&](std::size_t begin, std::size_t end) {
     std::vector<Vec3> f_local(n);
     double e_local = 0.0, v_local = 0.0;
     for (std::size_t i = begin; i < end; ++i) {
@@ -56,24 +82,23 @@ void add_real_space(const Box& box, std::span<const Vec3> pos,
       }
     }
     const std::lock_guard lock(merge_mutex);
-    out.energy_real += e_local;
-    out.virial += v_local;
-    for (std::size_t i = 0; i < n; ++i) out.forces[i] += f_local[i];
+    partials.push_back({begin, std::move(f_local), e_local, v_local});
   });
+  add_in_range_order(partials, out.energy_real, out);
 }
 
 // Reciprocal part: half-space sum over n with |n| <= n_cut, factor 2 from
 // inversion symmetry of real charges.
 void add_reciprocal(const Box& box, std::span<const Vec3> pos,
                     std::span<const double> q, double alpha, int n_cut,
-                    CoulombResult& out) {
+                    ThreadPool& pool, CoulombResult& out) {
   const std::size_t n_atoms = pos.size();
   const Vec3 l = box.lengths;
   // Per-atom phase tables e^{2 pi i n x / L} for n = 0..n_cut per axis.
   const std::size_t stride = static_cast<std::size_t>(n_cut) + 1;
   std::vector<std::complex<double>> px(n_atoms * stride), py(n_atoms * stride),
       pz(n_atoms * stride);
-  parallel_for(0, n_atoms, [&](std::size_t i) {
+  parallel_for(pool, 0, n_atoms, [&](std::size_t i) {
     const Vec3 r = pos[i];
     const std::complex<double> ex{std::cos(2.0 * M_PI * r.x / l.x),
                                   std::sin(2.0 * M_PI * r.x / l.x)};
@@ -113,7 +138,8 @@ void add_reciprocal(const Box& box, std::span<const Vec3> pos,
   const double volume = box.volume();
   const double quarter_inv_a2 = 1.0 / (4.0 * alpha * alpha);
   std::mutex merge_mutex;
-  parallel_for_ranges(0, kvecs.size(), [&](std::size_t begin, std::size_t end) {
+  std::vector<RangePartial> partials;
+  parallel_for_ranges(pool, 0, kvecs.size(), [&](std::size_t begin, std::size_t end) {
     std::vector<Vec3> f_local(n_atoms);
     double e_local = 0.0, v_local = 0.0;
     std::vector<std::complex<double>> phase(n_atoms);
@@ -151,17 +177,16 @@ void add_reciprocal(const Box& box, std::span<const Vec3> pos,
       }
     }
     const std::lock_guard lock(merge_mutex);
-    out.energy_reciprocal += e_local;
-    out.virial += v_local;
-    for (std::size_t i = 0; i < n_atoms; ++i) out.forces[i] += f_local[i];
+    partials.push_back({begin, std::move(f_local), e_local, v_local});
   });
+  add_in_range_order(partials, out.energy_reciprocal, out);
 }
 
 }  // namespace
 
 CoulombResult ewald_reference(const Box& box, std::span<const Vec3> positions,
                               std::span<const double> charges,
-                              const EwaldParams& params) {
+                              const EwaldParams& params, ThreadPool* pool_ptr) {
   if (positions.size() != charges.size()) {
     throw std::invalid_argument("ewald_reference: size mismatch");
   }
@@ -185,8 +210,9 @@ CoulombResult ewald_reference(const Box& box, std::span<const Vec3> positions,
   std::vector<Vec3> wrapped(positions.size());
   for (std::size_t i = 0; i < positions.size(); ++i) wrapped[i] = box.wrap(positions[i]);
 
-  add_real_space(box, wrapped, charges, params.alpha, r_cut, out);
-  add_reciprocal(box, wrapped, charges, params.alpha, n_cut, out);
+  ThreadPool& pool = pool_ptr != nullptr ? *pool_ptr : global_pool();
+  add_real_space(box, wrapped, charges, params.alpha, r_cut, pool, out);
+  add_reciprocal(box, wrapped, charges, params.alpha, n_cut, pool, out);
 
   double q2 = 0.0, q_total = 0.0;
   for (const double qi : charges) {

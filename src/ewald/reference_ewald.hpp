@@ -18,6 +18,8 @@
 
 namespace tme {
 
+class ThreadPool;
+
 struct EwaldParams {
   double alpha = 3.0;    // nm^-1
   double r_cut = 0.0;    // real-space cutoff; 0 means L_min/2
@@ -43,11 +45,13 @@ struct CoulombResult {
   double relative_force_error_against(const CoulombResult& reference) const;
 };
 
-// Full Ewald sum (threaded).  Positions may be outside the box; they are
-// wrapped internally.
+// Full Ewald sum, threaded on `pool` (nullptr = the process-wide pool).
+// Positions may be outside the box; they are wrapped internally.  Each
+// range's partial sums are added in range order, so the result is the same
+// on every call at a given pool size.
 CoulombResult ewald_reference(const Box& box, std::span<const Vec3> positions,
                               std::span<const double> charges,
-                              const EwaldParams& params);
+                              const EwaldParams& params, ThreadPool* pool = nullptr);
 
 // Direct real-space lattice sum over periodic images out to `shells` image
 // layers of the *bare* 1/r kernel.  Converges only for special geometries

@@ -9,7 +9,9 @@
 // its predecessor — applies the per-incarnation clock offset estimated from
 // ping/pong round trips (obs/clock.hpp), and writes one Chrome/Perfetto
 // JSON with a process track per worker incarnation next to the
-// coordinator's own tracks.
+// coordinator's own tracks.  The file is laid out and formatted by
+// TraceJsonWriter (obs/trace.hpp), the writer Tracer::to_json uses, so the
+// coordinator's rows carry the same pids and tids in both files.
 //
 // Conservation: chunks carry *cumulative* emitted/dropped counters, so for
 // a fully-flushed incarnation  emitted == merged events + dropped  holds

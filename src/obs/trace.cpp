@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
@@ -43,6 +44,118 @@ void append_number(std::string& out, double v) {
 
 }  // namespace
 
+void TraceJsonWriter::add_chunk(TraceChunk chunk) {
+  std::vector<std::uint32_t> tid_of(chunk.tracks.size());
+  std::vector<std::uint32_t> pid_of(chunk.tracks.size());
+  for (std::size_t t = 0; t < chunk.tracks.size(); ++t) {
+    std::string& process = chunk.tracks[t].process;
+    std::uint32_t pid = 0;
+    for (const Row& p : processes_) {
+      if (p.name == process) pid = p.pid;
+    }
+    if (pid == 0) {
+      pid = static_cast<std::uint32_t>(processes_.size() + 1);
+      add_process(pid, std::move(process));
+    }
+    pid_of[t] = pid;
+    tid_of[t] = add_thread(pid, std::move(chunk.tracks[t].name));
+  }
+  events_.reserve(events_.size() + chunk.events.size());
+  for (TraceEvent& e : chunk.events) {
+    const TrackId t = e.track;
+    add_event(pid_of[t], tid_of[t], std::move(e));
+  }
+}
+
+void TraceJsonWriter::add_process(std::uint32_t pid, std::string name) {
+  processes_.push_back(Row{pid, 0, std::move(name)});
+}
+
+std::uint32_t TraceJsonWriter::add_thread(std::uint32_t pid, std::string name) {
+  const auto tid = static_cast<std::uint32_t>(threads_.size() + 1);
+  threads_.push_back(Row{pid, tid, std::move(name)});
+  return tid;
+}
+
+void TraceJsonWriter::add_event(std::uint32_t pid, std::uint32_t tid,
+                                TraceEvent event) {
+  events_.push_back(PlacedEvent{pid, tid, std::move(event)});
+}
+
+std::string TraceJsonWriter::to_json(JsonValue other) {
+  std::stable_sort(events_.begin(), events_.end(),
+                   [](const PlacedEvent& a, const PlacedEvent& b) {
+                     if (a.pid != b.pid) return a.pid < b.pid;
+                     if (a.tid != b.tid) return a.tid < b.tid;
+                     return a.event.ts_us < b.event.ts_us;
+                   });
+
+  std::string out;
+  out.reserve(events_.size() * 96 + 4096);
+  out += "{\"traceEvents\":[";
+  bool first = true;
+  auto sep = [&] {
+    if (!first) out += ",\n";
+    first = false;
+  };
+  // Metadata records: name the processes and track rows.
+  for (const Row& p : processes_) {
+    sep();
+    out += "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":";
+    out += std::to_string(p.pid);
+    out += ",\"tid\":0,\"args\":{\"name\":" + json_quote(p.name) + "}}";
+  }
+  for (const Row& t : threads_) {
+    sep();
+    out += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":";
+    out += std::to_string(t.pid);
+    out += ",\"tid\":";
+    out += std::to_string(t.tid);
+    out += ",\"args\":{\"name\":" + json_quote(t.name) + "}}";
+  }
+  for (const PlacedEvent& pe : events_) {
+    const TraceEvent& e = pe.event;
+    sep();
+    out += "{\"ph\":\"";
+    switch (e.type) {
+      case TraceEventType::kComplete: out += 'X'; break;
+      case TraceEventType::kInstant: out += 'i'; break;
+      case TraceEventType::kCounter: out += 'C'; break;
+      case TraceEventType::kFlowStart: out += 's'; break;
+      case TraceEventType::kFlowFinish: out += 'f'; break;
+    }
+    out += "\",\"name\":" + json_quote(e.name);
+    out += ",\"pid\":" + std::to_string(pe.pid);
+    out += ",\"tid\":" + std::to_string(pe.tid);
+    out += ",\"ts\":";
+    append_number(out, e.ts_us);
+    if (e.type == TraceEventType::kComplete) {
+      out += ",\"dur\":";
+      append_number(out, e.dur_us);
+    }
+    if (e.type == TraceEventType::kInstant) out += ",\"s\":\"t\"";
+    if (e.type == TraceEventType::kFlowStart ||
+        e.type == TraceEventType::kFlowFinish) {
+      out += ",\"cat\":\"flow\",\"id\":" + std::to_string(e.flow);
+      if (e.type == TraceEventType::kFlowFinish) out += ",\"bp\":\"e\"";
+    }
+    if (e.type == TraceEventType::kCounter) {
+      out += ",\"args\":{\"value\":";
+      append_number(out, e.value);
+      out += "}";
+    } else if (!e.detail.empty()) {
+      out += ",\"args\":{\"detail\":" + json_quote(e.detail) + "}";
+    }
+    out += "}";
+  }
+  out += "],\"displayTimeUnit\":\"ns\",\"otherData\":";
+  other.as_object()["trace_events"] =
+      JsonValue::make_number(static_cast<double>(events_.size()));
+  out += other.dump();
+  out += "}\n";
+  return out;
+}
+
 Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {
   enabled_.store(env_flag("TME_TRACE"), std::memory_order_relaxed);
   capacity_.store(env_size("TME_TRACE_BUFFER", 65536), std::memory_order_relaxed);
@@ -64,18 +177,7 @@ TrackId Tracer::track(const std::string& process, const std::string& name) {
     if (tracks_[i].process == process && tracks_[i].name == name)
       return static_cast<TrackId>(i);
   }
-  std::uint32_t pid = 0;
-  for (std::size_t i = 0; i < processes_.size(); ++i) {
-    if (processes_[i] == process) pid = static_cast<std::uint32_t>(i + 1);
-  }
-  if (pid == 0) {
-    processes_.push_back(process);
-    pid = static_cast<std::uint32_t>(processes_.size());
-  }
-  // tids only need to be unique within a pid; globally unique is simpler
-  // and renders identically.
-  const std::uint32_t tid = static_cast<std::uint32_t>(tracks_.size() + 1);
-  tracks_.push_back(TrackInfo{process, name, pid, tid});
+  tracks_.push_back(TraceChunkTrack{process, name});
   return static_cast<TrackId>(tracks_.size() - 1);
 }
 
@@ -214,12 +316,10 @@ std::size_t Tracer::dropped_count() const {
   return total;
 }
 
-TraceChunk Tracer::drain_chunk() {
+TraceChunk Tracer::collect(bool consume) const {
   TraceChunk chunk;
   std::lock_guard<std::mutex> lock(mutex_);
-  chunk.tracks.reserve(tracks_.size());
-  for (const TrackInfo& t : tracks_)
-    chunk.tracks.push_back(TraceChunkTrack{t.process, t.name});
+  chunk.tracks = tracks_;
   for (const auto& buf : buffers_) {
     const std::size_t size = buf->size.load(std::memory_order_acquire);
     const std::uint64_t dropped = buf->dropped.load(std::memory_order_relaxed);
@@ -227,28 +327,16 @@ TraceChunk Tracer::drain_chunk() {
     // receiver's conservation check  emitted == merged + dropped  closes.
     chunk.emitted += size + dropped;
     chunk.dropped += dropped;
-    for (std::size_t i = buf->consumed; i < size; ++i)
+    for (std::size_t i = consume ? buf->consumed : 0; i < size; ++i)
       chunk.events.push_back(buf->events[i]);
-    buf->consumed = size;
+    if (consume) buf->consumed = size;
   }
   return chunk;
 }
 
-TraceChunk Tracer::snapshot_chunk() const {
-  TraceChunk chunk;
-  std::lock_guard<std::mutex> lock(mutex_);
-  chunk.tracks.reserve(tracks_.size());
-  for (const TrackInfo& t : tracks_)
-    chunk.tracks.push_back(TraceChunkTrack{t.process, t.name});
-  for (const auto& buf : buffers_) {
-    const std::size_t size = buf->size.load(std::memory_order_acquire);
-    const std::uint64_t dropped = buf->dropped.load(std::memory_order_relaxed);
-    chunk.emitted += size + dropped;
-    chunk.dropped += dropped;
-    for (std::size_t i = 0; i < size; ++i) chunk.events.push_back(buf->events[i]);
-  }
-  return chunk;
-}
+TraceChunk Tracer::drain_chunk() { return collect(true); }
+
+TraceChunk Tracer::snapshot_chunk() const { return collect(false); }
 
 std::size_t Tracer::undrained_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -259,95 +347,13 @@ std::size_t Tracer::undrained_count() const {
 }
 
 std::string Tracer::to_json() const {
-  // Snapshot under the lock, then format without it.
-  std::vector<TraceEvent> events;
-  std::vector<TrackInfo> tracks;
-  std::vector<std::string> processes;
-  std::size_t dropped = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tracks = tracks_;
-    processes = processes_;
-    for (const auto& buf : buffers_) {
-      const std::size_t size = buf->size.load(std::memory_order_acquire);
-      for (std::size_t i = 0; i < size; ++i) events.push_back(buf->events[i]);
-      dropped += static_cast<std::size_t>(buf->dropped.load(std::memory_order_relaxed));
-    }
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [&](const TraceEvent& a, const TraceEvent& b) {
-                     const TrackInfo& ta = tracks[a.track];
-                     const TrackInfo& tb = tracks[b.track];
-                     if (ta.pid != tb.pid) return ta.pid < tb.pid;
-                     if (ta.tid != tb.tid) return ta.tid < tb.tid;
-                     return a.ts_us < b.ts_us;
-                   });
-
-  std::string out;
-  out.reserve(events.size() * 96 + 4096);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) out += ",\n";
-    first = false;
-  };
-  // Metadata records: name the processes and track rows.
-  for (std::size_t p = 0; p < processes.size(); ++p) {
-    sep();
-    out += "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":";
-    out += std::to_string(p + 1);
-    out += ",\"tid\":0,\"args\":{\"name\":" + json_quote(processes[p]) + "}}";
-  }
-  for (const TrackInfo& t : tracks) {
-    sep();
-    out += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":";
-    out += std::to_string(t.pid);
-    out += ",\"tid\":";
-    out += std::to_string(t.tid);
-    out += ",\"args\":{\"name\":" + json_quote(t.name) + "}}";
-  }
-  for (const TraceEvent& e : events) {
-    const TrackInfo& t = tracks[e.track];
-    sep();
-    out += "{\"ph\":\"";
-    switch (e.type) {
-      case TraceEventType::kComplete: out += 'X'; break;
-      case TraceEventType::kInstant: out += 'i'; break;
-      case TraceEventType::kCounter: out += 'C'; break;
-      case TraceEventType::kFlowStart: out += 's'; break;
-      case TraceEventType::kFlowFinish: out += 'f'; break;
-    }
-    out += "\",\"name\":" + json_quote(e.name);
-    out += ",\"pid\":" + std::to_string(t.pid);
-    out += ",\"tid\":" + std::to_string(t.tid);
-    out += ",\"ts\":";
-    append_number(out, e.ts_us);
-    if (e.type == TraceEventType::kComplete) {
-      out += ",\"dur\":";
-      append_number(out, e.dur_us);
-    }
-    if (e.type == TraceEventType::kInstant) out += ",\"s\":\"t\"";
-    if (e.type == TraceEventType::kFlowStart ||
-        e.type == TraceEventType::kFlowFinish) {
-      out += ",\"cat\":\"flow\",\"id\":" + std::to_string(e.flow);
-      if (e.type == TraceEventType::kFlowFinish) out += ",\"bp\":\"e\"";
-    }
-    if (e.type == TraceEventType::kCounter) {
-      out += ",\"args\":{\"value\":";
-      append_number(out, e.value);
-      out += "}";
-    } else if (!e.detail.empty()) {
-      out += ",\"args\":{\"detail\":" + json_quote(e.detail) + "}";
-    }
-    out += "}";
-  }
-  out += "],\"displayTimeUnit\":\"ns\",\"otherData\":";
+  TraceChunk chunk = snapshot_chunk();
+  const std::uint64_t dropped = chunk.dropped;
+  TraceJsonWriter writer;
+  writer.add_chunk(std::move(chunk));
   JsonValue other = manifest_json();
-  other.as_object()["trace_events"] = JsonValue::make_number(static_cast<double>(events.size()));
   other.as_object()["trace_dropped"] = JsonValue::make_number(static_cast<double>(dropped));
-  out += other.dump();
-  out += "}\n";
-  return out;
+  return writer.to_json(std::move(other));
 }
 
 bool Tracer::write(const std::string& path) const {
@@ -368,7 +374,6 @@ void Tracer::reset_for_testing() {
   std::lock_guard<std::mutex> lock(mutex_);
   buffers_.clear();
   tracks_.clear();
-  processes_.clear();
   thread_count_ = 0;
   epoch_ = std::chrono::steady_clock::now();
   generation_.fetch_add(1, std::memory_order_release);

@@ -21,6 +21,12 @@
 // configured with -DTME_TRACE=OFF — mirroring TME_METRICS.  At runtime the
 // tracer starts disabled unless the TME_TRACE environment variable is set
 // to 1/on/true; benches enable it for --trace-out runs.
+//
+// TraceJsonWriter is the one Chrome trace-event writer: it owns the pid/tid
+// numbering, the process/thread metadata records and the event format.
+// Tracer::to_json runs it over one chunk; the fleet merge
+// (obs/telemetry.hpp) runs it over the coordinator's chunk plus one process
+// per worker incarnation.
 #pragma once
 
 #include <atomic>
@@ -32,6 +38,8 @@
 #include <vector>
 
 namespace tme::obs {
+
+class JsonValue;
 
 #if defined(TME_TRACE_ENABLED)
 inline constexpr bool kTraceEnabled = true;
@@ -79,6 +87,44 @@ struct TraceChunk {
   std::vector<TraceEvent> events;
   std::uint64_t emitted = 0;  // cumulative recording attempts (kept + dropped)
   std::uint64_t dropped = 0;  // cumulative events dropped (rings full)
+};
+
+// Lays out trace rows and events and serialises them as one Chrome
+// trace-event JSON object.  Process rows are written first (in the order
+// they were added), then thread rows, then the events sorted stably by
+// (pid, tid, ts), so per-track timestamps are monotone.
+class TraceJsonWriter {
+ public:
+  // Adds a tracer's tracks and events with the tracer's own numbering:
+  // pids 1, 2, ... by first appearance of a process in track-registration
+  // order, tids in registration order.  Call it before add_process.
+  void add_chunk(TraceChunk chunk);
+  void add_process(std::uint32_t pid, std::string name);
+  // Adds a thread row under `pid` and returns its tid, numbered 1, 2, ...
+  // across every row added so far (unique within a pid would do; globally
+  // unique is simpler and renders identically).
+  std::uint32_t add_thread(std::uint32_t pid, std::string name);
+  void add_event(std::uint32_t pid, std::uint32_t tid, TraceEvent event);
+
+  // The whole trace-event object, with `other` (an object, which gains
+  // "trace_events", the number of events) as its otherData.
+  std::string to_json(JsonValue other);
+
+ private:
+  struct Row {
+    std::uint32_t pid = 0;
+    std::uint32_t tid = 0;  // 0 for a process row
+    std::string name;
+  };
+  struct PlacedEvent {
+    std::uint32_t pid = 0;
+    std::uint32_t tid = 0;
+    TraceEvent event;
+  };
+
+  std::vector<Row> processes_;
+  std::vector<Row> threads_;
+  std::vector<PlacedEvent> events_;
 };
 
 class Tracer {
@@ -140,12 +186,10 @@ class Tracer {
   // Events recorded but not yet drained — flush-threshold probe.
   std::size_t undrained_count() const;
 
-  // Serialises everything as a Chrome trace-event JSON object
-  // ({"traceEvents": [...], "displayTimeUnit": "ns", "otherData": manifest}).
-  // Events are sorted by (pid, tid, ts) so per-track timestamps are monotone;
-  // process/thread metadata records carry the registered names.  Safe to call
-  // while other threads record (they keep appending; the export sees a
-  // consistent prefix of each buffer).
+  // Serialises snapshot_chunk() through TraceJsonWriter, with the run
+  // manifest plus "trace_dropped" as otherData.  Safe to call while other
+  // threads record (they keep appending; the export sees a consistent
+  // prefix of each buffer).
   std::string to_json() const;
 
   // to_json() to a file through io::write_file_durable; returns false (and
@@ -173,26 +217,22 @@ class Tracer {
     std::size_t consumed = 0;  // drained prefix; guarded by Tracer::mutex_
   };
 
-  struct TrackInfo {
-    std::string process;
-    std::string name;
-    std::uint32_t pid = 0;
-    std::uint32_t tid = 0;
-  };
-
   Tracer();
   Buffer& local_buffer();
   void append(TraceEvent event);
+  // The one chunk collector: every buffer's events from its drained cursor
+  // (consume) or from the start (snapshot).  Consuming advances the
+  // cursors, which live in the shared buffers under mutex_.
+  TraceChunk collect(bool consume) const;
 
   std::atomic<bool> enabled_{false};
   std::atomic<std::size_t> capacity_{65536};
   std::atomic<std::uint64_t> generation_{0};
   std::chrono::steady_clock::time_point epoch_;
 
-  mutable std::mutex mutex_;  // guards buffers_, tracks_, processes_
+  mutable std::mutex mutex_;  // guards buffers_, tracks_
   std::vector<std::shared_ptr<Buffer>> buffers_;
-  std::vector<TrackInfo> tracks_;
-  std::vector<std::string> processes_;  // index + 1 == pid
+  std::vector<TraceChunkTrack> tracks_;  // TrackId indexes this table
   std::uint32_t thread_count_ = 0;
 };
 

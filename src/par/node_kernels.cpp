@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "ewald/charge_assignment.hpp"
 #include "grid/axis_taps.hpp"
 #include "grid/transfer.hpp"
 #include "spline/bspline.hpp"
@@ -28,13 +29,6 @@ void check_order(int p) {
   if (p < 2 || p > kMaxBsplineOrder) {
     throw std::invalid_argument("parallel CA/BI: spline order out of range");
   }
-}
-
-// Offset of global cell (gx, gy, gz) in a block's data.
-std::size_t cell_index(const ExtendedBlock& b, long gx, long gy, long gz) {
-  return (static_cast<std::size_t>(gz - b.z0) * b.ny + static_cast<std::size_t>(gy - b.y0)) *
-             b.nx +
-         static_cast<std::size_t>(gx - b.x0);
 }
 
 // Workers never touch the process-wide pool (a forked child inherits it with
@@ -155,6 +149,7 @@ ExtendedBlock ca_spread_block(std::span<const Vec3> positions,
   check_order(p);
   ExtendedBlock buffer;
   buffer.reset(x0, y0, z0, ex, ey, ez);
+  const simd::Mode mode = simd::mode_from_env();
   const std::size_t np = static_cast<std::size_t>(p);
   double wx[kMaxBsplineOrder] = {}, wy[kMaxBsplineOrder] = {}, wz[kMaxBsplineOrder] = {};
   for (std::size_t i = 0; i < positions.size(); ++i) {
@@ -168,17 +163,9 @@ ExtendedBlock ca_spread_block(std::span<const Vec3> positions,
     const long mz0 = unwrap_base(p, bspline_weights_central(p, u.z, {wz, np}, {}),
                                  buffer.z0, buffer.z0 + static_cast<long>(buffer.nz),
                                  static_cast<long>(global.nz));
-    // The stencil's x-rows are contiguous p-runs of the buffer, spread with
-    // the fma ChargeAssigner applies to each grid point.
-    const double q = charges[i];
-    for (int kz = 0; kz < p; ++kz) {
-      const double qz = q * wz[kz];
-      for (int ky = 0; ky < p; ++ky) {
-        const double qyz = qz * wy[ky];
-        double* row = &buffer.data[cell_index(buffer, mx0, my0 + ky, mz0 + kz)];
-        for (int kx = 0; kx < p; ++kx) row[kx] = simd::fma1(qyz, wx[kx], row[kx]);
-      }
-    }
+    spread_atom(buffer.data.data(), {ex, ey, ez}, static_cast<std::size_t>(mx0 - x0),
+                static_cast<std::size_t>(my0 - y0), static_cast<std::size_t>(mz0 - z0),
+                p, charges[i], wx, wy, wz, mode);
   }
   return buffer;
 }
@@ -191,6 +178,7 @@ BiBlockResult bi_interpolate_block(const ExtendedBlock& halo,
   check_order(p);
   BiBlockResult res;
   res.forces.assign(positions.size(), Vec3{});
+  const simd::Mode mode = simd::mode_from_env();
   const std::size_t np = static_cast<std::size_t>(p);
   double wx[kMaxBsplineOrder] = {}, wy[kMaxBsplineOrder] = {}, wz[kMaxBsplineOrder] = {};
   double dx[kMaxBsplineOrder] = {}, dy[kMaxBsplineOrder] = {}, dz[kMaxBsplineOrder] = {};
@@ -205,31 +193,13 @@ BiBlockResult bi_interpolate_block(const ExtendedBlock& halo,
     const long mz0 = unwrap_base(p, bspline_weights_central(p, u.z, {wz, np}, {dz, np}),
                                  halo.z0, halo.z0 + static_cast<long>(halo.nz),
                                  static_cast<long>(global.nz));
-    // ChargeAssigner's scheme: accumulate the stencil's contiguous x-rows
-    // element-wise into a = sum vy vz row, b = sum gy vz row and
-    // c = sum vy gz row, then dot them against wx/dx in fixed order.
-    double a[kMaxBsplineOrder] = {}, b[kMaxBsplineOrder] = {}, c[kMaxBsplineOrder] = {};
-    for (int kz = 0; kz < p; ++kz) {
-      for (int ky = 0; ky < p; ++ky) {
-        const double* row = &halo.data[cell_index(halo, mx0, my0 + ky, mz0 + kz)];
-        const double sa = wy[ky] * wz[kz];
-        const double sb = dy[ky] * wz[kz];
-        const double sc = wy[ky] * dz[kz];
-        for (int k = 0; k < p; ++k) {
-          a[k] = simd::fma1(sa, row[k], a[k]);
-          b[k] = simd::fma1(sb, row[k], b[k]);
-          c[k] = simd::fma1(sc, row[k], c[k]);
-        }
-      }
-    }
     double phi = 0.0;
     Vec3 grad{};  // d phi / d u (grid units)
-    for (int k = 0; k < p; ++k) {
-      phi = simd::fma1(a[k], wx[k], phi);
-      grad.x = simd::fma1(a[k], dx[k], grad.x);
-      grad.y = simd::fma1(b[k], wx[k], grad.y);
-      grad.z = simd::fma1(c[k], wx[k], grad.z);
-    }
+    interpolate_atom(halo.data.data(), {halo.nx, halo.ny, halo.nz},
+                     static_cast<std::size_t>(mx0 - halo.x0),
+                     static_cast<std::size_t>(my0 - halo.y0),
+                     static_cast<std::size_t>(mz0 - halo.z0), p, wx, dx, wy, dy, wz, dz,
+                     mode, phi, grad);
     const double q = charges[i];
     res.q_phi += q * phi;
     res.forces[i] = {-q * grad.x / h.x, -q * grad.y / h.y, -q * grad.z / h.z};

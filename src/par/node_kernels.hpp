@@ -15,9 +15,10 @@
 // offsets folded into the period — and runs them through the shared row
 // engine (grid/axis_taps.hpp).  Over a halo that covers the whole period a
 // block therefore equals the same cells of restrict_grid / prolong_grid /
-// convolve_axis bit for bit.  CA and BI step each stencil x-row
-// contiguously with the fma scheme of ChargeAssigner on stack arrays.
-// Workers deliberately avoid the process-wide thread pool (a forked child
+// convolve_axis bit for bit.  CA and BI run ChargeAssigner's own per-atom
+// stencil (ewald/charge_assignment.hpp: spread_atom, interpolate_atom) at
+// the atom's block-local corner, so they equal the inline passes bit for
+// bit as well.  Workers deliberately avoid the process-wide thread pool (a forked child
 // inherits dead pool threads): the passes run on a zero-worker ThreadPool,
 // i.e. serially on the calling thread.  Every kernel is bitwise invariant
 // under TME_SIMD, which workers inherit from the coordinator's environment.

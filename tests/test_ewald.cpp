@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "ewald/spme.hpp"
 #include "spline/bspline.hpp"
 #include "util/constants.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace tme {
@@ -236,6 +238,27 @@ TEST(EwaldReference, ForcesSumToZero) {
   Vec3 total{};
   for (const Vec3& f : r.forces) total += f;
   EXPECT_NEAR(norm(total), 0.0, 1e-8);
+}
+
+TEST(EwaldReference, RepeatedCallsOnAThreadedPoolAreBitwiseEqual) {
+  // The ranges finish in a different order on every call; their partials
+  // must still be added in one fixed order.
+  const TestSystem sys = random_system(300, 3.0, 41);
+  EwaldParams params;
+  params.alpha = 3.0;
+  ThreadPool pool(3);
+  const CoulombResult first =
+      ewald_reference(sys.box, sys.positions, sys.charges, params, &pool);
+  for (int call = 0; call < 12; ++call) {
+    const CoulombResult again =
+        ewald_reference(sys.box, sys.positions, sys.charges, params, &pool);
+    ASSERT_EQ(std::memcmp(&again.energy, &first.energy, sizeof(double)), 0);
+    ASSERT_EQ(std::memcmp(&again.virial, &first.virial, sizeof(double)), 0);
+    ASSERT_EQ(std::memcmp(again.forces.data(), first.forces.data(),
+                          first.forces.size() * sizeof(Vec3)),
+              0)
+        << "call " << call;
+  }
 }
 
 TEST(EwaldReference, ForceMatchesEnergyGradient) {

@@ -20,6 +20,7 @@
 #include "hw/track_meta.hpp"
 #include "obs/json.hpp"
 #include "obs/manifest.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "par/par_tme.hpp"
 #include "par/traffic.hpp"
@@ -65,11 +66,15 @@ void check_trace_json(const std::string& json) {
     if (ph == "M") continue;
     ASSERT_TRUE(ev.count("ts"));
     ASSERT_TRUE(ev.count("name"));
-    if (ph == "X") ASSERT_TRUE(ev.count("dur"));
+    if (ph == "X") {
+      ASSERT_TRUE(ev.count("dur"));
+    }
     const std::pair<double, double> track{ev.at("pid").as_number(),
                                           ev.at("tid").as_number()};
     const double ts = ev.at("ts").as_number();
-    if (last_ts.count(track)) EXPECT_GE(ts, last_ts[track]);
+    if (last_ts.count(track)) {
+      EXPECT_GE(ts, last_ts[track]);
+    }
     last_ts[track] = ts;
   }
 }
@@ -189,6 +194,113 @@ TEST_F(TraceTest, ExplicitTracksKeepSimTimestamps) {
   check_trace_json(json);
   EXPECT_TRUE(process_names(json).count("machine"));
   EXPECT_EQ(count_ph(json, "C"), 1u);
+}
+
+// --- golden bytes of both trace writers ---------------------------------------
+
+// FNV-1a-64 of the export up to (not including) "otherData": the event
+// stream and its pid/tid layout.  otherData carries the build manifest
+// (git describe, compiler), so it is checked by key instead.
+std::uint64_t fnv1a64_before_other_data(const std::string& json) {
+  const std::size_t end = json.find("\"otherData\"");
+  EXPECT_NE(end, std::string::npos);
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::size_t i = 0; i < end && i < json.size(); ++i) {
+    h ^= static_cast<unsigned char>(json[i]);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The otherData keys beyond the manifest's own.
+std::set<std::string> other_data_extras(const std::string& json) {
+  std::set<std::string> keys;
+  const JsonValue root = json_parse(json);
+  for (const auto& [key, value] : root.at("otherData").as_object()) keys.insert(key);
+  const JsonValue manifest = manifest_json();
+  for (const auto& [key, value] : manifest.as_object()) {
+    EXPECT_TRUE(keys.count(key)) << key;
+    keys.erase(key);
+  }
+  return keys;
+}
+
+// Fixed tracks and events on the global tracer: three processes whose first
+// appearances interleave, every event type, out-of-order and tied
+// timestamps, and names that need JSON escaping.
+void record_golden_events(Tracer& tracer) {
+  const TrackId lane0 = tracer.track("machine", "lane 0");
+  const TrackId link = tracer.track("net", "link \"x+\"");
+  const TrackId lane1 = tracer.track("machine", "lane 1");
+  const TrackId main = tracer.track("software", "main");
+  tracer.complete(lane1, "conv", 40.25, 10.5, "level 1");
+  tracer.complete(lane0, "ca", 12.0, 3.0);
+  tracer.instant(main, "checkpoint", 7.125, "gen\t2");
+  tracer.counter(link, "bytes", 3.0, 4096.0);
+  tracer.complete(lane0, "bi", 5.0, 2.0);
+  tracer.flow_start(main, "dispatch", 8.0, 77);
+  tracer.counter(link, "bytes", 3.0, 512.5);
+  tracer.complete(lane1, "restrict", 40.25, 1.0);
+  tracer.flow_finish(lane0, "dispatch", 12.5, 77);
+  tracer.instant(lane1, "retry", 1e6 + 0.0004);
+}
+
+obs::WorkerTelemetry golden_chunk(std::uint32_t rank, std::int64_t pid,
+                                  std::uint64_t seq, double ts0) {
+  obs::WorkerTelemetry t;
+  t.rank = rank;
+  t.pid = pid;
+  t.seq = seq;
+  t.chunk.tracks.push_back({"tasks", "rank " + std::to_string(rank)});
+  t.chunk.tracks.push_back({"software", "thread " + std::to_string(seq)});
+  t.chunk.emitted = 4 * seq;
+  for (int i = 0; i < 4; ++i) {
+    TraceEvent e;
+    e.track = static_cast<TrackId>(i % 2);
+    e.ts_us = ts0 + 10.0 * (3 - i);
+    e.name = i == 3 ? "grid task" : "ca task";
+    if (i == 2) {
+      e.type = TraceEventType::kFlowFinish;
+      e.flow = 77;
+    } else if (i == 3) {
+      e.type = TraceEventType::kInstant;
+      e.detail = "late";
+    } else {
+      e.dur_us = 2.5;
+    }
+    t.chunk.events.push_back(std::move(e));
+  }
+  return t;
+}
+
+TEST_F(TraceTest, GoldenBytesOfTheTracerExport) {
+  Tracer& tracer = Tracer::global();
+  record_golden_events(tracer);
+  const std::string json = tracer.to_json();
+  check_trace_json(json);
+  EXPECT_EQ(fnv1a64_before_other_data(json), 0xdb1cac9c02016bdcull) << json;
+  EXPECT_EQ(other_data_extras(json),
+            (std::set<std::string>{"trace_dropped", "trace_events"}));
+  EXPECT_EQ(json_parse(json).at("otherData").at("trace_events").as_number(), 10.0);
+}
+
+TEST_F(TraceTest, GoldenBytesOfTheFleetMerge) {
+  Tracer& tracer = Tracer::global();
+  record_golden_events(tracer);
+  FleetTelemetry fleet;
+  fleet.set_offset(0, 4242, 125.5, 30.0);
+  fleet.ingest(golden_chunk(0, 4242, 1, 1000.0));
+  fleet.ingest(golden_chunk(1, 5151, 1, 20.0));
+  fleet.ingest(golden_chunk(0, 4242, 2, 2000.0));
+  const std::string json = fleet.to_json(tracer);
+  check_trace_json(json);
+  EXPECT_EQ(fnv1a64_before_other_data(json), 0x42546177c4d43c52ull) << json;
+  EXPECT_EQ(other_data_extras(json),
+            (std::set<std::string>{"clock_offsets", "telemetry_chunks",
+                                   "telemetry_dropped", "telemetry_emitted",
+                                   "telemetry_events_merged", "trace_dropped",
+                                   "trace_events"}));
+  EXPECT_EQ(json_parse(json).at("otherData").at("trace_events").as_number(), 22.0);
 }
 
 }  // namespace

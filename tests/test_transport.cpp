@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -497,6 +498,57 @@ TEST(FleetHeartbeat, PongsCountAndDeathsFeedTheHealthMonitor) {
   EXPECT_FALSE(fleet.worker_alive(1));
   EXPECT_GE(monitor.violations(1), 1u);
   EXPECT_GE(fleet.stats().worker_deaths, 1u);
+}
+
+// Runs `body` with HOSTILE_WORKER_MODE set, so exec'd hostile workers
+// inherit it.
+template <typename Body>
+void with_hostile_mode(const char* mode, Body&& body) {
+  ::setenv("HOSTILE_WORKER_MODE", mode, 1);
+  body();
+  ::unsetenv("HOSTILE_WORKER_MODE");
+}
+
+TEST(FleetHandshake, ShortPaddedOrWrongCrcInitAckRefusesTheWorker) {
+  const hw::TorusTopology topo(2, 1, 1);
+  const TestSystem sys = random_system(20, 3.2, 53);
+  ParallelTme par(sys.box, small_params(), topo);
+  FleetConfig cfg;
+  cfg.workers = 1;
+  cfg.respawn = false;
+  cfg.timeout_ms = 2000;
+  cfg.worker_bin = HOSTILE_WORKER_BIN;
+  for (const char* mode : {"short", "padded", "crc"}) {
+    with_hostile_mode(mode, [&] {
+      try {
+        WorkerFleet fleet(par.context(), par.topology(), cfg);
+        ADD_FAILURE() << mode << ": the fleet accepted a malformed InitAck";
+      } catch (const TransportError& e) {
+        EXPECT_NE(std::string(e.what()).find("failed the init handshake"),
+                  std::string::npos)
+            << mode << ": " << e.what();
+      }
+    });
+  }
+}
+
+TEST(FleetHandshake, ShortPongCountsAsAMissedHeartbeat) {
+  const hw::TorusTopology topo(2, 1, 1);
+  const TestSystem sys = random_system(20, 3.2, 59);
+  ParallelTme par(sys.box, small_params(), topo);
+  FleetConfig cfg;
+  cfg.workers = 1;
+  cfg.respawn = false;
+  cfg.worker_bin = HOSTILE_WORKER_BIN;
+  with_hostile_mode("pong", [&] {
+    WorkerFleet fleet(par.context(), par.topology(), cfg);
+    EXPECT_EQ(fleet.stats().reinits, 1u);
+    EXPECT_EQ(fleet.heartbeat(std::chrono::milliseconds(200)), 0u);
+    EXPECT_EQ(fleet.stats().heartbeats_sent, 1u);
+    EXPECT_EQ(fleet.stats().heartbeats_missed, 1u);
+    EXPECT_TRUE(fleet.worker_alive(0));
+    EXPECT_TRUE(fleet.quiesce());
+  });
 }
 
 TEST(FleetTelemetry, LinkTelemetrySeesRealSocketTraffic) {
