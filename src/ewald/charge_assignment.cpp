@@ -168,20 +168,13 @@ ChargeAssigner::ChargeAssigner(const Box& box, GridDims dims, int order)
 void ChargeAssigner::spread_range(Grid3d& grid, std::span<const Vec3> positions,
                                   std::span<const double> charges,
                                   std::size_t first, std::size_t last) const {
-  const int p = p_;
-  const std::size_t np = static_cast<std::size_t>(p);
-  double wx[kMaxBsplineOrder] = {};
-  double wy[kMaxBsplineOrder] = {};
-  double wz[kMaxBsplineOrder] = {};
-  for (std::size_t i = first; i < last; ++i) {
-    const Vec3 u = hadamard_div(box_.wrap(positions[i]), h_);
-    const long mx0 = bspline_weights_central(p, u.x, {wx, np}, {});
-    const long my0 = bspline_weights_central(p, u.y, {wy, np}, {});
-    const long mz0 = bspline_weights_central(p, u.z, {wz, np}, {});
-    spread_atom(grid.data(), dims_, Grid3d::wrap(mx0, dims_.nx),
-                Grid3d::wrap(my0, dims_.ny), Grid3d::wrap(mz0, dims_.nz), p,
-                charges[i], wx, wy, wz, simd_mode_);
-  }
+  for_each_atom_weights(positions, box_, h_, p_, false, simd_mode_, first, last,
+                        [&](std::size_t i, const AtomWeights& aw) {
+                          spread_atom(grid.data(), dims_, Grid3d::wrap(aw.base[0], dims_.nx),
+                                      Grid3d::wrap(aw.base[1], dims_.ny),
+                                      Grid3d::wrap(aw.base[2], dims_.nz), p_, charges[i],
+                                      aw.w[0], aw.w[1], aw.w[2], simd_mode_);
+                        });
 }
 
 Grid3d ChargeAssigner::assign(std::span<const Vec3> positions,
@@ -226,7 +219,8 @@ double ChargeAssigner::back_interpolate(const Grid3d& potential,
                                         std::span<const Vec3> positions,
                                         std::span<const double> charges,
                                         std::vector<Vec3>* forces,
-                                        std::vector<double>* phi_out) const {
+                                        std::vector<double>* phi_out,
+                                        ThreadPool* pool_ptr) const {
   if (!(potential.dims() == dims_)) {
     throw std::invalid_argument("ChargeAssigner::back_interpolate: grid mismatch");
   }
@@ -238,38 +232,31 @@ double ChargeAssigner::back_interpolate(const Grid3d& potential,
   }
   if (phi_out != nullptr) phi_out->assign(positions.size(), 0.0);
 
-  const int p = p_;
-  const std::size_t np = static_cast<std::size_t>(p);
   const double* pdata = potential.data();
+  ThreadPool& pool = pool_ptr != nullptr ? *pool_ptr : global_pool();
   // Per-range partial sums, added in range order afterwards: the energy is
   // then the same on every run at a given pool size, not dependent on which
   // range finished first.
   std::mutex sum_mutex;
   std::vector<std::pair<std::size_t, double>> partials;  // (range begin, sum)
-  parallel_for_ranges(0, positions.size(), [&](std::size_t begin, std::size_t end) {
-    double wx[kMaxBsplineOrder] = {}, dx[kMaxBsplineOrder] = {};
-    double wy[kMaxBsplineOrder] = {}, dy[kMaxBsplineOrder] = {};
-    double wz[kMaxBsplineOrder] = {}, dz[kMaxBsplineOrder] = {};
+  parallel_for_ranges(pool, 0, positions.size(), [&](std::size_t begin, std::size_t end) {
     double local_sum = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const Vec3 u = hadamard_div(box_.wrap(positions[i]), h_);
-      const long mx0 = bspline_weights_central(p, u.x, {wx, np}, {dx, np});
-      const long my0 = bspline_weights_central(p, u.y, {wy, np}, {dy, np});
-      const long mz0 = bspline_weights_central(p, u.z, {wz, np}, {dz, np});
-      const std::size_t ix0 = Grid3d::wrap(mx0, dims_.nx);
-      const std::size_t iy0 = Grid3d::wrap(my0, dims_.ny);
-      const std::size_t iz0 = Grid3d::wrap(mz0, dims_.nz);
-      double phi = 0.0;
-      Vec3 grad{};  // d phi / d u (grid units)
-      interpolate_atom(pdata, dims_, ix0, iy0, iz0, p, wx, dx, wy, dy, wz, dz,
-                       simd_mode_, phi, grad);
-      if (phi_out != nullptr) (*phi_out)[i] = phi;
-      local_sum += charges[i] * phi;
-      if (forces != nullptr) {
-        const double q = charges[i];
-        (*forces)[i] += {-q * grad.x / h_.x, -q * grad.y / h_.y, -q * grad.z / h_.z};
-      }
-    }
+    for_each_atom_weights(
+        positions, box_, h_, p_, true, simd_mode_, begin, end,
+        [&](std::size_t i, const AtomWeights& aw) {
+          double phi = 0.0;
+          Vec3 grad{};  // d phi / d u (grid units)
+          interpolate_atom(pdata, dims_, Grid3d::wrap(aw.base[0], dims_.nx),
+                           Grid3d::wrap(aw.base[1], dims_.ny),
+                           Grid3d::wrap(aw.base[2], dims_.nz), p_, aw.w[0], aw.d[0],
+                           aw.w[1], aw.d[1], aw.w[2], aw.d[2], simd_mode_, phi, grad);
+          if (phi_out != nullptr) (*phi_out)[i] = phi;
+          local_sum += charges[i] * phi;
+          if (forces != nullptr) {
+            const double q = charges[i];
+            (*forces)[i] += {-q * grad.x / h_.x, -q * grad.y / h_.y, -q * grad.z / h_.z};
+          }
+        });
     const std::lock_guard lock(sum_mutex);
     partials.emplace_back(begin, local_sum);
   });

@@ -14,10 +14,12 @@
 // produce the same bits.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "grid/grid3d.hpp"
+#include "spline/bspline.hpp"
 #include "util/simd.hpp"
 #include "util/vec3.hpp"
 
@@ -46,6 +48,25 @@ void interpolate_atom(const double* grid, const GridDims& dims, std::size_t ix0,
                       const double* dx, const double* wy, const double* dy,
                       const double* wz, const double* dz, simd::Mode mode,
                       double& phi, Vec3& grad);
+
+// One atom's central B-spline stencil weights: per axis the base index
+// (bspline_weights_central's m0, not yet wrapped into a grid) and the p
+// weights, plus their derivatives when asked for (null otherwise).
+struct AtomWeights {
+  long base[3];
+  const double* w[3];
+  const double* d[3];
+};
+
+// fn(i, weights) for every atom i in [first, last), in atom order, with the
+// weights of atom i at u = box.wrap(positions[i]) / h.  The weights are
+// computed W atoms at a time by the batch B-spline entry point (W = 1 in
+// scalar mode, the native width otherwise), bitwise equal to one scalar call
+// per atom and axis.
+template <typename Fn>
+void for_each_atom_weights(std::span<const Vec3> positions, const Box& box,
+                           const Vec3& h, int p, bool derivs, simd::Mode mode,
+                           std::size_t first, std::size_t last, Fn&& fn);
 
 class ChargeAssigner {
  public:
@@ -77,10 +98,14 @@ class ChargeAssigner {
   // and (if forces != nullptr) the accumulated force
   //   forces[i] += -charges[i] * grad phi(r_i).
   // Returns sum_i q_i phi_i (twice the interaction energy).
+  // Atom ranges run on `pool` (nullptr = the process-wide pool); their
+  // partial energies are added in range order, so the energy depends on the
+  // pool size but not on timing.
   double back_interpolate(const Grid3d& potential, std::span<const Vec3> positions,
                           std::span<const double> charges,
                           std::vector<Vec3>* forces,
-                          std::vector<double>* phi_out = nullptr) const;
+                          std::vector<double>* phi_out = nullptr,
+                          ThreadPool* pool = nullptr) const;
 
  private:
   // Serial scatter of particles [first, last) into `grid` (accumulating).
@@ -94,5 +119,55 @@ class ChargeAssigner {
   Vec3 h_;
   simd::Mode simd_mode_ = simd::mode_from_env();
 };
+
+namespace detail {
+
+template <int W, typename Fn>
+void for_each_atom_weights_w(std::span<const Vec3> positions, const Box& box,
+                             const Vec3& h, int p, bool derivs, std::size_t first,
+                             std::size_t last, Fn& fn) {
+  double u[3][W] = {};
+  double values[3][W * kMaxBsplineOrder] = {};
+  double slopes[3][W * kMaxBsplineOrder] = {};
+  long base[3][W] = {};
+  const std::size_t np = static_cast<std::size_t>(p);
+  for (std::size_t i0 = first; i0 < last; i0 += W) {
+    const int n = static_cast<int>(std::min<std::size_t>(W, last - i0));
+    for (int l = 0; l < n; ++l) {
+      const Vec3 ul = hadamard_div(box.wrap(positions[i0 + static_cast<std::size_t>(l)]), h);
+      u[0][l] = ul.x;
+      u[1][l] = ul.y;
+      u[2][l] = ul.z;
+    }
+    for (int a = 0; a < 3; ++a) {
+      bspline_weights_central_batch<W>(p, u[a], n, values[a], derivs ? slopes[a] : nullptr,
+                                       base[a]);
+    }
+    for (int l = 0; l < n; ++l) {
+      const std::size_t at = static_cast<std::size_t>(l) * np;
+      AtomWeights aw{};
+      for (int a = 0; a < 3; ++a) {
+        aw.base[a] = base[a][l];
+        aw.w[a] = values[a] + at;
+        aw.d[a] = derivs ? slopes[a] + at : nullptr;
+      }
+      fn(i0 + static_cast<std::size_t>(l), aw);
+    }
+  }
+}
+
+}  // namespace detail
+
+template <typename Fn>
+void for_each_atom_weights(std::span<const Vec3> positions, const Box& box,
+                           const Vec3& h, int p, bool derivs, simd::Mode mode,
+                           std::size_t first, std::size_t last, Fn&& fn) {
+  if (mode == simd::Mode::kNative) {
+    detail::for_each_atom_weights_w<simd::kNativeWidth>(positions, box, h, p, derivs,
+                                                        first, last, fn);
+  } else {
+    detail::for_each_atom_weights_w<1>(positions, box, h, p, derivs, first, last, fn);
+  }
+}
 
 }  // namespace tme

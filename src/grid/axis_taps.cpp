@@ -1,5 +1,6 @@
 #include "grid/axis_taps.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -24,88 +25,102 @@ void store_out(simd::vec<double, W> acc, double* dst, int n, const double* scale
   }
 }
 
+// G W-wide accumulators over the taps [k0, k1), with the tap loop outermost
+// so that the G fma chains are in flight together.  Block g of the output
+// reads its tap-k operand at src(k) + g * W; when Partial, the last block
+// holds only `last` lanes.  Every element still sees one fma chain over the
+// taps in order, as a lone accumulator would compute it.
+template <int W, int G, bool Partial, typename Src>
+void accumulate_blocks(const double* weight, std::size_t k0, std::size_t k1,
+                       const Src& src, int last, double* dst, const double* scale) {
+  using V = simd::vec<double, W>;
+  V acc[G] = {};
+  for (std::size_t k = k0; k < k1; ++k) {
+    const V wk = V::broadcast(weight[k]);
+    const double* s = src(k);
+    for (int g = 0; g < G; ++g) {
+      const V x = Partial && g == G - 1 ? V::load_partial(s + g * W, last)
+                                        : V::load(s + g * W);
+      acc[g] = V::fma(wk, x, acc[g]);
+    }
+  }
+  for (int g = 0; g < G; ++g) {
+    store_out<W>(acc[g], dst + g * W, Partial && g == G - 1 ? last : W, scale);
+  }
+}
+
+// `len` contiguous outputs dst[i] = sum_k weight[k] * src(k)[i]: groups of
+// four W-wide accumulators, then one group of up to four for the rest.
+template <int W, typename Src>
+void accumulate_span(const double* weight, std::size_t k0, std::size_t k1,
+                     std::size_t len, const Src& src, double* dst, const double* scale) {
+  constexpr std::size_t kGroup = 4 * W;
+  std::size_t i = 0;
+  const auto at = [&](std::size_t k) { return src(k) + i; };
+  for (; i + kGroup <= len; i += kGroup) {
+    accumulate_blocks<W, 4, false>(weight, k0, k1, at, W, dst + i, scale);
+  }
+  const std::size_t rest = len - i;
+  const int full = static_cast<int>(rest / W);
+  const int tail = static_cast<int>(rest % W);
+  double* d = dst + i;
+  if (tail == 0) {
+    switch (full) {
+      case 1: accumulate_blocks<W, 1, false>(weight, k0, k1, at, W, d, scale); break;
+      case 2: accumulate_blocks<W, 2, false>(weight, k0, k1, at, W, d, scale); break;
+      case 3: accumulate_blocks<W, 3, false>(weight, k0, k1, at, W, d, scale); break;
+      default: break;
+    }
+    return;
+  }
+  if constexpr (W > 1) {
+    switch (full) {
+      case 0: accumulate_blocks<W, 1, true>(weight, k0, k1, at, tail, d, scale); break;
+      case 1: accumulate_blocks<W, 2, true>(weight, k0, k1, at, tail, d, scale); break;
+      case 2: accumulate_blocks<W, 3, true>(weight, k0, k1, at, tail, d, scale); break;
+      default: accumulate_blocks<W, 4, true>(weight, k0, k1, at, tail, d, scale); break;
+    }
+  }
+}
+
 // A window x-row: output n reads in_row[src[0] + n - k] over output 0's
 // taps k, so W outputs share one contiguous load per tap.
 template <int W>
-void window_row(const double* in_row, const AxisTaps& t, double* out_row,
-                const double* scale) {
-  using V = simd::vec<double, W>;
-  const std::size_t taps = t.begin[1];
-  const double* w = t.weight.data();
+void window_row(const double* in_row, const AxisTaps& t, double* out_row) {
   const double* first = in_row + t.src[0];
-  const std::size_t n_out = t.outputs();
-  std::size_t n = 0;
-  for (; n + W <= n_out; n += W) {
-    const double* p = first + n;
-    V acc = V::zero();
-    for (std::size_t k = 0; k < taps; ++k) {
-      acc = V::fma(V::broadcast(w[k]), V::load(p - k), acc);
-    }
-    store_out<W>(acc, out_row + n, W, scale);
-  }
-  if (n < n_out) {
-    const int tail = static_cast<int>(n_out - n);
-    const double* p = first + n;
-    V acc = V::zero();
-    for (std::size_t k = 0; k < taps; ++k) {
-      acc = V::fma(V::broadcast(w[k]), V::load_partial(p - k, tail), acc);
-    }
-    store_out<W>(acc, out_row + n, tail, scale);
-  }
+  accumulate_span<W>(t.weight.data(), 0, t.begin[1], t.outputs(),
+                     [first](std::size_t k) { return first - k; }, out_row, nullptr);
 }
 
-// One y- or z-pass output row of nx elements: every tap k in [k0, k1) reads
-// the contiguous source x-row at base + src[k] * stride, W elements at a time.
+// The y pass of one plane: output row n of nx elements reads the plane's
+// rows src[k] over its taps.
 template <int W>
-void strided_row(const double* base, std::size_t stride, const double* weight,
-                 const std::size_t* src, std::size_t k0, std::size_t k1,
-                 double* dst_row, std::size_t nx, const double* scale) {
-  using V = simd::vec<double, W>;
-  std::size_t ix = 0;
-  for (; ix + W <= nx; ix += W) {
-    V acc = V::zero();
-    for (std::size_t k = k0; k < k1; ++k) {
-      acc = V::fma(V::broadcast(weight[k]), V::load(base + src[k] * stride + ix), acc);
-    }
-    store_out<W>(acc, dst_row + ix, W, scale);
-  }
-  if (ix < nx) {
-    const int tail = static_cast<int>(nx - ix);
-    V acc = V::zero();
-    for (std::size_t k = k0; k < k1; ++k) {
-      acc = V::fma(V::broadcast(weight[k]),
-                   V::load_partial(base + src[k] * stride + ix, tail), acc);
-    }
-    store_out<W>(acc, dst_row + ix, tail, scale);
-  }
-}
-
-// taps_pass_yz at one width, parallel over the planes (axis 1) or the
-// y-rows (axis 2) of the input, with every output n innermost so that
-// consecutive outputs reuse the input rows their taps share.
-template <int W>
-void pass_yz(const double* in, GridDims in_dims, int axis, const AxisTaps& t,
-             double* out, ThreadPool& pool, const double* scale) {
-  const std::size_t nx = in_dims.nx;
-  const std::size_t plane_in = nx * in_dims.ny;
-  const std::size_t n_out = t.outputs();
-  const double* weight = t.weight.data();
+void plane_rows(const double* in_plane, std::size_t nx, const AxisTaps& t,
+                double* out_plane) {
   const std::size_t* src = t.src.data();
-  const std::size_t* begin = t.begin.data();
-  if (axis == 1) {
-    parallel_for(pool, 0, in_dims.nz, [&](std::size_t iz) {
-      for (std::size_t n = 0; n < n_out; ++n) {
-        strided_row<W>(in + iz * plane_in, nx, weight, src, begin[n], begin[n + 1],
-                       out + (iz * n_out + n) * nx, nx, scale);
-      }
-    });
-  } else {
-    parallel_for(pool, 0, in_dims.ny, [&](std::size_t iy) {
-      for (std::size_t n = 0; n < n_out; ++n) {
-        strided_row<W>(in + iy * nx, plane_in, weight, src, begin[n], begin[n + 1],
-                       out + (n * in_dims.ny + iy) * nx, nx, scale);
-      }
-    });
+  for (std::size_t n = 0; n < t.outputs(); ++n) {
+    accumulate_span<W>(t.weight.data(), t.begin[n], t.begin[n + 1], nx,
+                       [=](std::size_t k) { return in_plane + src[k] * nx; },
+                       out_plane + n * nx, nullptr);
+  }
+}
+
+// The z pass of y-row iy: its nz x-rows are 8 KB apart in a 32^3 grid, so
+// all of them would share one L1 set; they are first copied into `stage`
+// (nz * nx contiguous values), and the taps then read the staged rows.
+template <int W>
+void column_rows(const double* in, GridDims in_dims, std::size_t iy, const AxisTaps& t,
+                 double* out, double* stage, const double* scale) {
+  const std::size_t nx = in_dims.nx;
+  const std::size_t plane = nx * in_dims.ny;
+  for (std::size_t iz = 0; iz < in_dims.nz; ++iz) {
+    std::copy_n(in + iz * plane + iy * nx, nx, stage + iz * nx);
+  }
+  const std::size_t* src = t.src.data();
+  for (std::size_t n = 0; n < t.outputs(); ++n) {
+    accumulate_span<W>(t.weight.data(), t.begin[n], t.begin[n + 1], nx,
+                       [=](std::size_t k) { return stage + src[k] * nx; },
+                       out + n * plane + iy * nx, scale);
   }
 }
 
@@ -127,12 +142,12 @@ void AxisTaps::finish() {
 }
 
 void taps_row_x(const double* in_row, const AxisTaps& t, double* out_row,
-                simd::Mode mode, const double* scale) {
+                simd::Mode mode) {
   if (t.window) {
     if (mode == simd::Mode::kNative) {
-      window_row<simd::kNativeWidth>(in_row, t, out_row, scale);
+      window_row<simd::kNativeWidth>(in_row, t, out_row);
     } else {
-      window_row<1>(in_row, t, out_row, scale);
+      window_row<1>(in_row, t, out_row);
     }
     return;
   }
@@ -142,7 +157,7 @@ void taps_row_x(const double* in_row, const AxisTaps& t, double* out_row,
     for (std::size_t k = t.begin[n]; k < t.begin[n + 1]; ++k) {
       acc = simd::fma1(t.weight[k], in_row[t.src[k]], acc);
     }
-    out_row[n] = scale != nullptr ? out_row[n] + *scale * acc : acc;
+    out_row[n] = acc;
   }
 }
 
@@ -156,14 +171,41 @@ void taps_pass_x(const double* in, std::size_t in_len, std::size_t rows,
   });
 }
 
-void taps_pass_yz(const double* in, GridDims in_dims, int axis, const AxisTaps& t,
-                  double* out, simd::Mode mode, ThreadPool& pool,
-                  const double* scale) {
+void taps_plane_y(const double* in_plane, std::size_t nx, const AxisTaps& t,
+                  double* out_plane, simd::Mode mode) {
   if (mode == simd::Mode::kNative) {
-    pass_yz<simd::kNativeWidth>(in, in_dims, axis, t, out, pool, scale);
+    plane_rows<simd::kNativeWidth>(in_plane, nx, t, out_plane);
   } else {
-    pass_yz<1>(in, in_dims, axis, t, out, pool, scale);
+    plane_rows<1>(in_plane, nx, t, out_plane);
   }
+}
+
+void taps_column_z(const double* in, GridDims in_dims, std::size_t iy, const AxisTaps& t,
+                   double* out, double* stage, simd::Mode mode, const double* scale) {
+  if (mode == simd::Mode::kNative) {
+    column_rows<simd::kNativeWidth>(in, in_dims, iy, t, out, stage, scale);
+  } else {
+    column_rows<1>(in, in_dims, iy, t, out, stage, scale);
+  }
+}
+
+void taps_pass_yz(const double* in, GridDims in_dims, int axis, const AxisTaps& t,
+                  double* out, simd::Mode mode, ThreadPool& pool) {
+  const std::size_t nx = in_dims.nx;
+  if (axis == 1) {
+    const std::size_t plane_in = nx * in_dims.ny;
+    const std::size_t plane_out = nx * t.outputs();
+    parallel_for(pool, 0, in_dims.nz, [&](std::size_t iz) {
+      taps_plane_y(in + iz * plane_in, nx, t, out + iz * plane_out, mode);
+    });
+    return;
+  }
+  parallel_for_ranges(pool, 0, in_dims.ny, [&](std::size_t first, std::size_t last) {
+    const ScratchRows stage = scratch_rows(in_dims.nz * nx);
+    for (std::size_t iy = first; iy < last; ++iy) {
+      taps_column_z(in, in_dims, iy, t, out, stage.get(), mode);
+    }
+  });
 }
 
 }  // namespace tme

@@ -16,65 +16,52 @@ void check_kernel(const Kernel1d& k) {
   }
 }
 
-// convolve_axis, writing out = conv(in) or, with a non-null `scale`,
-// accumulating out += scale * conv(in).
-void convolve_axis_into(const Grid3d& in, const Kernel1d& kernel, ConvAxis axis,
-                        Grid3d& out, simd::Mode mode, const double* scale) {
-  check_kernel(kernel);
-  if (!(in.dims() == out.dims())) {
-    throw std::invalid_argument("convolve_axis: dimension mismatch");
-  }
-  if (&in == &out) throw std::invalid_argument("convolve_axis: in-place not supported");
-  const auto [nx, ny, nz] = in.dims();
-  const int c = kernel.cutoff;
-  const std::size_t n_axis = axis == ConvAxis::kX   ? nx
-                             : axis == ConvAxis::kY ? ny
-                                                    : nz;
-  if (2 * static_cast<long>(c) + 1 > 2 * static_cast<long>(n_axis)) {
-    // Kernels wider than the periodic domain would double-count images in a
-    // way the truncated hardware kernel never does; reject loudly.
-    throw std::invalid_argument("convolve_axis: kernel cutoff exceeds grid period");
-  }
-
-  const double* src = in.data();
-  double* dst = out.data();
-  const std::size_t uc = static_cast<std::size_t>(c);
+// Each x-line runs from its periodically padded copy
+// pad[j] = src[(j - pad_c) mod nx], j in [0, nx + 2 pad_c): output n reads
+// src[(n - m) mod nx] = pad[n + pad_c - m] over m = -c..c ascending, a
+// sliding window.  pad_c >= c may exceed the kernel's own cutoff, so terms
+// of different cutoffs can share one padded line.
+AxisTaps x_window_taps(const Kernel1d& k, std::size_t nx, std::size_t pad_c) {
+  const std::size_t uc = static_cast<std::size_t>(k.cutoff);
   AxisTaps taps;
-  taps.reserve(n_axis, 2 * uc + 1);
-
-  if (axis == ConvAxis::kX) {
-    // Each x-line runs from its periodically padded copy
-    // pad[j] = src[(j - c) mod nx], j in [0, nx + 2c): output n reads
-    // pad[n + 2c - t] for tap t = m + c, a sliding window.  c < nx (checked
-    // above), so each pad side wraps at most once.
-    for (std::size_t n = 0; n < nx; ++n) {
-      taps.start_output();
-      for (std::size_t t = 0; t <= 2 * uc; ++t) taps.add(kernel.taps[t], n + 2 * uc - t);
-    }
-    taps.finish();
-    parallel_for_ranges(0, ny * nz, [&](std::size_t first, std::size_t last) {
-      std::vector<double> pad(nx + 2 * uc);
-      for (std::size_t line = first; line < last; ++line) {
-        const double* row = src + line * nx;
-        std::copy(row + nx - uc, row + nx, pad.begin());
-        std::copy(row, row + nx, pad.begin() + static_cast<long>(uc));
-        std::copy(row, row + uc, pad.begin() + static_cast<long>(uc + nx));
-        taps_row_x(pad.data(), taps, dst + line * nx, mode, scale);
-      }
-    });
-    return;
+  taps.reserve(nx, 2 * uc + 1);
+  for (std::size_t n = 0; n < nx; ++n) {
+    taps.start_output();
+    for (std::size_t t = 0; t <= 2 * uc; ++t) taps.add(k.taps[t], n + pad_c + uc - t);
   }
+  taps.finish();
+  return taps;
+}
 
-  // y/z: output n reads the rows (n - m) mod n_axis, m ascending.
+// The padded copy of one x-line for x_window_taps; pad_c < nx, so each pad
+// side wraps at most once.
+void pad_line(const double* row, std::size_t nx, std::size_t pad_c, double* pad) {
+  std::copy(row + nx - pad_c, row + nx, pad);
+  std::copy(row, row + nx, pad + pad_c);
+  std::copy(row, row + pad_c, pad + pad_c + nx);
+}
+
+// y/z: output n reads the rows (n - m) mod n_axis, m ascending.
+AxisTaps periodic_taps(const Kernel1d& k, std::size_t n_axis) {
+  AxisTaps taps;
+  taps.reserve(n_axis, k.taps.size());
   for (std::size_t n = 0; n < n_axis; ++n) {
     taps.start_output();
-    for (int m = -c; m <= c; ++m) {
-      taps.add(kernel.tap(m), Grid3d::wrap(static_cast<long>(n) - m, n_axis));
+    for (int m = -k.cutoff; m <= k.cutoff; ++m) {
+      taps.add(k.tap(m), Grid3d::wrap(static_cast<long>(n) - m, n_axis));
     }
   }
   taps.finish();
-  taps_pass_yz(src, in.dims(), axis == ConvAxis::kY ? 1 : 2, taps, dst, mode,
-               global_pool(), scale);
+  return taps;
+}
+
+// Kernels wider than the periodic domain would double-count images in a way
+// the truncated hardware kernel never does; reject loudly.
+void check_cutoff(const Kernel1d& k, std::size_t n_axis) {
+  check_kernel(k);
+  if (2 * static_cast<long>(k.cutoff) + 1 > 2 * static_cast<long>(n_axis)) {
+    throw std::invalid_argument("convolve_axis: kernel cutoff exceeds grid period");
+  }
 }
 
 }  // namespace
@@ -86,7 +73,31 @@ void convolve_axis(const Grid3d& in, const Kernel1d& kernel, ConvAxis axis,
 
 void convolve_axis(const Grid3d& in, const Kernel1d& kernel, ConvAxis axis,
                    Grid3d& out, simd::Mode mode) {
-  convolve_axis_into(in, kernel, axis, out, mode, nullptr);
+  if (!(in.dims() == out.dims())) {
+    throw std::invalid_argument("convolve_axis: dimension mismatch");
+  }
+  if (&in == &out) throw std::invalid_argument("convolve_axis: in-place not supported");
+  const auto [nx, ny, nz] = in.dims();
+  const std::size_t n_axis = axis == ConvAxis::kX   ? nx
+                             : axis == ConvAxis::kY ? ny
+                                                    : nz;
+  check_cutoff(kernel, n_axis);
+  const double* src = in.data();
+  double* dst = out.data();
+  if (axis == ConvAxis::kX) {
+    const std::size_t uc = static_cast<std::size_t>(kernel.cutoff);
+    const AxisTaps taps = x_window_taps(kernel, nx, uc);
+    parallel_for_ranges(0, ny * nz, [&](std::size_t first, std::size_t last) {
+      const ScratchRows pad = scratch_rows(nx + 2 * uc);
+      for (std::size_t line = first; line < last; ++line) {
+        pad_line(src + line * nx, nx, uc, pad.get());
+        taps_row_x(pad.get(), taps, dst + line * nx, mode);
+      }
+    });
+    return;
+  }
+  taps_pass_yz(src, in.dims(), axis == ConvAxis::kY ? 1 : 2, periodic_taps(kernel, n_axis),
+               dst, mode, global_pool());
 }
 
 Grid3d convolve_separable(const Grid3d& in, const Kernel1d& kx,
@@ -101,17 +112,65 @@ Grid3d convolve_separable(const Grid3d& in, const Kernel1d& kx,
 
 void convolve_tensor(const Grid3d& in, const std::vector<SeparableTerm>& terms,
                      double scale, Grid3d& out) {
+  convolve_tensor(in, terms, scale, out, simd::mode_from_env(), global_pool());
+}
+
+void convolve_tensor(const Grid3d& in, const std::vector<SeparableTerm>& terms,
+                     double scale, Grid3d& out, simd::Mode mode, ThreadPool& pool) {
   if (!(in.dims() == out.dims())) {
     throw std::invalid_argument("convolve_tensor: dimension mismatch");
   }
-  const simd::Mode mode = simd::mode_from_env();
-  Grid3d tmp_x(in.dims());
-  Grid3d tmp_y(in.dims());
+  if (terms.empty()) return;
+  const auto [nx, ny, nz] = in.dims();
+  std::size_t pad_c = 0;
   for (const SeparableTerm& term : terms) {
-    convolve_axis_into(in, term.kx, ConvAxis::kX, tmp_x, mode, nullptr);
-    convolve_axis_into(tmp_x, term.ky, ConvAxis::kY, tmp_y, mode, nullptr);
-    convolve_axis_into(tmp_y, term.kz, ConvAxis::kZ, out, mode, &scale);
+    check_cutoff(term.kx, nx);
+    check_cutoff(term.ky, ny);
+    check_cutoff(term.kz, nz);
+    pad_c = std::max(pad_c, static_cast<std::size_t>(term.kx.cutoff));
   }
+  const std::size_t m = terms.size();
+  std::vector<AxisTaps> x_taps, y_taps, z_taps;
+  for (const SeparableTerm& term : terms) {
+    x_taps.push_back(x_window_taps(term.kx, nx, pad_c));
+    y_taps.push_back(periodic_taps(term.ky, ny));
+    z_taps.push_back(periodic_taps(term.kz, nz));
+  }
+  // Pass 1, per z-plane: pad the plane's x-lines once, then for every term
+  // the x pass into a plane scratch and the y pass into that term's work
+  // grid (both stay inside the plane).  Every work cell is written.
+  const std::size_t plane = nx * ny;
+  const std::size_t cells = plane * nz;
+  const ScratchRows work = scratch_rows(m * cells);
+  const double* src = in.data();
+  const std::size_t pad_len = nx + 2 * pad_c;
+  parallel_for_ranges(pool, 0, nz, [&](std::size_t first, std::size_t last) {
+    const ScratchRows padded = scratch_rows(ny * pad_len);
+    const ScratchRows x_plane = scratch_rows(plane);
+    for (std::size_t iz = first; iz < last; ++iz) {
+      for (std::size_t iy = 0; iy < ny; ++iy) {
+        pad_line(src + iz * plane + iy * nx, nx, pad_c, padded.get() + iy * pad_len);
+      }
+      for (std::size_t t = 0; t < m; ++t) {
+        for (std::size_t iy = 0; iy < ny; ++iy) {
+          taps_row_x(padded.get() + iy * pad_len, x_taps[t], x_plane.get() + iy * nx, mode);
+        }
+        taps_plane_y(x_plane.get(), nx, y_taps[t], work.get() + t * cells + iz * plane, mode);
+      }
+    }
+  });
+  // Pass 2, per y-row: the z pass of every term in term order, each adding
+  // scale * result into `out` cell by cell — the order of the term-by-term
+  // sum.
+  parallel_for_ranges(pool, 0, ny, [&](std::size_t first, std::size_t last) {
+    const ScratchRows stage = scratch_rows(nz * nx);
+    for (std::size_t iy = first; iy < last; ++iy) {
+      for (std::size_t t = 0; t < m; ++t) {
+        taps_column_z(work.get() + t * cells, in.dims(), iy, z_taps[t], out.data(),
+                      stage.get(), mode, &scale);
+      }
+    }
+  });
 }
 
 void convolve_dense3d(const Grid3d& in, const std::vector<double>& taps3d,

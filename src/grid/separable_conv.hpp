@@ -15,6 +15,8 @@
 
 namespace tme {
 
+class ThreadPool;
+
 // Symmetric-range 1D kernel, taps indexed from -cutoff to +cutoff.
 struct Kernel1d {
   int cutoff = 0;
@@ -44,14 +46,25 @@ Grid3d convolve_separable(const Grid3d& in, const Kernel1d& kx,
                           const Kernel1d& ky, const Kernel1d& kz);
 
 // Accumulating tensor-structured convolution:
-//   out += scale * sum over terms of separable convolutions,
-// term by term; each term's z pass adds its scaled result into `out` as it
-// goes.  Follows TME_SIMD.
+//   out += scale * sum over terms of separable convolutions.
+// One fused pass over all M terms, as the GCU streams every Gaussian term
+// of a level through the same convolution pipes: first, per z-plane, the x
+// then y pass of every term (both stay inside the plane; the plane's x-lines
+// are padded once for all terms) into M work grids; then, per y-row, the z
+// pass of every term in term order, each adding scale * its result into
+// `out` cell by cell.  Every cell sees the same fma chains and the same
+// term-ordered sum as convolving term by term, so the bits equal the
+// three-pass-per-term form.  Two pool dispatches per call; terms may have
+// different cutoffs per term and per axis.  The 4-argument form follows
+// TME_SIMD on the process-wide pool; pass an explicit mode and pool for A/B
+// parity tests and benches.
 struct SeparableTerm {
   Kernel1d kx, ky, kz;
 };
 void convolve_tensor(const Grid3d& in, const std::vector<SeparableTerm>& terms,
                      double scale, Grid3d& out);
+void convolve_tensor(const Grid3d& in, const std::vector<SeparableTerm>& terms,
+                     double scale, Grid3d& out, simd::Mode mode, ThreadPool& pool);
 
 // Brute-force range-limited dense 3D convolution (reference for tests and the
 // B-spline-MSM baseline cost):  out[n] = sum_{|m_j| <= cutoff} K3[m] in[n-m].

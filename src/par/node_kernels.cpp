@@ -150,23 +150,22 @@ ExtendedBlock ca_spread_block(std::span<const Vec3> positions,
   ExtendedBlock buffer;
   buffer.reset(x0, y0, z0, ex, ey, ez);
   const simd::Mode mode = simd::mode_from_env();
-  const std::size_t np = static_cast<std::size_t>(p);
-  double wx[kMaxBsplineOrder] = {}, wy[kMaxBsplineOrder] = {}, wz[kMaxBsplineOrder] = {};
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    const Vec3 u = hadamard_div(box.wrap(positions[i]), h);
-    const long mx0 = unwrap_base(p, bspline_weights_central(p, u.x, {wx, np}, {}),
-                                 buffer.x0, buffer.x0 + static_cast<long>(buffer.nx),
-                                 static_cast<long>(global.nx));
-    const long my0 = unwrap_base(p, bspline_weights_central(p, u.y, {wy, np}, {}),
-                                 buffer.y0, buffer.y0 + static_cast<long>(buffer.ny),
-                                 static_cast<long>(global.ny));
-    const long mz0 = unwrap_base(p, bspline_weights_central(p, u.z, {wz, np}, {}),
-                                 buffer.z0, buffer.z0 + static_cast<long>(buffer.nz),
-                                 static_cast<long>(global.nz));
-    spread_atom(buffer.data.data(), {ex, ey, ez}, static_cast<std::size_t>(mx0 - x0),
-                static_cast<std::size_t>(my0 - y0), static_cast<std::size_t>(mz0 - z0),
-                p, charges[i], wx, wy, wz, mode);
-  }
+  for_each_atom_weights(
+      positions, box, h, p, false, mode, 0, positions.size(),
+      [&](std::size_t i, const AtomWeights& aw) {
+        const long mx0 = unwrap_base(p, aw.base[0], buffer.x0,
+                                     buffer.x0 + static_cast<long>(buffer.nx),
+                                     static_cast<long>(global.nx));
+        const long my0 = unwrap_base(p, aw.base[1], buffer.y0,
+                                     buffer.y0 + static_cast<long>(buffer.ny),
+                                     static_cast<long>(global.ny));
+        const long mz0 = unwrap_base(p, aw.base[2], buffer.z0,
+                                     buffer.z0 + static_cast<long>(buffer.nz),
+                                     static_cast<long>(global.nz));
+        spread_atom(buffer.data.data(), {ex, ey, ez}, static_cast<std::size_t>(mx0 - x0),
+                    static_cast<std::size_t>(my0 - y0), static_cast<std::size_t>(mz0 - z0),
+                    p, charges[i], aw.w[0], aw.w[1], aw.w[2], mode);
+      });
   return buffer;
 }
 
@@ -179,31 +178,29 @@ BiBlockResult bi_interpolate_block(const ExtendedBlock& halo,
   BiBlockResult res;
   res.forces.assign(positions.size(), Vec3{});
   const simd::Mode mode = simd::mode_from_env();
-  const std::size_t np = static_cast<std::size_t>(p);
-  double wx[kMaxBsplineOrder] = {}, wy[kMaxBsplineOrder] = {}, wz[kMaxBsplineOrder] = {};
-  double dx[kMaxBsplineOrder] = {}, dy[kMaxBsplineOrder] = {}, dz[kMaxBsplineOrder] = {};
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    const Vec3 u = hadamard_div(box.wrap(positions[i]), h);
-    const long mx0 = unwrap_base(p, bspline_weights_central(p, u.x, {wx, np}, {dx, np}),
-                                 halo.x0, halo.x0 + static_cast<long>(halo.nx),
-                                 static_cast<long>(global.nx));
-    const long my0 = unwrap_base(p, bspline_weights_central(p, u.y, {wy, np}, {dy, np}),
-                                 halo.y0, halo.y0 + static_cast<long>(halo.ny),
-                                 static_cast<long>(global.ny));
-    const long mz0 = unwrap_base(p, bspline_weights_central(p, u.z, {wz, np}, {dz, np}),
-                                 halo.z0, halo.z0 + static_cast<long>(halo.nz),
-                                 static_cast<long>(global.nz));
-    double phi = 0.0;
-    Vec3 grad{};  // d phi / d u (grid units)
-    interpolate_atom(halo.data.data(), {halo.nx, halo.ny, halo.nz},
-                     static_cast<std::size_t>(mx0 - halo.x0),
-                     static_cast<std::size_t>(my0 - halo.y0),
-                     static_cast<std::size_t>(mz0 - halo.z0), p, wx, dx, wy, dy, wz, dz,
-                     mode, phi, grad);
-    const double q = charges[i];
-    res.q_phi += q * phi;
-    res.forces[i] = {-q * grad.x / h.x, -q * grad.y / h.y, -q * grad.z / h.z};
-  }
+  for_each_atom_weights(
+      positions, box, h, p, true, mode, 0, positions.size(),
+      [&](std::size_t i, const AtomWeights& aw) {
+        const long mx0 = unwrap_base(p, aw.base[0], halo.x0,
+                                     halo.x0 + static_cast<long>(halo.nx),
+                                     static_cast<long>(global.nx));
+        const long my0 = unwrap_base(p, aw.base[1], halo.y0,
+                                     halo.y0 + static_cast<long>(halo.ny),
+                                     static_cast<long>(global.ny));
+        const long mz0 = unwrap_base(p, aw.base[2], halo.z0,
+                                     halo.z0 + static_cast<long>(halo.nz),
+                                     static_cast<long>(global.nz));
+        double phi = 0.0;
+        Vec3 grad{};  // d phi / d u (grid units)
+        interpolate_atom(halo.data.data(), {halo.nx, halo.ny, halo.nz},
+                         static_cast<std::size_t>(mx0 - halo.x0),
+                         static_cast<std::size_t>(my0 - halo.y0),
+                         static_cast<std::size_t>(mz0 - halo.z0), p, aw.w[0], aw.d[0],
+                         aw.w[1], aw.d[1], aw.w[2], aw.d[2], mode, phi, grad);
+        const double q = charges[i];
+        res.q_phi += q * phi;
+        res.forces[i] = {-q * grad.x / h.x, -q * grad.y / h.y, -q * grad.z / h.z};
+      });
   return res;
 }
 

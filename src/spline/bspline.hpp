@@ -50,6 +50,22 @@ long bspline_weights_runtime_order(int p, double u, std::span<double> values,
 long bspline_weights_central(int p, double u, std::span<double> values,
                              std::span<double> derivs);
 
+// Batch forms: the weights of n in [1, W] coordinates u[0..n) in one pass
+// of the recurrence on simd::vec<double, W>, one coordinate per lane (the
+// scalar functions above are the same body at T = double).  Coordinate l's
+// weights land in values[l * p .. l * p + p) (derivs likewise; derivs may be
+// null) and its base index in base[l], each bitwise equal to what
+// bspline_weights / bspline_weights_central return for u[l] — a non-finite
+// u[l] included (NaN weights, base as for floor(u) = 0).  Instantiated for
+// W = 1 and W = simd::kNativeWidth.  At W = 8 (AVX-512, p = 6, with
+// derivatives) a coordinate costs about a third of a scalar call.
+template <int W>
+void bspline_weights_batch(int p, const double* u, int n, double* values,
+                           double* derivs, long* base);
+template <int W>
+void bspline_weights_central_batch(int p, const double* u, int n, double* values,
+                                   double* derivs, long* base);
+
 // Exact values of the central B-spline at the integers, index m in
 // [-p/2, p/2]; returns M_p^c(m) (zero at the endpoints for p even).
 double bspline_central_at_integer(int p, int m);

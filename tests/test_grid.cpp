@@ -136,6 +136,41 @@ TEST(SeparableConv, TensorSumAccumulatesWithScale) {
   }
 }
 
+// The fused multi-term convolution keeps every cell's per-axis fma chains
+// and the term-ordered sum: on odd extents (partial vectors, fewer than four
+// accumulators per row) with cutoffs that differ per term and per axis, a
+// single-term call equals convolve_separable, and the M-term call equals M
+// single-term calls in term order — in both SIMD modes, at pool sizes 1
+// and 3.
+TEST(SeparableConv, FusedTensorEqualsTermByTerm) {
+  const GridDims dims{13, 7, 10};
+  const Grid3d in = random_grid(dims, 5);
+  const std::vector<SeparableTerm> terms = {
+      {gaussian_kernel(6, 0.2), gaussian_kernel(3, 0.4), gaussian_kernel(4, 0.3)},
+      {gaussian_kernel(0, 1.0), gaussian_kernel(5, 0.1), gaussian_kernel(1, 0.6)},
+      {gaussian_kernel(2, 0.7), gaussian_kernel(1, 0.9), gaussian_kernel(9, 0.05)}};
+  const double scale = 0.37;
+  for (const simd::Mode mode : {simd::Mode::kScalar, simd::Mode::kNative}) {
+    for (const unsigned workers : {0u, 2u}) {
+      ThreadPool pool(workers);
+      for (const SeparableTerm& term : terms) {
+        Grid3d fused(dims);
+        convolve_tensor(in, {term}, 1.0, fused, mode, pool);
+        const Grid3d separable = convolve_separable(in, term.kx, term.ky, term.kz);
+        for (std::size_t i = 0; i < in.size(); ++i) ASSERT_EQ(fused[i], separable[i]) << i;
+      }
+      Grid3d all = random_grid(dims, 6);
+      Grid3d one_by_one = all;
+      convolve_tensor(in, terms, scale, all, mode, pool);
+      for (const SeparableTerm& term : terms) {
+        convolve_tensor(in, {term}, scale, one_by_one, mode, pool);
+      }
+      EXPECT_EQ(std::memcmp(all.data(), one_by_one.data(), all.size() * sizeof(double)), 0)
+          << simd::mode_name(mode) << " workers=" << workers;
+    }
+  }
+}
+
 TEST(SeparableConv, KernelWiderThanGridFoldsPeriodically) {
   // A kernel whose cutoff reaches beyond the period must accumulate the
   // periodic images, equivalent to convolving with the folded kernel.

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -12,6 +13,7 @@
 #include "spline/interpolation_coeffs.hpp"
 #include "spline/two_scale.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace tme {
 namespace {
@@ -153,6 +155,86 @@ TEST(BSplineWeights, FixedOrderPathsBitwiseEqualRuntimeOrder) {
               -(p - 1));
     EXPECT_TRUE(std::isnan(w[0]));
   }
+}
+
+// The batch entry points run the scalar recurrence's body on W lanes; every
+// lane must equal the scalar call bitwise (values, derivatives, base), for
+// every order, at W = 1 and the native width, in full and partial batches,
+// on lanes that hold NaN, +-inf, negative u, exact integers, 1e6 and
+// subnormals — and a partial batch writes nothing past its n coordinates.
+template <int W>
+void check_batch_equals_scalar(const std::vector<double>& us) {
+  constexpr double kSentinel = -12345.0;
+  for (int p = 2; p <= kMaxBsplineOrder; ++p) {
+    const std::size_t np = static_cast<std::size_t>(p);
+    for (const bool central : {false, true}) {
+      if (central && p % 2 != 0) continue;
+      for (const bool with_derivs : {false, true}) {
+        std::size_t differing = 0;
+        for (std::size_t first = 0; first < us.size(); first += W) {
+          // Every other batch is partial (one lane short) where W allows.
+          const int full = static_cast<int>(std::min<std::size_t>(W, us.size() - first));
+          const int n = (W > 1 && (first / W) % 2 == 1 && full == W) ? W - 1 : full;
+          std::vector<double> values(W * np, kSentinel), derivs(W * np, kSentinel);
+          std::vector<long> base(W, -7);
+          double* d = with_derivs ? derivs.data() : nullptr;
+          if (central) {
+            bspline_weights_central_batch<W>(p, us.data() + first, n, values.data(), d,
+                                             base.data());
+          } else {
+            bspline_weights_batch<W>(p, us.data() + first, n, values.data(), d, base.data());
+          }
+          for (int l = 0; l < n; ++l) {
+            const double u = us[first + static_cast<std::size_t>(l)];
+            std::vector<double> w(np), dw(np);
+            const std::span<double> ds = with_derivs ? std::span<double>(dw) : std::span<double>();
+            const long m0 = central ? bspline_weights_central(p, u, w, ds)
+                                    : bspline_weights(p, u, w, ds);
+            EXPECT_EQ(base[static_cast<std::size_t>(l)], m0) << "p=" << p << " u=" << u;
+            const std::size_t at = static_cast<std::size_t>(l) * np;
+            differing += std::memcmp(values.data() + at, w.data(), np * sizeof(double)) != 0;
+            if (with_derivs) {
+              differing += std::memcmp(derivs.data() + at, dw.data(), np * sizeof(double)) != 0;
+            }
+          }
+          for (std::size_t k = static_cast<std::size_t>(n) * np; k < W * np; ++k) {
+            EXPECT_EQ(values[k], kSentinel) << "p=" << p << " wrote past the batch";
+            EXPECT_EQ(derivs[k], kSentinel) << "p=" << p << " wrote past the batch";
+          }
+          if (!with_derivs) {
+            for (const double x : derivs) EXPECT_EQ(x, kSentinel);
+          }
+        }
+        EXPECT_EQ(differing, 0u) << "W=" << W << " p=" << p << " central=" << central
+                                 << " derivs=" << with_derivs;
+      }
+    }
+  }
+}
+
+TEST(BSplineWeights, BatchEqualsScalarBitwise) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  std::vector<double> us = {kNan, kInf,  -kInf, -3.25, -0.0, 0.0,    1.0,     2.0,
+                            31.0, -1.0,  1e6,   -1e6,  kTiny, -kTiny, 4.9e-310,
+                            -2.2e-309, std::nextafter(1.0, 0.0), std::nextafter(-1.0, 0.0)};
+  Rng rng(2026);
+  for (int i = 0; i < 200; ++i) us.push_back(rng.uniform(-40.0, 70.0));
+  check_batch_equals_scalar<1>(us);
+  check_batch_equals_scalar<simd::kNativeWidth>(us);
+  // A non-finite coordinate keeps the scalar rule: base as for floor(u) = 0.
+  double values[kMaxBsplineOrder * simd::kNativeWidth];
+  long base[simd::kNativeWidth];
+  const double bad[2] = {kNan, -kInf};
+  bspline_weights_central_batch<simd::kNativeWidth>(6, bad, 2, values, nullptr, base);
+  EXPECT_EQ(base[0], -2);
+  EXPECT_EQ(base[1], -2);
+  EXPECT_TRUE(std::isnan(values[0]));
+  EXPECT_THROW(bspline_weights_central_batch<1>(5, bad, 1, values, nullptr, base),
+               std::invalid_argument);
+  EXPECT_THROW(bspline_weights_batch<1>(6, bad, 2, values, nullptr, base),
+               std::invalid_argument);
 }
 
 TEST(BSplineWeights, RejectsOrderAboveStackCapacity) {
